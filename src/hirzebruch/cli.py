@@ -230,7 +230,7 @@ def cmd_grid(args) -> int:
     if args.below_rank > 2:
         table = _load_or_build_table(args.e, args.below_rank - 1, _cache_path(args))
     eps_vals, phi_vals, rows = dlp_mod.dlp_grid(
-        args.e, args.m, tuple(parts), args.steps, args.below_rank, table, jobs=args.jobs
+        args.e, args.m, tuple(parts), args.steps, args.below_rank, table
     )
     if args.format == "csv":
         sys.stdout.write("eps,phi,delta\n")
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hirz",
         description="Exact decision procedures for moduli of sheaves on Hirzebruch surfaces.",
     )
-    top.add_argument("--jobs", type=int, default=1, help="worker threads for grids/tables")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exceptional", help="enumerate exceptional bundles with stability intervals")

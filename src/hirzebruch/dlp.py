@@ -11,7 +11,14 @@ Delta(W) >= DLP_{H_m,V}(nu(W)) where, with d = nu - nu(V),
 DLP^{<r} takes the maximum over all mu_{H_m}-stable exceptional bundles of
 rank < r inside the strip; DLP^1 restricts to line bundles.  The supremum is
 an honest maximum: any contribution >= c > 0 forces the fiber component of d
-into (-X, X) with X = max(1, 2/(2m+e)), which makes the twist search finite.
+into (-X, X) with X = `lattice.fiber_window(m, e)` = max(1, 2/(2m+e)), which
+makes the twist search finite.
+
+The contributing bundles come as slope classes mod Z^2 (`SlopeClass`): the
+twist/dual and, on F_0, fiber-swap orbits of the exceptional table rows
+(`orbit`, `slope_classes`).  The exceptional module computes the stability
+intervals I_V from the same classes, so the orbit enumeration and the
+open-interval stability test live only here.
 
 Polarizations with e >= 2 are rejected here; reduce to F_0/F_1 first.
 """
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .lattice import (
     ChernCharacter,
@@ -28,6 +35,7 @@ from .lattice import (
     Rat,
     ceil_frac,
     check_polarization,
+    fiber_window,
     floor_frac,
     hilbert_P,
 )
@@ -84,72 +92,78 @@ def dlp_single(v: ChernCharacter, nu: DivisorClass, m: Rat, e: int) -> Optional[
     return max(hilbert_P(d, e), hilbert_P(-d, e)) - dv
 
 
-class _Contributor:
-    """A slope class of stable exceptionals: base slope mod Z^2 plus data."""
+class SlopeClass(NamedTuple):
+    """Stable exceptional bundles of one rank whose slopes agree mod Z^2.
 
-    __slots__ = ("rank", "na", "nb", "delta", "lo", "hi")
+    (na, nb) is one representative slope; every twist by Z E + Z F shares
+    Delta and the stability interval (lo, hi).
+    """
 
-    def __init__(self, rank, na, nb, delta, lo, hi):
-        self.rank = rank
-        self.na = Fraction(na)
-        self.nb = Fraction(nb)
-        self.delta = Fraction(delta)
-        self.lo = lo        # Fraction (0 allowed)
-        self.hi = hi        # Fraction or None (= +infinity)
+    rank: int
+    na: Fraction
+    nb: Fraction
+    delta: Fraction
+    lo: Fraction                # 0 allowed
+    hi: Optional[Fraction]      # None = +infinity
 
     def stable_at(self, m: Fraction) -> bool:
-        if m <= self.lo:
-            return False
-        return self.hi is None or m < self.hi
+        """mu_{H_m}-stability: m strictly inside the open interval."""
+        return m > self.lo and (self.hi is None or m < self.hi)
 
 
-def _line_contributor() -> _Contributor:
-    return _Contributor(1, 0, 0, Fraction(0), Fraction(0), None)
+LINE_BUNDLES = SlopeClass(1, Fraction(0), Fraction(0), Fraction(0), Fraction(0), None)
 
 
-def _swap_interval(lo: Fraction, hi: Optional[Fraction]) -> Tuple[Fraction, Optional[Fraction]]:
-    # F_0 fiber swap sends H_m to a multiple of H_{1/m}.
-    new_lo = Fraction(0) if hi is None else 1 / hi
-    new_hi = None if lo == 0 else 1 / lo
-    return new_lo, new_hi
+def orbit(rec, e: int) -> List[SlopeClass]:
+    """Slope classes of the twist/dual (and, on F_0, fiber-swap) orbit of a
+    table row, deduplicated modulo Z^2 together with their intervals."""
+    r, lo, hi = rec.r, rec.lo, rec.hi
+    variants = [(rec.a, rec.b, lo, hi), (-rec.a, -rec.b, lo, hi)]
+    if e == 0:
+        # the fiber swap sends H_m to a multiple of H_{1/m}
+        slo = Fraction(0) if hi is None else 1 / hi
+        shi = None if lo == 0 else 1 / lo
+        variants += [(rec.b, rec.a, slo, shi), (-rec.b, -rec.a, slo, shi)]
+    dv = rec.delta()
+    out, seen = [], set()
+    for a, b, vlo, vhi in variants:
+        na, nb = Fraction(a, r), Fraction(b, r)
+        key = (na % 1, nb % 1, vlo, vhi)
+        if key not in seen:
+            seen.add(key)
+            out.append(SlopeClass(r, na, nb, dv, vlo, vhi))
+    return out
 
 
-def _contributors(table, e: int, below_rank: int) -> List[_Contributor]:
+def slope_classes(table, e: int, below_rank: int) -> List[SlopeClass]:
+    """O plus the orbits of every table row of rank 2 .. below_rank - 1.
+
+    The table is only consulted when below_rank > 2 and must then cover
+    every rank below the cutoff.
+    """
+    out = [LINE_BUNDLES]
+    if below_rank <= 2:
+        return out
     if table is None:
         raise InsufficientTable("an exceptional table is required for rank bounds > 2")
-    if getattr(table, "e", e) != e:
+    if table.e != e:
         raise ValueError("table is for e=%r, query is for e=%r" % (table.e, e))
     if table.max_rank < below_rank - 1:
         raise InsufficientTable(
             "table covers ranks <= %d but DLP^{<%d} needs %d"
             % (table.max_rank, below_rank, below_rank - 1)
         )
-    out = []
-    seen = set()
     for rec in table.records:
-        if rec.r == 1 or rec.r >= below_rank:
-            continue
-        r = rec.r
-        dv = rec.delta()
-        variants = [((rec.a, rec.b), (rec.lo, rec.hi)), ((-rec.a, -rec.b), (rec.lo, rec.hi))]
-        if e == 0:
-            swapped = _swap_interval(rec.lo, rec.hi)
-            variants += [((rec.b, rec.a), swapped), ((-rec.b, -rec.a), swapped)]
-        for (a, b), (lo, hi) in variants:
-            na, nb = Fraction(a, r), Fraction(b, r)
-            key = (r, na - floor_frac(na), nb - floor_frac(nb), lo, hi)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(_Contributor(r, na, nb, dv, lo, hi))
+        if 1 < rec.r < below_rank:
+            out += orbit(rec, e)
     return out
 
 
-def _offsets(nu: DivisorClass, con: _Contributor, m: Fraction, e: int) -> Iterator[Tuple[Fraction, Fraction]]:
+def _offsets(nu: DivisorClass, con: SlopeClass, m: Fraction, e: int) -> Iterator[Tuple[Fraction, Fraction]]:
     # All d = nu - (twist of con) with |d.H_m| <= s and fiber part in [-X, X];
     # anything scoring above the always-positive base value lies in this box.
     s = strip_halfwidth(m, e)
-    X = max(Fraction(1), Fraction(2, 1) / (2 * m + e))
+    X = fiber_window(m, e)
     x0 = nu.a - con.na
     y0 = nu.b - con.nb
     for kx in range(ceil_frac(-X - x0), floor_frac(X - x0) + 1):
@@ -160,7 +174,7 @@ def _offsets(nu: DivisorClass, con: _Contributor, m: Fraction, e: int) -> Iterat
             yield x, y0 + ky
 
 
-def _scan(nu: DivisorClass, contributors: Iterable[_Contributor], m: Fraction, e: int) -> DlpValue:
+def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: int) -> DlpValue:
     best: Optional[Fraction] = None
     best_wit: Optional[Tuple[int, int, int]] = None
     best_eq = False
@@ -192,7 +206,7 @@ def dlp_line_bundles(nu: DivisorClass, m: Rat, e: int) -> DlpValue:
     """DLP^1_{H_m}(nu): the line-bundle-only bound (always finite)."""
     _check_del_pezzo(e)
     m = check_polarization(m)
-    return _scan(nu, [_line_contributor()], m, e)
+    return _scan(nu, [LINE_BUNDLES], m, e)
 
 
 def dlp_below_rank(nu: DivisorClass, m: Rat, e: int, r: int, table=None) -> DlpValue:
@@ -207,10 +221,7 @@ def dlp_below_rank(nu: DivisorClass, m: Rat, e: int, r: int, table=None) -> DlpV
         raise ValueError("rank cutoff must be a positive integer")
     if r == 1:
         return DlpValue(None)
-    contributors = [_line_contributor()]
-    if r > 2:
-        contributors += _contributors(table, e, r)
-    return _scan(nu, contributors, m, e)
+    return _scan(nu, slope_classes(table, e, r), m, e)
 
 
 def dlp_grid(
@@ -220,7 +231,6 @@ def dlp_grid(
     steps: int,
     rank_cutoff: int,
     table=None,
-    jobs: int = 1,
     with_witnesses: bool = False,
 ):
     """Row-major grid of DLP^{<rank_cutoff} values over a slope square.
@@ -239,16 +249,10 @@ def dlp_grid(
         eps_vals = [e0 + (e1 - e0) * Fraction(i, steps) for i in range(steps + 1)]
         phi_vals = [p0 + (p1 - p0) * Fraction(j, steps) for j in range(steps + 1)]
 
-    def row(ev: Fraction):
-        return [dlp_below_rank(DivisorClass(ev, pv), m, e, rank_cutoff, table) for pv in phi_vals]
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, eps_vals))
-    else:
-        rows = [row(ev) for ev in eps_vals]
+    rows = [
+        [dlp_below_rank(DivisorClass(ev, pv), m, e, rank_cutoff, table) for pv in phi_vals]
+        for ev in eps_vals
+    ]
     if with_witnesses:
         return eps_vals, phi_vals, rows
     return eps_vals, phi_vals, [[cell.value for cell in r] for r in rows]

@@ -23,6 +23,11 @@ the search for S_V down to a finite slope region.
 Characters are normalized to the ranges 0 <= a < r/2, a <= b < r (e = 0,
 using the fiber swap) and 0 <= a <= r/2, 0 <= b < r (e = 1), so tables are
 reproducible byte for byte.
+
+The twist/dual/swap orbits of table rows, the open-interval stability test
+and the coverage check on a table live in `dlp` (`SlopeClass`, `orbit`,
+`slope_classes`), which scans the same orbits for DLP^{<r}; `is_stable_at`
+and `_variants` here are thin names for them.
 """
 
 from __future__ import annotations
@@ -107,10 +112,8 @@ class ExceptionalTable:
 
 def is_stable_at(record: ExceptionalRecord, m: Rat) -> bool:
     """mu_{H_m}-stability: m strictly inside the open interval."""
-    m = Fraction(m)
-    if m <= record.lo:
-        return False
-    return record.hi is None or m < record.hi
+    # a record carries the (lo, hi) of its own slope class
+    return dlp.SlopeClass.stable_at(record, Fraction(m))
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +196,11 @@ def is_exceptional(v: ChernCharacter, e: int, table: Optional[ExceptionalTable] 
 
 
 def _variants(rec: ExceptionalRecord, e: int):
-    """Slope classes of all bundles in rec's twist/dual/swap orbit, with intervals."""
-    out = [((rec.a, rec.b), (rec.lo, rec.hi)), ((-rec.a, -rec.b), (rec.lo, rec.hi))]
-    if e == 0:
-        lo = Fraction(0) if rec.hi is None else 1 / rec.hi
-        hi = None if rec.lo == 0 else 1 / rec.lo
-        out += [((rec.b, rec.a), (lo, hi)), ((-rec.b, -rec.a), (lo, hi))]
-    seen, uniq = set(), []
-    for (a, b), iv in out:
-        key = (Fraction(a, rec.r) % 1, Fraction(b, rec.r) % 1, iv)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(((a, b), iv))
-    return uniq
-
-
-def _in_open(m: Fraction, iv: Tuple[Fraction, Optional[Fraction]]) -> bool:
-    lo, hi = iv
-    return m > lo and (hi is None or m < hi)
+    """((a, b), (lo, hi)) for each slope class of `dlp.orbit(rec, e)`."""
+    return [
+        ((_as_int(c.na * c.rank), _as_int(c.nb * c.rank)), (c.lo, c.hi))
+        for c in dlp.orbit(rec, e)
+    ]
 
 
 def stability_interval(
@@ -226,8 +216,7 @@ def stability_interval(
     r = v.r
     if r < 2:
         raise ValueError("stability_interval wants rank >= 2 (line bundles are always stable)")
-    if table.max_rank < r - 1:
-        raise ValueError("table must cover ranks < %d" % r)
+    classes = dlp.slope_classes(table, e, r)
     nu = v.nu()
     eps, phi = nu.a, nu.b
     if eps.denominator == 1 or phi.denominator == 1:
@@ -265,17 +254,10 @@ def stability_interval(
     else:
         m0_sent = Fraction(0)
 
-    contributors = [((1, 0, 0), (Fraction(0), None), Fraction(0))]
-    for rec in table.records:
-        if rec.r == 1 or rec.r >= r:
-            continue
-        for (a, b), iv in _variants(rec, e):
-            contributors.append(((rec.r, a, b), iv, rec.delta()))
-
-    for (rw, na, nb), iv, dw in contributors:
-        sa, sb = Fraction(na, rw), Fraction(nb, rw)
-        tx = eps - sa
-        ty = phi - sb
+    for cls in classes:
+        rw, dw = cls.rank, cls.delta
+        tx = eps - cls.na
+        ty = phi - cls.nb
         # vertical strip: x in (-1, 0), y in (m0|x|, m1|x|)
         x = tx - ceil_frac(tx)
         if x != 0:
@@ -285,7 +267,7 @@ def stability_interval(
             yy = base if base > y_lo else base + 1
             while yy < y_hi:
                 m = -yy / x
-                if hilbert_P(DivisorClass(x, yy), e) > dv + dw and _in_open(m, iv):
+                if hilbert_P(DivisorClass(x, yy), e) > dv + dw and cls.stable_at(m):
                     record_wall(m, (rw, _as_int(rw * (eps - x)), _as_int(rw * (phi - yy))))
                 yy += 1
         # horizontal strip: y in (-1, 0), x in (|y|/m1, |y|/m0)
@@ -300,7 +282,7 @@ def stability_interval(
             xx = base if base > x_lo else base + 1
             while xx < x_hi:
                 m = -yh / xx
-                if hilbert_P(DivisorClass(xx, yh), e) > dv + dw and _in_open(m, iv):
+                if hilbert_P(DivisorClass(xx, yh), e) > dv + dw and cls.stable_at(m):
                     record_wall(m, (rw, _as_int(rw * (eps - xx)), _as_int(rw * (phi - yh))))
                 xx += 1
 

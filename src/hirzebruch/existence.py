@@ -47,6 +47,7 @@ from .lattice import (
     check_polarization,
     check_surface,
     euler_pair,
+    fiber_window,
     floor_frac,
     intersect,
     mu,
@@ -174,7 +175,7 @@ def _quad_b_bound(m: Fraction, e: int) -> Fraction:
     # max of P over the closed quadrilateral {x in [-1, cF], x m + y in [-1, 0]}:
     # P is largest on the top edge y = -x m, where it equals
     # g(x) = (x+1)(1 - x(m + e/2)); evaluate the clipped vertex and corners.
-    cf = max(Fraction(1), Fraction(2, 1) / (2 * m + e))
+    cf = fiber_window(m, e)
     s = m + Fraction(e, 2)
     xs = [Fraction(-1), cf]
     vertex = (1 / s - 1) / 2
@@ -207,8 +208,7 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
     d2v = _delta2(vkey, e)          # 2 Delta(v)
     c1sq = 2 * a * b - e * a * a    # c1(v)^2
     # fiber window: |a1/r1 - a/r| < cF
-    two_m_e = 2 * m + e
-    cf = max(Fraction(1), Fraction(2, 1) / two_m_e)
+    cf = fiber_window(m, e)
     # H_m-degree of v times (r mq): mu(v) = degv / (r mq)
     degv = a * mp + b * mq
     b_cap = None
@@ -359,7 +359,7 @@ def is_wall(v: ChernCharacter, m: Rat, e: int) -> bool:
         return False
     nu = v.nu()
     mu_v = mu(v, m)
-    cf = max(Fraction(1), Fraction(2, 1) / (2 * m + e))
+    cf = fiber_window(m, e)
     for r1 in range(1, v.r):
         for a1 in range(floor_frac(r1 * (nu.a - cf)) + 1, ceil_frac(r1 * (nu.a + cf))):
             b1 = r1 * mu_v - a1 * m

@@ -91,6 +91,12 @@ def polarization_divisor(m: Rat, e: int) -> DivisorClass:
     return DivisorClass(1, Fraction(m) + e)
 
 
+def fiber_window(m: Fraction, e: int) -> Fraction:
+    """X = max(1, 2/(2m+e)): the bound on the fiber component |d.F| of the
+    slope difference d in the DLP twist scan and the HN first-factor search."""
+    return max(Fraction(1), Fraction(2, 1) / (2 * m + e))
+
+
 def intersect(d1: DivisorClass, d2: DivisorClass, e: int) -> Fraction:
     """Intersection pairing on F_e: E^2 = -e, F^2 = 0, E.F = 1."""
     return d1.a * d2.b + d2.a * d1.b - e * d1.a * d2.a
@@ -253,8 +259,10 @@ def parse_rational(text: str) -> Fraction:
             "(e.g. 1/2 instead of 0.5)" % (text,)
         )
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(t) for t in text.split("/", 1))
+        if den == 0:
+            raise ValueError("zero denominator in %r" % (text,))
+        return Fraction(num, den)
     return Fraction(int(text))
 
 

@@ -27,14 +27,6 @@ class ReductionTrace:
     steps: Tuple[Tuple[int, int, Fraction, Fraction], ...]  # (e_from, e_to, m_from, m_to)
     final_character: ChernCharacter
 
-    @property
-    def final_e(self) -> int:
-        return self.steps[-1][1] if self.steps else None
-
-    @property
-    def final_m(self) -> Fraction:
-        return self.steps[-1][3] if self.steps else None
-
 
 def pi_map(v: ChernCharacter, direction: str = "down") -> ChernCharacter:
     """One step of the reduction map (down: e -> e-2) or its inverse (up)."""

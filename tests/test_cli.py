@@ -116,6 +116,17 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exceptional", "--e", "0"])  # missing --max-rank
     assert exc.value.code == 2
+    # zero denominators are invalid input, not a ZeroDivisionError
+    for argv in (
+        ("exists", "--e", "0", "--char", "2,1,0,1/0", "--m", "1"),
+        ("dlp", "--e", "0", "--nu", "1/0,1", "--m", "1", "--below-rank", "2"),
+        ("grid", "--e", "0", "--m", "1", "--square", "0,1,0,1/0", "--steps", "2", "--below-rank", "2"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "invalid input" in err and "zero denominator" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["exists", "--e", "0", "--char", "1,0,0,0", "--m", "1/0"])
+    assert exc.value.code == 2 and "zero denominator" in capsys.readouterr().err
 
 
 def test_cache_extend_and_corrupt(tmp_path, capsys, monkeypatch):

@@ -171,12 +171,6 @@ def test_grid_contributor_ranks(table0, table1):
     assert seen1 == {1, 2, 4, 5, 6}
 
 
-def test_grid_parallel_jobs_deterministic(table0):
-    a = dlp_grid(0, 1, (0, 1, 0, 1), 6, 8, table0, jobs=1)
-    b = dlp_grid(0, 1, (0, 1, 0, 1), 6, 8, table0, jobs=3)
-    assert a == b
-
-
 def test_equal_slope_branch_flagged():
     # nu with the same H_1-degree as O but a different slope: the value comes
     # from the soft equal-slope branch and is flagged

@@ -172,6 +172,8 @@ def test_rational_serialization():
         parse_rational("0.5")
     with pytest.raises(ValueError):
         parse_rational("1e-3")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def test_kronecker_pair_key_order_past_wall():
