@@ -62,6 +62,7 @@ from .existence import (
     DecisionCertificate,
     DeltaBracket,
     HNDecomposition,
+    InternalError,
     clear_cache,
     delta_estimate,
     exists_above,

@@ -3,7 +3,8 @@
 Subcommands: exceptional, exists, hn, dlp, delta, kronecker, reduce, grid.
 All numeric arguments are exact rationals ("p/q" or integer literals;
 floating-point input is rejected).  Exit codes: 0 success, 2 invalid input,
-3 precondition violated, 4 cache error.
+3 precondition violated, 4 cache error, 5 internal error (a broken engine
+invariant: a bug to report, not a property of the input).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_CACHE = 4
+EXIT_INTERNAL = 5
 
 
 class InputError(ValueError):
@@ -343,6 +345,9 @@ def main(argv=None) -> int:
     except exc_mod.CacheError as err:
         sys.stderr.write("cache error: %s\n" % err)
         return EXIT_CACHE
+    except existence.InternalError as err:
+        sys.stderr.write("internal error: %s\n" % err)
+        return EXIT_INTERNAL
     except (BogomolovViolation, kronecker.KroneckerDomainError) as err:
         sys.stderr.write("precondition violated: %s\n" % err)
         return EXIT_PRECONDITION

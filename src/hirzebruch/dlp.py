@@ -16,7 +16,10 @@ makes the twist search finite.
 
 The contributing bundles come as slope classes mod Z^2 (`SlopeClass`): the
 twist/dual and, on F_0, fiber-swap orbits of the exceptional table rows
-(`orbit`, `slope_classes`).  The exceptional module computes the stability
+(`orbit`, `slope_classes`).  The twist scan runs per class on integers:
+scaled by L = lcm(den nu.a, den nu.b, rank), every offset d, its H_m-degree
+and P(+-d) have one denominator, so the class contributes its best offset
+as a single `Fraction`.  The exceptional module computes the stability
 intervals I_V from the same classes, so the orbit enumeration and the
 open-interval stability test live only here.
 
@@ -27,17 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from math import lcm
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .lattice import (
     ChernCharacter,
     DivisorClass,
     Rat,
-    ceil_frac,
     check_polarization,
     fiber_window,
-    floor_frac,
     hilbert_P,
+    hilbert_P2,
 )
 
 
@@ -159,46 +162,59 @@ def slope_classes(table, e: int, below_rank: int) -> List[SlopeClass]:
     return out
 
 
-def _offsets(nu: DivisorClass, con: SlopeClass, m: Fraction, e: int) -> Iterator[Tuple[Fraction, Fraction]]:
-    # All d = nu - (twist of con) with |d.H_m| <= s and fiber part in [-X, X];
-    # anything scoring above the always-positive base value lies in this box.
-    s = strip_halfwidth(m, e)
-    X = fiber_window(m, e)
-    x0 = nu.a - con.na
-    y0 = nu.b - con.nb
-    for kx in range(ceil_frac(-X - x0), floor_frac(X - x0) + 1):
-        x = x0 + kx
-        y_lo = -s - x * m
-        y_hi = s - x * m
-        for ky in range(ceil_frac(y_lo - y0), floor_frac(y_hi - y0) + 1):
-            yield x, y0 + ky
-
-
 def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: int) -> DlpValue:
+    # Per slope class, scaled by L = lcm(den nu.a, den nu.b, rank): the
+    # offsets d = nu - (twist of the class) are (X, Y)/L with X = x0 and
+    # Y = y0 mod L, (x0, y0)/L = nu - (class slope), kept to |d.H_m| <= s
+    # and fiber part in [-X_w, X_w] (anything scoring above the
+    # always-positive base value lies in this box), and
+    # 2 L^2 P(d) = hilbert_P2(X, Y, L, e).  Within a class Delta(V) is fixed,
+    # so the best offset is the largest P, ties going to the largest (X, Y),
+    # i.e. the smallest witness.
+    mp, mq = m.numerator, m.denominator
+    xw = fiber_window(m, e)
+    s = strip_halfwidth(m, e)
+    sp, sq = s.numerator, s.denominator
+    mps, ysc = mp * sq, mq * sq     # |d.H_m| <= s is |X mp + Y mq| sq <= L mq sp
     best: Optional[Fraction] = None
     best_wit: Optional[Tuple[int, int, int]] = None
     best_eq = False
     for con in contributors:
         if not con.stable_at(m):
             continue
-        for x, y in _offsets(nu, con, m, e):
-            t = x * m + y
-            equal = False
-            if t < 0:
-                val = hilbert_P(DivisorClass(x, y), e) - con.delta
-            elif t > 0:
-                val = hilbert_P(DivisorClass(-x, -y), e) - con.delta
-            else:
-                val = max(hilbert_P(DivisorClass(x, y), e), hilbert_P(DivisorClass(-x, -y), e)) - con.delta
-                equal = (x, y) != (0, 0)
-            wa = con.rank * (nu.a - x)
-            wb = con.rank * (nu.b - y)
-            assert wa.denominator == 1 and wb.denominator == 1
-            wit = (con.rank, wa.numerator, wb.numerator)
-            if best is None or val > best:
-                best, best_wit, best_eq = val, wit, equal
-            elif val == best and wit < best_wit:
-                best_wit, best_eq = wit, equal
+        rank = con.rank
+        L = lcm(nu.a.denominator, nu.b.denominator, rank)
+        nx = nu.a.numerator * (L // nu.a.denominator)
+        ny = nu.b.numerator * (L // nu.b.denominator)
+        x0 = nx - con.na.numerator * (L // con.na.denominator)
+        y0 = ny - con.nb.numerator * (L // con.nb.denominator)
+        xlim = xw.numerator * L // xw.denominator
+        hw = L * mq * sp
+        top = None
+        for X in range(-xlim + (x0 + xlim) % L, xlim + 1, L):
+            y_lo = -((hw + X * mps) // ysc)
+            y_hi = (hw - X * mps) // ysc
+            for Y in range(y_lo + (y0 - y_lo) % L, y_hi + 1, L):
+                t = X * mp + Y * mq
+                if t < 0:
+                    p = hilbert_P2(X, Y, L, e)
+                elif t > 0:
+                    p = hilbert_P2(-X, -Y, L, e)
+                else:
+                    p = max(hilbert_P2(X, Y, L, e), hilbert_P2(-X, -Y, L, e))
+                if top is None or p >= top:
+                    top, bx, by = p, X, Y
+        if top is None:
+            continue
+        dp, dq = con.delta.numerator, con.delta.denominator
+        val = Fraction(top * dq - 2 * L * L * dp, 2 * L * L * dq)
+        wa, ra = divmod(rank * (nx - bx), L)
+        wb, rb = divmod(rank * (ny - by), L)
+        assert ra == 0 and rb == 0
+        wit = (rank, wa, wb)
+        if best is None or val > best or (val == best and wit < best_wit):
+            best, best_wit = val, wit
+            best_eq = bx * mp + by * mq == 0 and (bx, by) != (0, 0)
     return DlpValue(best, best_wit, best_eq)
 
 

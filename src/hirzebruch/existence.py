@@ -25,11 +25,21 @@ enumerates first factors w_1 = (r1, a1 E + b1 F, ch2_1) with
     Delta_1 runs over its 1/r1-lattice in [0, B], B the maximum of P on the
     closed slope-difference quadrilateral,
 
-then recurses on u = v - w_1.  Filtration length never exceeds 4.  The inner
-loops run on plain integers; verdicts and filtrations are memoized per
-character and polarization (Gieseker tie-breaks on walls are not
-twist-equivariant, so no twist sharing), while the prioritary index cache,
-which genuinely is twist-invariant, shares across twists.
+then recurses on u = v - w_1.  Filtration length never exceeds 4.
+
+The inner loops run on plain integers.  Characters are keys (r, a, b, 2 ch2),
+Delta is read from its numerator 2 r^2 Delta = 2ab - e a^2 - r s, and m and
+the fiber window enter as numerator and denominator.  For fixed (r1, a1) the
+pinned ch2_1 and Delta(u) are linear in b1, so the b1 loop visits only the
+arithmetic progression where ch2_1 is integral, cut to the half-line
+Delta(u) >= 0 (in the degenerate case the pinning identity fixes b1); the
+candidates are still visited in the order of the plain triple loop.  The
+generic prioritary index comes from `prioritary.prioritary_index_of_key`.
+Verdicts and filtrations are memoized per character and polarization
+(Gieseker tie-breaks on walls are not twist-equivariant, so no twist
+sharing), while the prioritary index cache, which genuinely is
+twist-invariant, shares across twists.  A broken invariant of the search
+raises `InternalError`.
 """
 
 from __future__ import annotations
@@ -48,12 +58,12 @@ from .lattice import (
     check_surface,
     euler_pair,
     fiber_window,
-    floor_frac,
+    hilbert_P2,
     intersect,
     mu,
     reduced_hilbert_key,
 )
-from .prioritary import BogomolovViolation, generic_prioritary_index
+from .prioritary import BogomolovViolation, prioritary_index_of_key
 from . import dlp as _dlp
 
 NONEMPTY = "NONEMPTY"
@@ -83,6 +93,13 @@ class DecisionCertificate:
 
 @dataclass(frozen=True)
 class DeltaBracket:
+    """Bracket of the sharp Bogomolov threshold (see `delta_estimate`).
+
+    `lower` is a DLP bound, which holds for stable sheaves; `witness` is a
+    NONEMPTY character of discriminant `upper`, whose moduli space may hold
+    strictly semistable sheaves only, so lower > upper can happen.
+    """
+
     nu: DivisorClass
     m: Fraction
     e: int
@@ -91,6 +108,10 @@ class DeltaBracket:
     upper: Optional[Fraction]       # None = no NONEMPTY found up to the cutoff
     witness: Optional[ChernCharacter]
     wall: bool
+
+
+class InternalError(RuntimeError):
+    """A broken invariant of the engine: a bug, never a property of the input."""
 
 
 class _Cache:
@@ -138,10 +159,10 @@ def _norm(key: IKey, e: int) -> Tuple[IKey, Tuple[int, int]]:
     return (r, a2, b2, s2), (ta, tb)
 
 
-def _delta2(key: IKey, e: int) -> Fraction:
-    # 2 Delta = (2ab - e a^2 - r s) / r^2
+def _delta2(key: IKey, e: int) -> int:
+    # 2 r^2 Delta = 2ab - e a^2 - r s, which has the sign of Delta
     r, a, b, s = key
-    return Fraction(2 * a * b - e * a * a - r * s, r * r)
+    return 2 * a * b - e * a * a - r * s
 
 
 def _rho(key: IKey, e: int) -> Optional[int]:
@@ -150,7 +171,7 @@ def _rho(key: IKey, e: int) -> Optional[int]:
     ck = (e, nkey)
     if ck in _CACHE.rho:
         return _CACHE.rho[ck]
-    out = generic_prioritary_index(_char_of(nkey), e)
+    out = prioritary_index_of_key(nkey, e)
     _CACHE.rho[ck] = out
     return out
 
@@ -161,14 +182,17 @@ def _prior(key: IKey, n: int, e: int) -> bool:
     return rho is None or n <= rho
 
 
-def _validate(v: ChernCharacter, m: Rat, e: int) -> Fraction:
+def _validate(v: ChernCharacter, m: Rat, e: int) -> Tuple[Fraction, IKey]:
+    """The checked polarization and the integer key of v."""
     check_surface(e)
     m = check_polarization(m)
     if v.r < 1:
         raise ValueError("decision engine needs positive rank")
-    if not v.is_integral(e):
+    key = _ikey_of(v, e)
+    _, a, b, s = key
+    if (2 * a * b - e * a * a - s) % 2:  # 2 c2 = c1^2 - 2 ch2
         raise ValueError("decision engine needs an integral character, got %r" % (v,))
-    return m
+    return m, key
 
 
 def _quad_b_bound(m: Fraction, e: int) -> Fraction:
@@ -182,6 +206,20 @@ def _quad_b_bound(m: Fraction, e: int) -> Fraction:
     if -1 < vertex < cf:
         xs.append(vertex)
     return max((x + 1) * (1 - x * s) for x in xs)
+
+
+def _degenerate_c2_range(c1sq1: int, r1: int, b_cap: Fraction) -> range:
+    # integral w1 means s1 = c1sq1 - 2t with t = c2(w1) in Z, and then
+    # Delta_1 = (c1sq1 (1 - r1)/r1 + 2 t) / (2 r1): the t with Delta_1 in [0, B]
+    bp, bq = b_cap.numerator, b_cap.denominator
+    k = c1sq1 * (r1 - 1)
+    return range(-((-k) // (2 * r1)), (2 * r1 * r1 * bp + k * bq) // (2 * r1 * bq) + 1)
+
+
+def _fiber_range(r: int, a: int, r1: int, cp: int, cq: int) -> range:
+    # the a1 with |a1/r1 - a/r| < cp/cq, cp/cq = fiber_window(m, e)
+    rq = r * cq
+    return range((r1 * (a * cq - r * cp)) // rq + 1, -((-r1 * (a * cq + r * cp)) // rq))
 
 
 def _hn_key(key: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
@@ -198,48 +236,80 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
     """Factors of the generic HN filtration of an integral key with
     Delta >= 0, or None when no H_{ceil m}-prioritary sheaves exist."""
     r, a, b, s = vkey
-    n0 = ceil_frac(m)
+    mp, mq = m.numerator, m.denominator
+    n0 = -(-mp // mq)               # ceil(m)
     if not _prior(vkey, n0, e):
         return None
     if r == 1:
         return (vkey,)
 
-    mp, mq = m.numerator, m.denominator
-    d2v = _delta2(vkey, e)          # 2 Delta(v)
-    c1sq = 2 * a * b - e * a * a    # c1(v)^2
-    # fiber window: |a1/r1 - a/r| < cF
+    n2v = _delta2(vkey, e)          # 2 r^2 Delta(v)
     cf = fiber_window(m, e)
-    # H_m-degree of v times (r mq): mu(v) = degv / (r mq)
+    cp, cq = cf.numerator, cf.denominator
+    # H_m-degree of v times (r mq): mu(v) = degv / den
     degv = a * mp + b * mq
+    den = r * mq
     b_cap = None
 
     for r1 in range(1, r):
         rr1 = r * r1
         two_r1_minus_r = 2 * r1 - r
-        a_lo = r1 * (Fraction(a, r) - cf)
-        a_hi = r1 * (Fraction(a, r) + cf)
-        for a1 in range(floor_frac(a_lo) + 1, ceil_frac(a_hi)):
+        s1_den = r * r1 * two_r1_minus_r
+        ru = r - r1
+        k1 = 2 * r * r1 ** 3 + r1 * r1 * n2v
+        for a1 in _fiber_range(r, a, r1, cp, cq):
             # mu(v) <= mu(w1) < mu(v) + 1:
             #   b1 in [ (r1 degv - a1 mp r) / (r mq), same + r1 )
             num = r1 * degv - a1 * mp * r
-            den = r * mq
             b1_lo = -((-num) // den)          # ceil(num/den)
-            b1_hi_excl = num // den + r1 + 1  # floor(num/den + r1) + 1
-            for b1 in range(b1_lo, b1_hi_excl):
-                if (b1 * den - num) >= r1 * den:  # mu(w1) - mu(v) < 1, exactly
+            b1_hi_excl = b1_lo + r1
+            dx = a * r1 - a1 * r
+            ax = dx + rr1
+            # 2 r r1^2 * (r1 - r P(nu - nu1) + r Delta) = pnum0 + 2 r ax b1
+            pnum0 = k1 - ax * (2 * b * r1 + 2 * rr1 - e * dx)
+            if two_r1_minus_r != 0:
+                # s1 = s1_num / s1_den with s1_num = c1sq1 r (2 r1 - r) - pnum
+                # = beta b1 + alpha, and then 2 (r - r1)^2 Delta(u) s1_den =
+                # gam b1 + dlt: keep the b1 where Delta(u) >= 0 and s1 is an
+                # integer
+                beta = 2 * r * (a1 * two_r1_minus_r - ax)
+                alpha = -e * a1 * a1 * r * two_r1_minus_r - pnum0
+                au = a - a1
+                gam = ru * beta - 2 * au * s1_den
+                dlt = (2 * au * b - e * au * au - ru * s) * s1_den + ru * alpha
+                if s1_den < 0:
+                    gam, dlt = -gam, -dlt
+                if gam > 0:
+                    b1_lo = max(b1_lo, -(dlt // gam))
+                elif gam < 0:
+                    b1_hi_excl = min(b1_hi_excl, dlt // -gam + 1)
+                elif dlt < 0:
                     continue
-                dx = a * r1 - a1 * r
-                dy = b * r1 - b1 * r
-                # 2 r r1^2 * (r1 - r P(nu - nu1) + r Delta):
-                pnum = 2 * r * r1 ** 3 - (dx + rr1) * (2 * dy + 2 * rr1 - e * dx) + r1 * r1 * (c1sq - r * s)
+                if b1_lo >= b1_hi_excl:
+                    continue
+                g = gcd(beta, s1_den)
+                if alpha % g:
+                    continue
+                step = abs(s1_den) // g
+                b0 = (-alpha // g) * pow(beta // g, -1, step) % step
+                b1_range = range(b1_lo + (b0 - b1_lo) % step, b1_hi_excl, step)
+            else:
+                # degenerate: P(nu - nu1) = Delta + 1/2 reads
+                # pnum0 + 2 r ax b1 = 0, which fixes b1 unless ax = 0
+                if ax != 0:
+                    b1, rem = divmod(-pnum0, 2 * r * ax)
+                    if rem:
+                        continue
+                    b1_lo, b1_hi_excl = max(b1_lo, b1), min(b1_hi_excl, b1 + 1)
+                elif pnum0 != 0:
+                    continue
+                b1_range = range(b1_lo, b1_hi_excl)
+            for b1 in b1_range:
                 c1sq1 = 2 * a1 * b1 - e * a1 * a1
                 if two_r1_minus_r != 0:
                     # s1 = 2 ch2_1 = c1sq1/r1 - 2 r1 Delta_1
-                    s1_num = c1sq1 * r * two_r1_minus_r - pnum
-                    s1_den = r * r1 * two_r1_minus_r
-                    if s1_num % s1_den != 0:
-                        continue
-                    s1 = s1_num // s1_den
+                    pnum = pnum0 + 2 * r * ax * b1
+                    s1 = (c1sq1 * r * two_r1_minus_r - pnum) // s1_den
                     if (c1sq1 - s1) % 2 != 0:
                         continue      # c2(w1) not an integer
                     # Delta_1 >= 0: sign of pnum / (2 r r1^2 (2 r1 - r))
@@ -247,27 +317,16 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
                         continue
                     s1_list = [s1]
                 else:
-                    # degenerate: need P(nu - nu1) = Delta + 1/2 first
-                    # (dx + rr1)(2 dy + 2 rr1 - e dx) / (2 r^2 r1^2) = (d2v + 1)/2
-                    if (dx + rr1) * (2 * dy + 2 * rr1 - e * dx) * 2 != (d2v + 1) * (2 * r * r * r1 * r1):
-                        continue
                     if b_cap is None:
                         b_cap = _quad_b_bound(m, e)
-                    # integral w1 means s1 = c1sq1 - 2t with t = c2(w1) in Z,
-                    # and then Delta_1 = (c1sq1 (1 - r1)/r1 + 2 t) / (2 r1);
-                    # keep Delta_1 inside [0, B]
-                    base = Fraction(c1sq1 * (1 - r1), r1)
-                    t_lo = ceil_frac(-base / 2)
-                    t_hi = floor_frac((2 * r1 * b_cap - base) / 2)
-                    s1_list = [c1sq1 - 2 * t for t in range(t_lo, t_hi + 1)]
+                    s1_list = [c1sq1 - 2 * t for t in _degenerate_c2_range(c1sq1, r1, b_cap)]
                 for s1 in s1_list:
                     w1 = (r1, a1, b1, s1)
                     u = (r - r1, a - a1, b - b1, s - s1)
-                    # Bogomolov for the tail, then the cheap prioritary gates
-                    if _delta2(u, e) < 0:
-                        continue
-                    d2w = _delta2(w1, e)
-                    if d2w < 0:
+                    # Delta_1 >= 0 holds by construction and Delta(u) >= 0 by
+                    # the b1 cut off the degenerate branch; then the cheap
+                    # prioritary gates
+                    if not two_r1_minus_r and _delta2(u, e) < 0:
                         continue
                     if not _prior(w1, n0 + 1, e):
                         continue      # necessary for (5)
@@ -288,7 +347,7 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
                         continue      # condition (4)
                     return (w1,) + tail
     if not _prior(vkey, n0 + 1, e):
-        raise AssertionError(
+        raise InternalError(
             "inconsistent state: no decomposition found for %r at m=%s but the "
             "character is not H_{ceil(m)+1}-prioritary" % (vkey, m)
         )
@@ -309,25 +368,26 @@ def _chi2(v: IKey, w: IKey, e: int) -> int:
 def _key_gt(w: IKey, x: IKey, m: Fraction, e: int) -> bool:
     """reduced_hilbert_key(w) > reduced_hilbert_key(x), lexicographic on
     (mu_{H_m}, chi/r), in integer arithmetic."""
-    rw, aw, bw, sw = w
-    rx, ax, bx, sx = x
+    rw, aw, bw, _ = w
+    rx, ax, bx, _ = x
     mp, mq = m.numerator, m.denominator
     lhs = (aw * mp + bw * mq) * rx
     rhs = (ax * mp + bx * mq) * rw
     if lhs != rhs:
         return lhs > rhs
 
-    def chival(r, a, b, s):
+    def chival(key):
         # 2 r^2 (P(nu) - Delta); ties in mu are broken by chi/r
-        return (a + r) * (2 * b + 2 * r - e * a) - (2 * a * b - e * a * a - r * s)
+        r, a, b, _ = key
+        return hilbert_P2(a, b, r, e) - _delta2(key, e)
 
-    return chival(rw, aw, bw, sw) * rx * rx > chival(rx, ax, bx, sx) * rw * rw
+    return chival(w) * rx * rx > chival(x) * rw * rw
 
 
 def _verdict_key(key: IKey, m: Fraction, e: int) -> str:
     if _delta2(key, e) < 0:
         return BOGOMOLOV_VIOLATION
-    n0 = ceil_frac(m)
+    n0 = -(-m.numerator // m.denominator)   # ceil(m)
     if not _prior(key, n0, e):
         return NO_PRIORITARY
     if not _prior(key, n0 + 1, e):
@@ -343,10 +403,10 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
     """Generic H_m-Harder-Narasimhan decomposition of v, or None if no
     H_{ceil m}-prioritary sheaves exist.  Raises BogomolovViolation for
     Delta < 0."""
-    m = _validate(v, m, e)
-    if v.delta(e) < 0:
+    m, key = _validate(v, m, e)
+    if _delta2(key, e) < 0:
         raise BogomolovViolation("Delta(v) = %s < 0" % (v.delta(e),))
-    factors = _hn_key(_ikey_of(v, e), m, e)
+    factors = _hn_key(key, m, e)
     if factors is None:
         return None
     return HNDecomposition(tuple(_char_of(k) for k in factors), m, e)
@@ -354,26 +414,24 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
 
 def is_wall(v: ChernCharacter, m: Rat, e: int) -> bool:
     """Does some lower-rank slope in the search quadrilateral tie with v at H_m?"""
-    m = _validate(v, m, e)
-    if v.r == 1:
-        return False
-    nu = v.nu()
-    mu_v = mu(v, m)
+    m, (r, a, b, _) = _validate(v, m, e)
+    mp, mq = m.numerator, m.denominator
     cf = fiber_window(m, e)
-    for r1 in range(1, v.r):
-        for a1 in range(floor_frac(r1 * (nu.a - cf)) + 1, ceil_frac(r1 * (nu.a + cf))):
-            b1 = r1 * mu_v - a1 * m
-            if b1.denominator != 1:
-                continue
-            if DivisorClass(Fraction(a1, r1), Fraction(b1, r1)) != nu:
+    degv = a * mp + b * mq
+    den = r * mq
+    for r1 in range(1, r):
+        for a1 in _fiber_range(r, a, r1, cf.numerator, cf.denominator):
+            # the b1 with mu(w1) = mu(v) is (r1 degv - a1 mp r) / (r mq); on
+            # that line the slope equals nu exactly when a1/r1 = a/r
+            if (r1 * degv - a1 * mp * r) % den == 0 and a1 * r != a * r1:
                 return True
     return False
 
 
 def verdict(v: ChernCharacter, m: Rat, e: int) -> str:
     """The decision verdict alone (no filtration, no wall detection)."""
-    m = _validate(v, m, e)
-    return _verdict_key(_ikey_of(v, e), m, e)
+    m, key = _validate(v, m, e)
+    return _verdict_key(key, m, e)
 
 
 def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
@@ -383,11 +441,11 @@ def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
     generic filtration as counterexample; NO_PRIORITARY and
     BOGOMOLOV_VIOLATION carry no filtration.
     """
-    m = _validate(v, m, e)
-    if v.delta(e) < 0:
+    m, key = _validate(v, m, e)
+    if _delta2(key, e) < 0:
         return DecisionCertificate(BOGOMOLOV_VIOLATION, None, False)
     wall = is_wall(v, m, e)
-    factors = _hn_key(_ikey_of(v, e), m, e)
+    factors = _hn_key(key, m, e)
     if factors is None:
         return DecisionCertificate(NO_PRIORITARY, None, wall)
     hn = HNDecomposition(tuple(_char_of(k) for k in factors), m, e)
@@ -429,7 +487,7 @@ def validate_hn(dec: HNDecomposition, v: ChernCharacter, check_moduli: bool = Tr
 def exists_above(v: ChernCharacter, m: Rat, e: int, steps: int = 3) -> bool:
     """Monotone-closure harness: v and its next `steps` elementary
     modifications (Delta += 1/r) must all be NONEMPTY."""
-    m = _validate(v, m, e)
+    m, _ = _validate(v, m, e)
     w = v
     for _ in range(steps + 1):
         if moduli_nonempty(w, m, e).verdict != NONEMPTY:
@@ -453,6 +511,12 @@ def delta_estimate(
     Lower bound: max(1/2, DLP^{<cutoff}_{H_m}(nu)).  e must be 0 or 1
     (reduce first otherwise); the wall flag records slope ties seen while
     scanning.
+
+    The lower bound is about stable sheaves, the witness only carries
+    semistable ones, so lower > upper is possible when every semistable
+    sheaf of the witness's character is strictly semistable: at
+    nu = (1/2, 1/4), m = 1/2 on F_1 the bracket is (3/4, 1/2) with witness
+    (4, 2E + F, -2) = O(E) + (3, E + F, -3/2).
     """
     check_surface(e)
     if e not in (0, 1):
@@ -486,7 +550,7 @@ def delta_estimate(
             if upper is not None and d >= upper:
                 break
             if d > cap:
-                raise AssertionError("delta scan exceeded cap %s at rank %d" % (cap, r))
+                raise InternalError("delta scan exceeded cap %s at rank %d" % (cap, r))
             w = ChernCharacter(r, c1, c1sq_half - t)
             assert w.delta(e) == d
             cert = moduli_nonempty(w, m, e)

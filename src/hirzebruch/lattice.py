@@ -94,7 +94,10 @@ def polarization_divisor(m: Rat, e: int) -> DivisorClass:
 def fiber_window(m: Fraction, e: int) -> Fraction:
     """X = max(1, 2/(2m+e)): the bound on the fiber component |d.F| of the
     slope difference d in the DLP twist scan and the HN first-factor search."""
-    return max(Fraction(1), Fraction(2, 1) / (2 * m + e))
+    # 2/(2m+e) = 2q/(2p+eq) for m = p/q
+    p, q = m.numerator, m.denominator
+    d = 2 * p + e * q
+    return Fraction(2 * q, d) if 2 * q > d else Fraction(1)
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass, e: int) -> Fraction:
@@ -105,6 +108,11 @@ def intersect(d1: DivisorClass, d2: DivisorClass, e: int) -> Fraction:
 def hilbert_P(nu: DivisorClass, e: int) -> Fraction:
     """P(nu) = chi(O(nu)) computed formally: (a+1)(b+1 - a e/2)."""
     return (nu.a + 1) * (nu.b + 1 - Fraction(e, 2) * nu.a)
+
+
+def hilbert_P2(x: int, y: int, L: int, e: int) -> int:
+    """2 L^2 P(nu) for nu = (x/L) E + (y/L) F, in integers."""
+    return (x + L) * (2 * y + 2 * L - e * x)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Tuple
 
 from .lattice import (
@@ -160,17 +161,34 @@ def generic_prioritary_index(v: ChernCharacter, e: int) -> Optional[int]:
     """Largest n with an F- and H_n-prioritary sheaf of character v; None = +inf.
 
     For non-integral eps this is
-    floor(Delta/((ceil eps - eps)(eps - floor eps)) - e/2 + 1 - (ceil psi - psi)).
+    floor(Delta/((ceil eps - eps)(eps - floor eps)) - e/2 + 1 - (ceil psi - psi)),
+    evaluated by `prioritary_index_of_key` on an integral multiple of v (the
+    index depends on nu and Delta only).
     """
     check_surface(e)
-    d = _require_delta(v, e)
-    nu = v.nu()
-    eps = nu.a
-    if eps.denominator == 1:
+    _require_delta(v, e)
+    a, b, s = v.c1.a, v.c1.b, 2 * v.ch2
+    n = lcm(a.denominator, b.denominator, s.denominator)
+    return prioritary_index_of_key((n * v.r, int(n * a), int(n * b), int(n * s)), e)
+
+
+def prioritary_index_of_key(key: Tuple[int, int, int, int], e: int) -> Optional[int]:
+    """The generic prioritary index of (r, aE + bF, ch2 = s/2) in integers.
+
+    Needs r >= 1 and Delta >= 0 (not checked).  With a' = a mod r (None when
+    0), N = 2 r^2 Delta = 2ab - e a^2 - r s and D = 2 r a', psi = P/D for
+    P = 2 a' b + e a' (r - a') - N, so ceil psi - psi = ((-P) mod D)/D and the
+    floor above runs over the one denominator D (r - a').
+    """
+    r, a, b, s = key
+    a1 = a % r
+    if a1 == 0:
         return None
-    _, psi, _ = l0_and_psi(v, e)
-    gap = (ceil_frac(eps) - eps) * (eps - floor_frac(eps))
-    return floor_frac(d / gap - Fraction(e, 2) + 1 - (ceil_frac(psi) - psi))
+    c = r - a1
+    n = 2 * a * b - e * a * a - r * s
+    d = 2 * r * a1
+    up = (n - 2 * a1 * b - e * a1 * c) % d
+    return (n * r + (2 - e) * a1 * r * c - up * c) // (d * c)
 
 
 def prioritary_report(v: ChernCharacter, e: int) -> PrioritaryReport:

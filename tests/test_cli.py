@@ -129,6 +129,18 @@ def test_exit_codes(capsys):
     assert exc.value.code == 2 and "zero denominator" in capsys.readouterr().err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    from hirzebruch import existence
+
+    def broken(*args, **kwargs):
+        raise existence.InternalError("inconsistent state: test")
+
+    monkeypatch.setattr(existence, "moduli_nonempty", broken)
+    code, out, err = run_cli(capsys, "exists", "--e", "0", "--char", "1,0,0,0", "--m", "1")
+    assert code == 5 and out == ""
+    assert err == "internal error: inconsistent state: test\n"
+
+
 def test_cache_extend_and_corrupt(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "exc.jsonl")
     code, out1, _ = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", "6", "--cache", cache)

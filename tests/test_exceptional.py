@@ -123,6 +123,14 @@ def test_incremental_build(table1):
     assert as_rows(t_ext) == as_rows(table1)
 
 
+def test_row_lookup(table0, table1):
+    for table in (table0, table1):
+        for rec in table.records:
+            assert table.row(rec.r, rec.a, rec.b) is rec
+    assert table0.row(3, 1, 2) is None
+    assert table1.row(21, 1, 1) is None
+
+
 def test_stability_interval_examples(table0, table1):
     lo, hi, w0, w1 = stability_interval(exceptional_character(3, 1, 1, 0), 0, table0)
     assert (lo, hi, w0, w1) == (Q(1, 2), 2, (1, -1, 1), (1, 1, -1))

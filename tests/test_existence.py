@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -18,10 +19,12 @@ from hirzebruch import (
     kronecker_characters,
     KroneckerParams,
     moduli_nonempty,
+    reduced_hilbert_key,
     twist,
     validate_hn,
     verdict,
 )
+from hirzebruch import existence
 from hirzebruch.prioritary import BogomolovViolation
 from oracles import DecompositionOracle, key_of
 
@@ -201,6 +204,67 @@ def test_delta_estimate_worked_values(table0, table1):
     br1 = delta_estimate(DivisorClass(Q(3, 13), Q(6, 13)), Q(12, 7), 1, 13, table1)
     assert br1.upper == Q(98, 169) and br1.lower == Q(523, 1014)
     assert br0.lower <= br0.upper and br1.lower <= br1.upper
+
+
+def test_delta_estimate_lower_above_upper_on_a_split_witness(table1):
+    # DLP bounds stable sheaves, while the upper witness may be strictly
+    # semistable: here it is O(E) + (3, E + F, -3/2), two NONEMPTY summands
+    # with the same reduced Hilbert polynomial, so lower > upper.
+    m = Q(1, 2)
+    br = delta_estimate(DivisorClass(Q(1, 2), Q(1, 4)), m, 1, 15, table1)
+    assert (br.lower, br.upper) == (Q(3, 4), Q(1, 2))
+    assert br.witness == character(4, 2, 1, -2)
+    w1, w2 = character(1, 1, 0, Q(-1, 2)), character(3, 1, 1, Q(-3, 2))
+    assert w1 + w2 == br.witness
+    for w in (w1, w2, br.witness):
+        assert moduli_nonempty(w, m, 1).verdict == "NONEMPTY"
+    assert reduced_hilbert_key(w1, m, 1) == reduced_hilbert_key(w2, m, 1)
+
+
+def test_degenerate_branch_against_oracle(monkeypatch):
+    # even ranks r with 2 r1 = r, where Delta_1 is not pinned and runs over
+    # its lattice in [0, B]; _quad_b_bound is computed only on that branch
+    calls = []
+    real = existence._quad_b_bound
+
+    def counting(m, e):
+        calls.append((m, e))
+        return real(m, e)
+
+    monkeypatch.setattr(existence, "_quad_b_bound", counting)
+    cases = [
+        (0, Q(9, 4), character(2, 0, -2, -1)),        # EMPTY, ranks 1 + 1
+        (1, 3, character(2, 1, 3, Q(-1, 2))),         # NONEMPTY
+        (1, Q(12, 7), character(4, 3, 1, Q(-5, 2))),  # EMPTY, ranks 2 + 2
+        (1, 1, character(4, 2, -3, -3)),              # EMPTY, ranks 2 + 1 + 1
+        (0, Q(1, 3), character(4, 0, -1, -2)),        # EMPTY, ranks 1 + 3
+    ]
+    for e, m, v in cases:
+        existence.clear_cache()
+        calls.clear()
+        dec = hn_generic(v, m, e)
+        assert calls, "degenerate branch not reached for %r" % (v,)
+        found = DecompositionOracle(e, m).nontrivial(key_of(v))
+        if len(dec.factors) == 1:
+            assert found == []
+        else:
+            assert found == [tuple(key_of(f) for f in dec.factors)]
+
+
+def test_degenerate_c2_range_matches_fraction_bounds():
+    # the t = c2(w1) with Delta_1 = (c1sq1 (1 - r1)/r1 + 2t)/(2 r1) in [0, B]
+    at_top = 0
+    for e in range(6):
+        for m in (Q(1, 3), Q(1, 2), 1, Q(12, 7), Q(9, 4), 3):
+            b_cap = existence._quad_b_bound(m, e)
+            for r1 in range(1, 7):
+                for c1sq1 in range(-40, 41):
+                    ts = existence._degenerate_c2_range(c1sq1, r1, b_cap)
+                    base = Q(c1sq1 * (1 - r1), r1)
+                    assert ts == range(math.ceil(-base / 2), math.floor((2 * r1 * b_cap - base) / 2) + 1)
+                    assert (base + 2 * ts[0]) / (2 * r1) >= 0
+                    at_top += (base + 2 * ts[-1]) / (2 * r1) == b_cap
+    assert at_top > 0  # windows that end exactly at Delta_1 = B
 
 
 def test_delta_estimate_bracket_sanity(table0, table1):

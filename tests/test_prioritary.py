@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import ceil, floor
 
 import pytest
 
@@ -20,7 +21,7 @@ from hirzebruch import (
     prioritary_nonempty,
     prioritary_report,
 )
-from hirzebruch.prioritary import BogomolovViolation, bracket_points
+from hirzebruch.prioritary import BogomolovViolation, bracket_points, prioritary_index_of_key
 
 EX4 = from_rank_slope_disc(120, DivisorClass(Q(1, 2), Q(1, 3)), Q(11, 10), 1)
 
@@ -56,6 +57,40 @@ def test_low_index_always_prioritary():
         v = random_integral_character(rng, e)
         assert prioritary_nonempty(v, -e, e)
         assert prioritary_nonempty(v, -e - rng.randint(0, 3), e)
+
+
+def _index_by_fractions(v, e):
+    # the closed formula of generic_prioritary_index in Fractions
+    d = v.delta(e)
+    eps, phi = v.nu().a, v.nu().b
+    if eps.denominator == 1:
+        return None
+    psi = phi + Q(e, 2) * (ceil(eps) - eps) - d / (eps - floor(eps))
+    gap = (ceil(eps) - eps) * (eps - floor(eps))
+    return floor(d / gap - Q(e, 2) + 1 - (ceil(psi) - psi))
+
+
+def test_integer_index_matches_fraction_formula():
+    rng = random.Random(19)
+    seen_none = seen_zero = 0
+    for _ in range(20000):
+        e = rng.randint(0, 5)
+        r = rng.randint(1, 12)
+        a = rng.randint(-15, 15) if rng.random() < 0.9 else r * rng.randint(-2, 2)
+        b = rng.randint(-15, 15)
+        c1sq = 2 * a * b - e * a * a
+        c2_min = -((-(c1sq * (r - 1))) // (2 * r))  # smallest c2 with Delta >= 0
+        c2 = c2_min + (0 if rng.random() < 0.2 else rng.randint(0, 4 * r))
+        v = ChernCharacter(r, DivisorClass(a, b), Q(c1sq, 2) - c2)
+        expected = _index_by_fractions(v, e)
+        assert prioritary_index_of_key((r, a, b, c1sq - 2 * c2), e) == expected
+        assert generic_prioritary_index(v, e) == expected
+        seen_none += expected is None
+        seen_zero += v.delta(e) == 0
+    assert seen_none > 1000 and seen_zero > 1000
+    # non-integral characters go through an integral multiple
+    v = ChernCharacter(3, DivisorClass(Q(1, 2), Q(2, 3)), Q(-5, 7))
+    assert generic_prioritary_index(v, 1) == _index_by_fractions(v, 1)
 
 
 def test_bogomolov_failures():
