@@ -111,7 +111,8 @@ def _load_or_build_table(e: int, rmax: int, cache: str):
             sys.stderr.write("warning: %s; rebuilding\n" % err)
             base = None
     table = exc_mod.build_table(e, rmax, base=base)
-    if cache:
+    # the file holds rows only, so it changes only when rows were added
+    if cache and (base is None or len(table.records) > len(base.records)):
         exc_mod.save_table(table, cache)
     return table
 
@@ -157,14 +158,13 @@ def cmd_hn(args) -> int:
 
 def cmd_dlp(args) -> int:
     nu = _parse_slope(args.nu)
-    if args.below_rank <= 2:
-        val = dlp_mod.dlp_line_bundles(nu, args.m, args.e) if args.below_rank == 2 else dlp_mod.DlpValue(None)
-    else:
+    table = None
+    if args.below_rank > 2:
         table = _load_or_build_table(args.e, args.below_rank - 1, _cache_path(args))
-        val = dlp_mod.dlp_below_rank(nu, args.m, args.e, args.below_rank, table)
+    val = dlp_mod.dlp_below_rank(nu, args.m, args.e, args.below_rank, table)
     emit(
         {
-            "value": format_rational(val.value, infinity="-inf") if val.value is not None else "-inf",
+            "value": format_rational(val.value, infinity="-inf"),
             "witness": list(val.witness) if val.witness else None,
             "equal_slope": val.equal_slope,
         }

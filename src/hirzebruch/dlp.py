@@ -16,12 +16,15 @@ makes the twist search finite.
 
 The contributing bundles come as slope classes mod Z^2 (`SlopeClass`): the
 twist/dual and, on F_0, fiber-swap orbits of the exceptional table rows
-(`orbit`, `slope_classes`).  The twist scan runs per class on integers:
-scaled by L = lcm(den nu.a, den nu.b, rank), every offset d, its H_m-degree
-and P(+-d) have one denominator, so the class contributes its best offset
-as a single `Fraction`.  The exceptional module computes the stability
-intervals I_V from the same classes, so the orbit enumeration and the
-open-interval stability test live only here.
+(`orbit`, `slope_classes`).  A class is integers (rank, a, b) with slope
+(a/rank, b/rank) mod Z^2 plus its stability interval; every contributor is
+O or exceptional, so Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
+twist scan runs per class on integers: scaled by L = lcm(den nu.a,
+den nu.b, rank), every offset d, its H_m-degree, P(+-d) and Delta(V) have
+one denominator, so the class contributes its best offset as a single
+`Fraction`.  The exceptional module computes the stability intervals I_V
+from the same classes, so the orbit enumeration and the open-interval
+stability test live only here.
 
 Polarizations with e >= 2 are rejected here; reduce to F_0/F_1 first.
 """
@@ -98,14 +101,14 @@ def dlp_single(v: ChernCharacter, nu: DivisorClass, m: Rat, e: int) -> Optional[
 class SlopeClass(NamedTuple):
     """Stable exceptional bundles of one rank whose slopes agree mod Z^2.
 
-    (na, nb) is one representative slope; every twist by Z E + Z F shares
-    Delta and the stability interval (lo, hi).
+    c1 = aE + bF gives one representative slope (a/rank, b/rank); every
+    twist by Z E + Z F shares Delta = `exceptional_delta(rank)` and the
+    stability interval (lo, hi).
     """
 
     rank: int
-    na: Fraction
-    nb: Fraction
-    delta: Fraction
+    a: int
+    b: int
     lo: Fraction                # 0 allowed
     hi: Optional[Fraction]      # None = +infinity
 
@@ -114,7 +117,7 @@ class SlopeClass(NamedTuple):
         return m > self.lo and (self.hi is None or m < self.hi)
 
 
-LINE_BUNDLES = SlopeClass(1, Fraction(0), Fraction(0), Fraction(0), Fraction(0), None)
+LINE_BUNDLES = SlopeClass(1, 0, 0, Fraction(0), None)
 
 
 def orbit(rec, e: int) -> List[SlopeClass]:
@@ -127,14 +130,12 @@ def orbit(rec, e: int) -> List[SlopeClass]:
         slo = Fraction(0) if hi is None else 1 / hi
         shi = None if lo == 0 else 1 / lo
         variants += [(rec.b, rec.a, slo, shi), (-rec.b, -rec.a, slo, shi)]
-    dv = rec.delta()
     out, seen = [], set()
     for a, b, vlo, vhi in variants:
-        na, nb = Fraction(a, r), Fraction(b, r)
-        key = (na % 1, nb % 1, vlo, vhi)
+        key = (a % r, b % r, vlo, vhi)
         if key not in seen:
             seen.add(key)
-            out.append(SlopeClass(r, na, nb, dv, vlo, vhi))
+            out.append(SlopeClass(r, a, b, vlo, vhi))
     return out
 
 
@@ -169,8 +170,8 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
     # and fiber part in [-X_w, X_w] (anything scoring above the
     # always-positive base value lies in this box), and
     # 2 L^2 P(d) = hilbert_P2(X, Y, L, e).  Within a class Delta(V) is fixed,
-    # so the best offset is the largest P, ties going to the largest (X, Y),
-    # i.e. the smallest witness.
+    # 2 L^2 Delta(V) = L^2 - (L / rank)^2, so the best offset is the largest
+    # P, ties going to the largest (X, Y), i.e. the smallest witness.
     mp, mq = m.numerator, m.denominator
     xw = fiber_window(m, e)
     s = strip_halfwidth(m, e)
@@ -186,8 +187,9 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
         L = lcm(nu.a.denominator, nu.b.denominator, rank)
         nx = nu.a.numerator * (L // nu.a.denominator)
         ny = nu.b.numerator * (L // nu.b.denominator)
-        x0 = nx - con.na.numerator * (L // con.na.denominator)
-        y0 = ny - con.nb.numerator * (L // con.nb.denominator)
+        k = L // rank
+        x0 = nx - con.a * k
+        y0 = ny - con.b * k
         xlim = xw.numerator * L // xw.denominator
         hw = L * mq * sp
         top = None
@@ -206,8 +208,7 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
                     top, bx, by = p, X, Y
         if top is None:
             continue
-        dp, dq = con.delta.numerator, con.delta.denominator
-        val = Fraction(top * dq - 2 * L * L * dp, 2 * L * L * dq)
+        val = Fraction(top - L * L + k * k, 2 * L * L)
         wa, ra = divmod(rank * (nx - bx), L)
         wb, rb = divmod(rank * (ny - by), L)
         assert ra == 0 and rb == 0

@@ -27,12 +27,17 @@ reproducible byte for byte.
 The twist/dual/swap orbits of table rows, the open-interval stability test
 and the coverage check on a table live in `dlp` (`SlopeClass`, `orbit`,
 `slope_classes`), which scans the same orbits for DLP^{<r}; `is_stable_at`
-and `_variants` here are thin names for them.
+and `_variants` here are thin names for them.  A slope class is integers
+(rank, a, b) with its interval, and its Delta is `exceptional_delta(rank)`.
+`_candidates` is the one enumeration of canonical pairs per rank, shared by
+`potential_characters` and `build_table`, and `is_exceptional` is the one
+exceptionality test.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -152,6 +157,19 @@ def canonical_pair(r: int, a: int, b: int, e: int) -> Tuple[int, int]:
     return min(ok)
 
 
+def _candidates(r: int, e: int) -> List[Tuple[int, int]]:
+    """Sorted canonical pairs (a, b) of the potentially exceptional
+    characters of rank r >= 2 (none for even r on F_0)."""
+    if e == 0 and r % 2 == 0:
+        return []
+    pairs = set()
+    for a in range(1, r // 2 + 1):
+        b = solve_congruence_b(r, a, e)
+        if b is not None:
+            pairs.add(canonical_pair(r, a, b, e))
+    return sorted(pairs)
+
+
 def potential_characters(e: int, rmax: int) -> List[ChernCharacter]:
     """Canonical potentially exceptional characters of rank <= rmax."""
     check_surface(e)
@@ -159,16 +177,7 @@ def potential_characters(e: int, rmax: int) -> List[ChernCharacter]:
         raise ValueError("enumerate on F_0 or F_1 (reduce e >= 2 first), got e=%d" % e)
     out = [exceptional_character(1, 0, 0, e)]
     for r in range(2, rmax + 1):
-        if e == 0 and r % 2 == 0:
-            continue
-        seen = set()
-        for a in range(1, r // 2 + 1):
-            b = solve_congruence_b(r, a, e)
-            if b is None:
-                continue
-            seen.add(canonical_pair(r, a, b, e))
-        for a, b in sorted(seen):
-            out.append(exceptional_character(r, a, b, e))
+        out += [exceptional_character(r, a, b, e) for a, b in _candidates(r, e)]
     return out
 
 
@@ -197,10 +206,7 @@ def is_exceptional(v: ChernCharacter, e: int, table: Optional[ExceptionalTable] 
 
 def _variants(rec: ExceptionalRecord, e: int):
     """((a, b), (lo, hi)) for each slope class of `dlp.orbit(rec, e)`."""
-    return [
-        ((_as_int(c.na * c.rank), _as_int(c.nb * c.rank)), (c.lo, c.hi))
-        for c in dlp.orbit(rec, e)
-    ]
+    return [((c.a, c.b), (c.lo, c.hi)) for c in dlp.orbit(rec, e)]
 
 
 def stability_interval(
@@ -255,9 +261,9 @@ def stability_interval(
         m0_sent = Fraction(0)
 
     for cls in classes:
-        rw, dw = cls.rank, cls.delta
-        tx = eps - cls.na
-        ty = phi - cls.nb
+        rw, dw = cls.rank, exceptional_delta(cls.rank)
+        tx = eps - Fraction(cls.a, rw)
+        ty = phi - Fraction(cls.b, rw)
         # vertical strip: x in (-1, 0), y in (m0|x|, m1|x|)
         x = tx - ceil_frac(tx)
         if x != 0:
@@ -318,20 +324,11 @@ def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> E
     if done < 1:
         records.append(ExceptionalRecord(1, 0, 0, Fraction(0), None))
         done = 1
-    anch = 1 - Fraction(e, 2)
     for r in range(done + 1, rmax + 1):
-        if e == 0 and r % 2 == 0:
-            continue
         partial = ExceptionalTable(e, r - 1, tuple(records))
-        pairs = set()
-        for a in range(1, r // 2 + 1):
-            b = solve_congruence_b(r, a, e)
-            if b is not None:
-                pairs.add(canonical_pair(r, a, b, e))
-        for a, b in sorted(pairs):
+        for a, b in _candidates(r, e):
             v = exceptional_character(r, a, b, e)
-            bound = dlp.dlp_below_rank(v.nu(), anch, e, r, partial)
-            if bound.value is not None and v.delta(e) < bound.value:
+            if not is_exceptional(v, e, partial):
                 continue
             lo, hi, w0, w1 = stability_interval(v, e, partial)
             records.append(ExceptionalRecord(r, a, b, lo, hi, w0, w1))
@@ -372,10 +369,20 @@ def record_from_json(line: str) -> Tuple[int, ExceptionalRecord]:
 
 
 def save_table(table: ExceptionalTable, path: str) -> None:
+    """Write the cache to a temporary file beside `path` and move it into
+    place, so processes sharing the cache never read a partial table; on
+    failure the temporary file is removed and `path` is left as it was."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
-        with open(path, "w") as fh:
-            for rec in table.records:
-                fh.write(record_to_json(rec, table.e) + "\n")
+        try:
+            with open(tmp, "w") as fh:
+                for rec in table.records:
+                    fh.write(record_to_json(rec, table.e) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
     except OSError as exc:
         raise CacheError("cannot write cache %s: %s" % (path, exc))
 

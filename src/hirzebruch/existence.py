@@ -37,9 +37,7 @@ candidates are still visited in the order of the plain triple loop.  The
 generic prioritary index comes from `prioritary.prioritary_index_of_key`.
 Verdicts and filtrations are memoized per character and polarization
 (Gieseker tie-breaks on walls are not twist-equivariant, so no twist
-sharing), while the prioritary index cache, which genuinely is
-twist-invariant, shares across twists.  A broken invariant of the search
-raises `InternalError`.
+sharing).  A broken invariant of the search raises `InternalError`.
 """
 
 from __future__ import annotations
@@ -114,49 +112,19 @@ class InternalError(RuntimeError):
     """A broken invariant of the engine: a bug, never a property of the input."""
 
 
-class _Cache:
-    def __init__(self):
-        self.hn: Dict[tuple, Optional[Tuple[IKey, ...]]] = {}
-        self.rho: Dict[tuple, Optional[int]] = {}  # None encodes +infinity
-
-    def clear(self):
-        self.hn.clear()
-        self.rho.clear()
-
-
-_CACHE = _Cache()
+_HN: Dict[tuple, Optional[Tuple[IKey, ...]]] = {}
 
 
 def clear_cache() -> None:
-    _CACHE.clear()
+    _HN.clear()
 
 
 # ---------------------------------------------------------------------------
 # integer-key plumbing: characters are (r, a, b, s) with s = 2 ch2
 
-def _ikey_of(v: ChernCharacter, e: int) -> IKey:
-    a, b = v.c1.a, v.c1.b
-    s2 = 2 * v.ch2
-    if a.denominator != 1 or b.denominator != 1 or s2.denominator != 1:
-        raise ValueError("decision engine needs an integral character, got %r" % (v,))
-    return (v.r, a.numerator, b.numerator, s2.numerator)
-
-
 def _char_of(key: IKey) -> ChernCharacter:
     r, a, b, s = key
     return ChernCharacter(r, DivisorClass(a, b), Fraction(s, 2))
-
-
-def _norm(key: IKey, e: int) -> Tuple[IKey, Tuple[int, int]]:
-    """Twist-normalize so 0 <= a, b < r; return (key, (ta, tb)) with the twist."""
-    r, a, b, s = key
-    ta = -(a // r)
-    tb = -(b // r)
-    a2 = a + r * ta
-    b2 = b + r * tb
-    # s = 2 ch2 gains 2 c1.L + r L^2 with L = ta E + tb F
-    s2 = s + 2 * (a * tb + ta * b - e * a * ta) + r * (2 * ta * tb - e * ta * ta)
-    return (r, a2, b2, s2), (ta, tb)
 
 
 def _delta2(key: IKey, e: int) -> int:
@@ -165,34 +133,25 @@ def _delta2(key: IKey, e: int) -> int:
     return 2 * a * b - e * a * a - r * s
 
 
-def _rho(key: IKey, e: int) -> Optional[int]:
-    """Cached generic prioritary index of the (Delta >= 0) character."""
-    nkey, _ = _norm(key, e)
-    ck = (e, nkey)
-    if ck in _CACHE.rho:
-        return _CACHE.rho[ck]
-    out = prioritary_index_of_key(nkey, e)
-    _CACHE.rho[ck] = out
-    return out
-
-
 def _prior(key: IKey, n: int, e: int) -> bool:
     # Delta >= 0 assumed checked by the caller
-    rho = _rho(key, e)
+    rho = prioritary_index_of_key(key, e)
     return rho is None or n <= rho
 
 
 def _validate(v: ChernCharacter, m: Rat, e: int) -> Tuple[Fraction, IKey]:
-    """The checked polarization and the integer key of v."""
+    """The checked polarization and the integer key (r, a, b, 2 ch2) of v."""
     check_surface(e)
     m = check_polarization(m)
     if v.r < 1:
         raise ValueError("decision engine needs positive rank")
-    key = _ikey_of(v, e)
-    _, a, b, s = key
+    a, b, s2 = v.c1.a, v.c1.b, 2 * v.ch2
+    if a.denominator != 1 or b.denominator != 1 or s2.denominator != 1:
+        raise ValueError("decision engine needs an integral character, got %r" % (v,))
+    a, b, s = a.numerator, b.numerator, s2.numerator
     if (2 * a * b - e * a * a - s) % 2:  # 2 c2 = c1^2 - 2 ch2
         raise ValueError("decision engine needs an integral character, got %r" % (v,))
-    return m, key
+    return m, (v.r, a, b, s)
 
 
 def _quad_b_bound(m: Fraction, e: int) -> Fraction:
@@ -227,9 +186,9 @@ def _hn_key(key: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
     # not twist-equivariant, so the filtration genuinely belongs to the
     # character itself, not to a twist-normalized representative.
     ck = (e, m, key)
-    if ck not in _CACHE.hn:
-        _CACHE.hn[ck] = _search(key, m, e)
-    return _CACHE.hn[ck]
+    if ck not in _HN:
+        _HN[ck] = _search(key, m, e)
+    return _HN[ck]
 
 
 def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:

@@ -127,6 +127,12 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exists", "--e", "0", "--char", "1,0,0,0", "--m", "1/0"])
     assert exc.value.code == 2 and "zero denominator" in capsys.readouterr().err
+    # a DLP rank cutoff must be positive, as for `grid`
+    for cutoff in ("0", "-3"):
+        for sub in (("dlp", "--nu", "1/2,1/3"), ("grid", "--square", "0,1,0,1", "--steps", "2")):
+            code, out, err = run_cli(capsys, sub[0], "--e", "0", "--m", "1", *sub[1:],
+                                     "--below-rank", cutoff)
+            assert code == 2 and out == "" and "rank cutoff" in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -162,3 +168,20 @@ def test_cache_extend_and_corrupt(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HIRZ_CACHE", cache2)
     code, _, _ = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", "4")
     assert os.path.exists(cache2)
+
+
+def test_cached_read_does_not_rewrite(tmp_path, capsys, monkeypatch):
+    from hirzebruch import exceptional
+
+    cache = str(tmp_path / "exc.jsonl")
+    code, _, _ = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", "6", "--cache", cache)
+    assert code == 0
+    with open(cache, "rb") as fh:
+        before = fh.read()
+    saves = []
+    monkeypatch.setattr(exceptional, "save_table", lambda *args: saves.append(args))
+    for rank in ("6", "4"):
+        code, _, _ = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", rank, "--cache", cache)
+        assert code == 0 and saves == []
+    with open(cache, "rb") as fh:
+        assert fh.read() == before

@@ -14,7 +14,8 @@ from hirzebruch import (
     exceptional_character,
     hilbert_P,
 )
-from hirzebruch.dlp import InsufficientTable, strip_halfwidth
+from hirzebruch.dlp import InsufficientTable, orbit, strip_halfwidth
+from hirzebruch.exceptional import exceptional_delta
 from oracles import dlp_brute_force
 
 
@@ -177,3 +178,34 @@ def test_equal_slope_branch_flagged():
     out = dlp_line_bundles(DivisorClass(Q(1, 2), Q(-1, 2)), 1, 0)
     assert out.value == Q(3, 4) and out.equal_slope
     assert not dlp_line_bundles(DivisorClass(0, 0), 1, 0).equal_slope
+
+
+def _orbit_by_fractions(rec, e):
+    """The orbit of a table row as (rank, slope, Delta, interval) in
+    Fractions, deduplicated on the slope mod Z^2 and the interval, in
+    first-seen order; on F_0 the fiber swap maps the interval to (1/hi, 1/lo)."""
+    r, lo, hi = rec.r, rec.lo, rec.hi
+    variants = [(rec.a, rec.b, lo, hi), (-rec.a, -rec.b, lo, hi)]
+    if e == 0:
+        slo = Q(0) if hi is None else 1 / hi
+        shi = None if lo == 0 else 1 / lo
+        variants += [(rec.b, rec.a, slo, shi), (-rec.b, -rec.a, slo, shi)]
+    out, seen = [], set()
+    for a, b, vlo, vhi in variants:
+        na, nb = Q(a, r), Q(b, r)
+        if (na % 1, nb % 1, vlo, vhi) not in seen:
+            seen.add((na % 1, nb % 1, vlo, vhi))
+            out.append((r, na, nb, rec.delta(), vlo, vhi))
+    return out
+
+
+def test_orbit_matches_fraction_enumeration(table0, table1):
+    # the F_1 row (2, 1, 1) has a single class: (1, 1) and (-1, -1) agree mod 2
+    assert len(orbit(table1.row(2, 1, 1), 1)) == 1
+    for table in (table0, table1):
+        for rec in table.records:
+            got = [
+                (c.rank, Q(c.a, c.rank), Q(c.b, c.rank), exceptional_delta(c.rank), c.lo, c.hi)
+                for c in orbit(rec, table.e)
+            ]
+            assert got == _orbit_by_fractions(rec, table.e), (table.e, rec)

@@ -15,7 +15,9 @@ from hirzebruch import (
     save_table,
     stability_interval,
 )
+from hirzebruch import exceptional
 from hirzebruch.exceptional import (
+    CacheError,
     canonical_pair,
     record_from_json,
     record_to_json,
@@ -210,6 +212,26 @@ def test_cache_roundtrip(tmp_path, table1):
     assert record_to_json(rec, 1) == line
     obj = json.loads(line)
     assert list(obj.keys()) == ["e", "r", "a", "b", "lo", "hi", "w0", "w1"]
+
+
+def test_failed_cache_write_keeps_old_file(tmp_path, table1, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    save_table(build_table(1, 6), str(path))
+    before = path.read_bytes()
+    rows = []
+
+    def fail_after_first_row(rec, e):
+        if rows:
+            raise OSError("disk full")
+        rows.append(rec)
+        return record_to_json(rec, e)
+
+    monkeypatch.setattr(exceptional, "record_to_json", fail_after_first_row)
+    with pytest.raises(CacheError):
+        save_table(table1, str(path))
+    assert len(rows) == 1
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
 def test_is_exceptional_builds_table_on_demand():
