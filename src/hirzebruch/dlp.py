@@ -22,9 +22,9 @@ O or exceptional, so Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
 twist scan runs per class on integers: scaled by L = lcm(den nu.a,
 den nu.b, rank), every offset d, its H_m-degree, P(+-d) and Delta(V) have
 one denominator, so the class contributes its best offset as a single
-`Fraction`.  The exceptional module computes the stability intervals I_V
-from the same classes, so the orbit enumeration and the open-interval
-stability test live only here.
+`Fraction`.  The exceptional module walks the stability walls of I_V on
+the same classes with the same scaling (`LINE_BUNDLES` gives the sentinels),
+so the orbit enumeration and the open-interval stability test live here.
 
 Polarizations with e >= 2 are rejected here; reduce to F_0/F_1 first.
 """

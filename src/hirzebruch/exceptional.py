@@ -17,8 +17,13 @@ is the connected component of R_{>0} minus
     S_V = { m_{V,W} : W exceptional, r(W) < r(V), chi(W,V) > 0, m_{V,W} in I_W }
 
 containing the anticanonical parameter 1 - e/2, where m_{V,W} = -y/x for
-nu(V) - nu(W) = xE + yF.  Line-bundle sentinels bracket 1 - e/2, which cuts
-the search for S_V down to a finite slope region.
+nu(V) - nu(W) = xE + yF.  `_strip_walls` walks the twists of one slope
+class of W on a vertical (x in (-1, 0)) or horizontal (y in (-1, 0)) strip
+in integers over L = lcm(r(V), r(W)), where chi(W, V) > 0 reads
+hilbert_P2 > 2 L^2 (Delta(V) + Delta(W)) = 2 L^2 - (L/r(V))^2 - (L/r(W))^2.
+Its first walls on O's strips are the sentinels that bracket 1 - e/2 and
+bound every other walk: M1 above it, and M0 below 1 on F_0 (0 on F_1,
+where P > 0 bounds the horizontal strips).
 
 Characters are normalized to the ranges 0 <= a < r/2, a <= b < r (e = 0,
 using the fiber swap) and 0 <= a <= r/2, 0 <= b < r (e = 1), so tables are
@@ -31,7 +36,7 @@ and `_variants` here are thin names for them.  A slope class is integers
 (rank, a, b) with its interval, and its Delta is `exceptional_delta(rank)`.
 `_candidates` is the one enumeration of canonical pairs per rank, shared by
 `potential_characters` and `build_table`, and `is_exceptional` is the one
-exceptionality test.
+exceptionality test.  `load_table` refuses rows that fail `_check_row`.
 """
 
 from __future__ import annotations
@@ -40,28 +45,21 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from . import dlp
+from .existence import InternalError
 from .lattice import (
     ChernCharacter,
     DivisorClass,
     Rat,
-    ceil_frac,
     check_surface,
     euler_pair,
-    floor_frac,
     format_rational,
-    hilbert_P,
+    hilbert_P2,
     parse_rational,
 )
-
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AssertionError("expected an integer, got %s" % (x,))
-    return x.numerator
 
 Witness = Tuple[int, int, int]  # (rank, a, b)
 
@@ -97,9 +95,6 @@ class ExceptionalRecord:
 
     def character(self, e: int) -> ChernCharacter:
         return exceptional_character(self.r, self.a, self.b, e)
-
-    def interval(self) -> Tuple[Fraction, Optional[Fraction]]:
-        return (self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -209,98 +204,78 @@ def _variants(rec: ExceptionalRecord, e: int):
     return [((c.a, c.b), (c.lo, c.hi)) for c in dlp.orbit(rec, e)]
 
 
+def _strip_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int,
+                 vertical: bool, lo: Fraction, hi: Optional[Fraction]):
+    """Walls lo < m < hi (None = +inf) of the twists W of `cls` against the
+    rank-r V with c1 = AE + BF, with their witnesses, in walk order (m rises
+    on the vertical strip, falls on the horizontal one)."""
+    rank = cls.rank
+    L = lcm(r, rank)
+    nx, ny = A * (L // r), B * (L // r)         # (X, Y)/L = nu(V) - nu(W)
+    x0, y0 = nx - cls.a * (L // rank), ny - cls.b * (L // rank)
+    bound = 2 * L * L - (L // r) ** 2 - (L // rank) ** 2
+    lp, lq = lo.numerator, lo.denominator
+    hp, hq = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    if vertical:
+        X = x0 % L - L
+        Y = lp * -X // lq + 1
+    else:
+        Y = y0 % L - L
+        X = -Y * hq // hp + 1
+    if -L in (X, Y):
+        return                                  # the fixed coordinate is integral
+    X += (x0 - X) % L
+    Y += (y0 - Y) % L
+    # on the horizontal strip of F_1, P > 0 needs 2 (Y + L) - X > 0
+    while (Y * hq < hp * -X if vertical
+           else X * lp < -Y * lq and e * X < 2 * (Y + L)):
+        if hilbert_P2(X, Y, L, e) > bound:
+            m = Fraction(-Y, X)
+            if cls.stable_at(m):
+                yield m, (rank, (nx - X) * rank // L, (ny - Y) * rank // L)
+        X, Y = (X, Y + L) if vertical else (X + L, Y)
+
+
 def stability_interval(
     v: ChernCharacter, e: int, table: ExceptionalTable
 ) -> Tuple[Fraction, Fraction, Optional[Witness], Optional[Witness]]:
     """Stability interval (lo, hi) of an exceptional v of rank >= 2, with the
     destabilizing bundles (rank, c1) realizing each finite endpoint.
 
-    Only the component of 1 - e/2 is certified: line-bundle sentinels M0, M1
-    bracket it, and all exceptional walls inside (M0, M1) are enumerated over
-    the bounded opposite-sign slope region.
+    Only the component of 1 - e/2 between the line-bundle sentinels is
+    walked.  A wall at 1 - e/2 (v is not exceptional, or the table is wrong)
+    raises `existence.InternalError`.
     """
     r = v.r
     if r < 2:
         raise ValueError("stability_interval wants rank >= 2 (line bundles are always stable)")
     classes = dlp.slope_classes(table, e, r)
-    nu = v.nu()
-    eps, phi = nu.a, nu.b
-    if eps.denominator == 1 or phi.denominator == 1:
-        raise ValueError("exceptional slopes of rank >= 2 have non-integral coordinates")
-    dv = v.delta(e)
+    A, B = v.c1.a.numerator, v.c1.b.numerator
+    if not v.c1.is_integral() or A % r == 0 or B % r == 0 or v.delta(e) != exceptional_delta(r):
+        raise ValueError("an exceptional character of rank >= 2 has an integral c1, a slope with "
+                         "non-integral coordinates and Delta = 1/2 - 1/(2 r^2)")
     anch = 1 - Fraction(e, 2)
-
     walls = {}
 
-    def record_wall(m: Fraction, wit: Witness) -> None:
+    def record_wall(m: Fraction, wit: Witness) -> Fraction:
         if m == anch:
-            raise AssertionError("anticanonical stability violated at %s by %r" % (m, wit))
-        if m not in walls or wit < walls[m]:
-            walls[m] = wit
+            raise InternalError("anticanonical stability violated at %s by %r" % (m, wit))
+        walls[m] = min(walls.get(m, wit), wit)
+        return m
 
-    # upper sentinel: vertical strip x in (-1,0), y > 0
-    xv = eps - ceil_frac(eps)
-    y = phi - floor_frac(phi)
-    while True:
-        if hilbert_P(DivisorClass(xv, y), e) > dv and -y / xv > anch:
-            m1_sent = -y / xv
-            record_wall(m1_sent, (1, _as_int(eps - xv), _as_int(phi - y)))
-            break
-        y += 1
-    # lower sentinel: horizontal strip (e = 0 only; 0 works for e = 1)
+    line = dlp.LINE_BUNDLES
+    m1 = record_wall(*next(_strip_walls(line, r, A, B, e, True, anch, None)))
+    m0 = Fraction(0)
     if e == 0:
-        yh = phi - ceil_frac(phi)
-        x = eps - floor_frac(eps)
-        while True:
-            if hilbert_P(DivisorClass(x, yh), e) > dv and -yh / x < 1:
-                m0_sent = -yh / x
-                record_wall(m0_sent, (1, _as_int(eps - x), _as_int(phi - yh)))
-                break
-            x += 1
-    else:
-        m0_sent = Fraction(0)
-
+        m0 = record_wall(*next(_strip_walls(line, r, A, B, e, False, m0, anch)))
     for cls in classes:
-        rw, dw = cls.rank, exceptional_delta(cls.rank)
-        tx = eps - Fraction(cls.a, rw)
-        ty = phi - Fraction(cls.b, rw)
-        # vertical strip: x in (-1, 0), y in (m0|x|, m1|x|)
-        x = tx - ceil_frac(tx)
-        if x != 0:
-            y_lo = m0_sent * (-x)
-            y_hi = m1_sent * (-x)
-            base = ty - floor_frac(ty - y_lo)
-            yy = base if base > y_lo else base + 1
-            while yy < y_hi:
-                m = -yy / x
-                if hilbert_P(DivisorClass(x, yy), e) > dv + dw and cls.stable_at(m):
-                    record_wall(m, (rw, _as_int(rw * (eps - x)), _as_int(rw * (phi - yy))))
-                yy += 1
-        # horizontal strip: y in (-1, 0), x in (|y|/m1, |y|/m0)
-        yh = ty - ceil_frac(ty)
-        if yh != 0:
-            x_lo = (-yh) / m1_sent
-            if m0_sent > 0:
-                x_hi = (-yh) / m0_sent
-            else:
-                x_hi = 2 * (yh + 1)  # P > 0 forces this when e = 1
-            base = tx - floor_frac(tx - x_lo)
-            xx = base if base > x_lo else base + 1
-            while xx < x_hi:
-                m = -yh / xx
-                if hilbert_P(DivisorClass(xx, yh), e) > dv + dw and cls.stable_at(m):
-                    record_wall(m, (rw, _as_int(rw * (eps - xx)), _as_int(rw * (phi - yh))))
-                xx += 1
+        for vertical in (True, False):
+            for m, wit in _strip_walls(cls, r, A, B, e, vertical, m0, m1):
+                record_wall(m, wit)
 
-    below = [m for m in walls if m < anch]
-    above = [m for m in walls if m > anch]
-    if not above:
-        raise AssertionError("no upper wall found; sentinel construction is broken")
-    hi = min(above)
-    lo = max(below) if below else Fraction(0)
-    w0 = walls[lo] if lo > 0 else None
-    w1 = walls[hi]
-    return lo, hi, w0, w1
+    hi = min(m for m in walls if m > anch)      # m1 is one of them
+    lo = max((m for m in walls if m < anch), default=Fraction(0))
+    return lo, hi, walls.get(lo), walls[hi]
 
 
 def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> ExceptionalTable:
@@ -362,10 +337,31 @@ def record_from_json(line: str) -> Tuple[int, ExceptionalRecord]:
         int(obj["b"]),
         parse_rational(obj["lo"]),
         hi,
-        tuple(obj["w0"]) if obj.get("w0") else None,
-        tuple(obj["w1"]) if obj.get("w1") else None,
+        tuple(map(int, obj["w0"])) if obj.get("w0") else None,
+        tuple(map(int, obj["w1"])) if obj.get("w1") else None,
     )
     return int(obj["e"]), rec
+
+
+def _check_row(rec: ExceptionalRecord, e: int) -> None:
+    """Raise ValueError unless the row could come from `build_table`."""
+    r, a, b = rec.r, rec.a, rec.b
+    # (a, b) in _candidates(r, e), or (0, 0) for r = 1, without the enumeration
+    if not (r >= 1 and solve_congruence_b(r, a, e) == b and canonical_pair(r, a, b, e) == (a, b)):
+        raise ValueError("(%d, %d) is not a canonical exceptional pair of rank %d" % (a, b, r))
+    if (rec.hi is None) != (r == 1):
+        raise ValueError("rank-%d row has hi = %s" % (r, format_rational(rec.hi)))
+    anch = 1 - Fraction(e, 2)
+    if not (0 <= rec.lo < anch and (rec.hi is None or anch < rec.hi)):
+        raise ValueError("rank-%d interval (%s, %s) misses %s" % (r, rec.lo, rec.hi, anch))
+    for m, wit in ((rec.lo, rec.w0), (rec.hi, rec.w1)):
+        if (wit is None) != (m is None or m == 0):
+            raise ValueError("endpoint %s of rank %d has witness %r" % (format_rational(m), r, wit))
+        if wit is not None:
+            rw, wa, wb = wit
+            x, y = a * rw - wa * r, b * rw - wb * r      # r rw (nu(V) - nu(W))
+            if not (0 < rw < r and x != 0 and Fraction(-y, x) == m):
+                raise ValueError("witness %r does not give endpoint %s of rank %d" % (wit, m, r))
 
 
 def save_table(table: ExceptionalTable, path: str) -> None:
@@ -400,11 +396,14 @@ def load_table(path: str, e: int) -> ExceptionalTable:
             ee, rec = record_from_json(ln)
             if ee != e:
                 raise ValueError("row for e=%d in a cache opened for e=%d" % (ee, e))
+            _check_row(rec, e)
             records.append(rec)
     except (ValueError, KeyError, TypeError) as exc:
         raise CacheError("corrupt cache %s: %s" % (path, exc))
     if not records:
         raise CacheError("cache %s is empty" % path)
     records.sort(key=lambda rec: (rec.r, rec.a, rec.b))
+    if len({(rec.r, rec.a, rec.b) for rec in records}) < len(records):
+        raise CacheError("cache %s repeats a row" % path)
     covered = max(rec.r for rec in records)
     return ExceptionalTable(e, covered, tuple(records))

@@ -16,6 +16,12 @@ def table1():
     return build_table(1, 20)
 
 
+@pytest.fixture(scope="session")
+def wide_tables():
+    """F_0 up to rank 39 and F_1 up to rank 40."""
+    return build_table(0, 39), build_table(1, 40)
+
+
 def random_integral_character(rng: random.Random, e: int, rmax=5, coeff=5, extra=None):
     """Integral character with Delta >= 0 (roughly Delta <= 3)."""
     r = rng.randint(1, rmax)

@@ -163,6 +163,12 @@ def test_cache_extend_and_corrupt(tmp_path, capsys, monkeypatch):
     code, out3, err = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", "6", "--cache", cache)
     assert code == 0 and "rebuilding" in err
     assert out3 == out1
+    # so is a well-formed row that no build makes: (2, F), stable for every m
+    with open(cache, "a") as fh:
+        fh.write('{"e": 1, "r": 2, "a": 0, "b": 1, "lo": "0", "hi": "inf", "w0": null, "w1": null}\n')
+    code, out4, err = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", "6", "--cache", cache)
+    assert code == 0 and "rebuilding" in err
+    assert out4 == out1
     # env var supplies the cache path
     cache2 = str(tmp_path / "env.jsonl")
     monkeypatch.setenv("HIRZ_CACHE", cache2)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -15,15 +16,20 @@ from hirzebruch import (
     save_table,
     stability_interval,
 )
-from hirzebruch import exceptional
+from hirzebruch import dlp, exceptional
+from hirzebruch.dlp import InsufficientTable
 from hirzebruch.exceptional import (
     CacheError,
+    ExceptionalRecord,
+    ExceptionalTable,
     canonical_pair,
     record_from_json,
     record_to_json,
     solve_congruence_b,
     _variants,
 )
+from hirzebruch.existence import InternalError
+from hirzebruch.lattice import ChernCharacter, DivisorClass, hilbert_P
 
 TABLE1 = [
     (1, (0, 0), (0, None), None, None),
@@ -142,6 +148,73 @@ def test_stability_interval_examples(table0, table1):
     assert (lo, hi, w0, w1) == (Q(8, 9), Q(9, 8), (7, 1, 3), (7, 3, 1))
 
 
+def test_stability_interval_refusals(table0, table1):
+    with pytest.raises(ValueError):
+        stability_interval(exceptional_character(1, 0, 0, 0), 0, table0)
+    # c1 = 3E + F on rank 3: the slope has an integral E-coordinate
+    with pytest.raises(ValueError):
+        stability_interval(exceptional_character(3, 3, 1, 0), 0, table0)
+    # Delta other than 1/2 - 1/(2 r^2), and a half-integral c1
+    with pytest.raises(ValueError):
+        stability_interval(exceptional_character(5, 1, 2, 0) + exceptional_character(1, 0, 0, 0), 0, table0)
+    with pytest.raises(ValueError):
+        stability_interval(ChernCharacter(3, DivisorClass(Q(1, 2), 1), 0), 0, table0)
+    # a table for the other surface, and one that stops below rank r - 1
+    with pytest.raises(ValueError):
+        stability_interval(exceptional_character(3, 1, 1, 0), 0, table1)
+    with pytest.raises(InsufficientTable):
+        stability_interval(exceptional_character(5, 1, 2, 0), 0, build_table(0, 3))
+
+
+def fraction_strip_walls(cls, v, e, vertical, lo, hi, box):
+    """The walls of `exceptional._strip_walls` by brute force over the twists
+    by iE + jF, |i|, |j| <= box, of `cls`, in Fraction arithmetic."""
+    nu = v.nu()
+    dv, dw = v.delta(e), exceptional.exceptional_delta(cls.rank)
+    out = []
+    for i in range(-box, box + 1):
+        for j in range(-box, box + 1):
+            x = nu.a - Q(cls.a, cls.rank) - i
+            y = nu.b - Q(cls.b, cls.rank) - j
+            if not (-1 < (x if vertical else y) < 0) or (y if vertical else x) <= 0:
+                continue
+            m = -y / x
+            if lo < m < hi and hilbert_P(DivisorClass(x, y), e) > dv + dw and cls.stable_at(m):
+                out.append((m, (cls.rank, cls.a + i * cls.rank, cls.b + j * cls.rank)))
+    return sorted(out, key=lambda w: w[0], reverse=not vertical)
+
+
+def test_strip_walls_match_fraction_enumeration(table0, table1):
+    # bounds drawn from the walls themselves, so the open ends are hit exactly
+    rng = random.Random(5)
+    for table in (table0, table1):
+        e = table.e
+        classes = dlp.slope_classes(table, e, 20)
+        for rec in table.records:
+            if rec.r < 3:
+                continue
+            v = rec.character(e)
+            for _ in range(8):
+                cls = rng.choice(classes)
+                vertical = rng.random() < 0.5
+                walls = fraction_strip_walls(cls, v, e, vertical, Q(1, 8), Q(8), 10)
+                ms = sorted({m for m, _ in walls})
+                if len(ms) < 2:
+                    continue
+                lo, hi = sorted(rng.sample(ms, 2))
+                want = [w for w in walls if lo < w[0] < hi]
+                got = list(exceptional._strip_walls(cls, rec.r, rec.a, rec.b, e, vertical, lo, hi))
+                assert got == want, (e, rec, cls, vertical, lo, hi)
+
+
+def test_wall_at_anticanonical_parameter_is_internal_error():
+    # the fabricated rank-2 row (interval (0, inf)) cuts (5, 2E + F) at m = 1/2
+    small = build_table(1, 4)
+    table = ExceptionalTable(1, 4, small.records + (ExceptionalRecord(2, 0, 1, Q(0), None),))
+    with pytest.raises(InternalError):
+        stability_interval(exceptional_character(5, 1, 2, 1), 1, table)
+
+
 def test_is_stable_at(table0, table1):
     rec = table0.row(3, 1, 1)
     assert is_stable_at(rec, 1)
@@ -153,8 +226,8 @@ def test_is_stable_at(table0, table1):
     assert not is_stable_at(table1.row(2, 1, 1), 1)
 
 
-def test_record_invariants(table0, table1):
-    for table in (table0, table1):
+def test_record_invariants(table0, table1, wide_tables):
+    for table in (table0, table1) + wide_tables:
         e = table.e
         anch = 1 - Q(e, 2)
         for rec in table.records:
@@ -163,6 +236,7 @@ def test_record_invariants(table0, table1):
             assert v.is_integral(e)
             # the anticanonical parameter lies strictly inside every interval
             assert rec.lo < anch and (rec.hi is None or anch < rec.hi)
+            exceptional._check_row(rec, e)  # the check a cache load makes
             # endpoint certificates: equal slope, chi(W, V) > 0, endpoint in I_W
             for endpoint, wit in ((rec.lo, rec.w0), (rec.hi, rec.w1)):
                 if wit is None:
@@ -186,12 +260,12 @@ def witness_interval(table, wit, e):
     raise AssertionError("witness %r not in the orbit of its canonical row" % (wit,))
 
 
-def test_quotient_side_interval_oracle(table0, table1):
+def test_quotient_side_interval_oracle(table0, table1, wide_tables):
     # re-deriving every interval with the quotient condition chi(V, W) > 0
     # instead of chi(W, V) > 0 must give the same component around 1 - e/2
     from oracles import quotient_side_interval
 
-    for table in (table0, table1):
+    for table in (table0, table1) + wide_tables:
         for rec in table.records:
             if rec.r == 1:
                 continue
@@ -212,6 +286,55 @@ def test_cache_roundtrip(tmp_path, table1):
     assert record_to_json(rec, 1) == line
     obj = json.loads(line)
     assert list(obj.keys()) == ["e", "r", "a", "b", "lo", "hi", "w0", "w1"]
+
+
+EDITS = {
+    # the tampered F_0 rank-3 row of the issue: (1/2, 2) read as (1/2, 100)
+    "hi_raised": (0, 3, {"hi": "100"}),
+    "not_potentially_exceptional": (0, 3, {"b": 2}),
+    # (5, 3E + 3F) is the dual of (5, 2E + 2F) twisted by E + F, with the
+    # same interval and a twisted witness: only the canonical form tells
+    "dual_pair_not_canonical": (1, 5, {"a": 3, "b": 3, "w1": [1, 0, 1]}),
+    "rank_one_not_00": (0, 1, {"b": 1}),
+    "rank_one_finite": (1, 1, {"hi": "2", "w1": [1, 1, 0]}),
+    "anticanonical_below_lo": (0, 3, {"lo": "2", "w0": [1, 1, -1]}),
+    "anticanonical_above_hi": (1, 11, {"hi": "3/7", "w1": [6, 1, 3]}),
+    "witnesses_swapped": (0, 3, {"w0": [1, 1, -1], "w1": [1, -1, 1]}),
+    "witness_off_wall": (1, 11, {"w0": [5, 1, 3]}),
+    "witness_same_rank": (0, 3, {"w1": [3, 0, 3]}),
+    "lo_without_witness": (0, 3, {"w0": None}),
+    "zero_lo_with_witness": (1, 2, {"w0": [1, 1, 0]}),
+    "infinite_above_rank_one": (1, 4, {"hi": "inf", "w1": None}),
+    "witness_not_integers": (0, 3, {"w1": [1, "x", 1]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDITS))
+def test_load_refuses_edited_rows(tmp_path, table0, table1, name):
+    e, rank, changes = EDITS[name]
+    path = tmp_path / "cache.jsonl"
+    save_table((table0, table1)[e], str(path))
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if json.loads(ln)["r"] == rank)
+    obj = json.loads(lines[i])
+    obj.update(changes)
+    lines[i] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheError):
+        load_table(str(path), e)
+
+
+def test_load_refuses_appended_row(tmp_path):
+    # (2, 0, 1) is no exceptional pair; trusted, it cuts (5, 2E + 2F) at 1/4.
+    # A repeated row would be printed twice by `hirz exceptional`.
+    small = build_table(1, 4)
+    for extra in (ExceptionalRecord(2, 0, 1, Q(0), None), small.records[-1]):
+        path = tmp_path / "cache.jsonl"
+        save_table(small, str(path))
+        with open(path, "a") as fh:
+            fh.write(record_to_json(extra, 1) + "\n")
+        with pytest.raises(CacheError):
+            load_table(str(path), 1)
 
 
 def test_failed_cache_write_keeps_old_file(tmp_path, table1, monkeypatch):
