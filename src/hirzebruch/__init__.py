@@ -47,7 +47,6 @@ from .exceptional import (
     build_table,
     exceptional_character,
     is_exceptional,
-    is_stable_at,
     load_table,
     potential_characters,
     save_table,

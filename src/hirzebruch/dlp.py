@@ -16,7 +16,8 @@ makes the twist search finite.
 
 The contributing bundles come as slope classes mod Z^2 (`SlopeClass`): the
 twist/dual and, on F_0, fiber-swap orbits of the exceptional table rows
-(`orbit`, `slope_classes`).  A class is integers (rank, a, b) with slope
+(`orbit`; once per table as `ExceptionalTable.classes`, cut below a rank
+by `slope_classes`).  A class is integers (rank, a, b) with slope
 (a/rank, b/rank) mod Z^2 plus its stability interval; every contributor is
 O or exceptional, so Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
 twist scan runs per class on integers: scaled by L = lcm(den nu.a,
@@ -59,9 +60,6 @@ class DlpValue:
     value: Optional[Fraction]
     witness: Optional[Tuple[int, int, int]] = None
     equal_slope: bool = False
-
-    def is_finite(self) -> bool:
-        return self.value is not None
 
 
 class InsufficientTable(ValueError):
@@ -140,14 +138,13 @@ def orbit(rec, e: int) -> List[SlopeClass]:
 
 
 def slope_classes(table, e: int, below_rank: int) -> List[SlopeClass]:
-    """O plus the orbits of every table row of rank 2 .. below_rank - 1.
+    """O plus the slope classes of the table rows of rank 2 .. below_rank - 1.
 
     The table is only consulted when below_rank > 2 and must then cover
-    every rank below the cutoff.
+    every rank below the cutoff; its classes are `ExceptionalTable.classes`.
     """
-    out = [LINE_BUNDLES]
     if below_rank <= 2:
-        return out
+        return [LINE_BUNDLES]
     if table is None:
         raise InsufficientTable("an exceptional table is required for rank bounds > 2")
     if table.e != e:
@@ -157,10 +154,7 @@ def slope_classes(table, e: int, below_rank: int) -> List[SlopeClass]:
             "table covers ranks <= %d but DLP^{<%d} needs %d"
             % (table.max_rank, below_rank, below_rank - 1)
         )
-    for rec in table.records:
-        if 1 < rec.r < below_rank:
-            out += orbit(rec, e)
-    return out
+    return [c for c in table.classes if c.rank < below_rank]
 
 
 def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: int) -> DlpValue:

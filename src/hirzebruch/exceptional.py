@@ -29,14 +29,16 @@ Characters are normalized to the ranges 0 <= a < r/2, a <= b < r (e = 0,
 using the fiber swap) and 0 <= a <= r/2, 0 <= b < r (e = 1), so tables are
 reproducible byte for byte.
 
-The twist/dual/swap orbits of table rows, the open-interval stability test
+The twist/dual/swap orbit of a table row, the open-interval stability test
 and the coverage check on a table live in `dlp` (`SlopeClass`, `orbit`,
-`slope_classes`), which scans the same orbits for DLP^{<r}; `is_stable_at`
-and `_variants` here are thin names for them.  A slope class is integers
-(rank, a, b) with its interval, and its Delta is `exceptional_delta(rank)`.
-`_candidates` is the one enumeration of canonical pairs per rank, shared by
-`potential_characters` and `build_table`, and `is_exceptional` is the one
-exceptionality test.  `load_table` refuses rows that fail `_check_row`.
+`slope_classes`), which scans the same classes for DLP^{<r}; a table lists
+its classes once, in row order (`ExceptionalTable.classes`).  A slope class
+is integers (rank, a, b) with its interval, and its Delta is
+`exceptional_delta(rank)`.  `_candidates` is the one enumeration of
+canonical pairs per rank, shared by `potential_characters` and
+`build_table`, and `is_exceptional` is the one exceptionality test, with
+chi(v, v) = 1 read from `lattice.chi2` on the integer key.  `load_table`
+refuses rows that fail `_check_row`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import List, Optional, Tuple
 
@@ -53,9 +56,8 @@ from .existence import InternalError
 from .lattice import (
     ChernCharacter,
     DivisorClass,
-    Rat,
     check_surface,
-    euler_pair,
+    chi2,
     format_rational,
     hilbert_P2,
     parse_rational,
@@ -109,11 +111,11 @@ class ExceptionalTable:
                 return rec
         return None
 
-
-def is_stable_at(record: ExceptionalRecord, m: Rat) -> bool:
-    """mu_{H_m}-stability: m strictly inside the open interval."""
-    # a record carries the (lo, hi) of its own slope class
-    return dlp.SlopeClass.stable_at(record, Fraction(m))
+    @cached_property
+    def classes(self) -> Tuple[dlp.SlopeClass, ...]:
+        """O, then the slope classes of each row of rank >= 2, in row order."""
+        return (dlp.LINE_BUNDLES,) + tuple(
+            cls for rec in self.records if rec.r > 1 for cls in dlp.orbit(rec, self.e))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +185,17 @@ def is_exceptional(v: ChernCharacter, e: int, table: Optional[ExceptionalTable] 
     """Decide whether the potentially exceptional character v is exceptional.
 
     Criterion: Delta(v) >= DLP^{<r}_{-K}(nu(v)), all lower-rank exceptionals
-    being anticanonically stable.  Raises on chi(v,v) != 1.
+    being anticanonically stable.  Raises ValueError unless v has positive
+    rank, an integral c1 and 2 ch2, and chi(v,v) = 1.
     """
     check_surface(e)
     if e not in (0, 1):
         raise ValueError("exceptionality is decided on F_0/F_1; reduce e >= 2 first")
-    if euler_pair(v, v, e) != 1:
+    key = (v.r, v.c1.a, v.c1.b, 2 * v.ch2)
+    if v.r < 1 or any(t.denominator != 1 for t in key[1:]):
+        raise ValueError("not a character of positive rank with integral c1 and 2 ch2: %r" % (v,))
+    key = tuple(map(int, key))
+    if chi2(key, key, e) != 2:
         raise ValueError("character is not potentially exceptional (chi(v,v) != 1)")
     if v.r == 1:
         return True
@@ -197,11 +204,6 @@ def is_exceptional(v: ChernCharacter, e: int, table: Optional[ExceptionalTable] 
     anch = 1 - Fraction(e, 2)
     bound = dlp.dlp_below_rank(v.nu(), anch, e, v.r, table)
     return bound.value is None or v.delta(e) >= bound.value
-
-
-def _variants(rec: ExceptionalRecord, e: int):
-    """((a, b), (lo, hi)) for each slope class of `dlp.orbit(rec, e)`."""
-    return [((c.a, c.b), (c.lo, c.hi)) for c in dlp.orbit(rec, e)]
 
 
 def _strip_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int,

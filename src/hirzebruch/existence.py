@@ -28,7 +28,8 @@ enumerates first factors w_1 = (r1, a1 E + b1 F, ch2_1) with
 then recurses on u = v - w_1.  Filtration length never exceeds 4.
 
 The inner loops run on plain integers.  Characters are keys (r, a, b, 2 ch2),
-Delta is read from its numerator 2 r^2 Delta = 2ab - e a^2 - r s, and m and
+Delta is read from its numerator 2 r^2 Delta = 2ab - e a^2 - r s and chi
+from 2 chi (`lattice.delta2`, `lattice.chi2`), and m and
 the fiber window enter as numerator and denominator.  For fixed (r1, a1) the
 pinned ch2_1 and Delta(u) are linear in b1, so the b1 loop visits only the
 arithmetic progression where ch2_1 is integral, cut to the half-line
@@ -54,9 +55,10 @@ from .lattice import (
     ceil_frac,
     check_polarization,
     check_surface,
+    chi2,
+    delta2,
     euler_pair,
     fiber_window,
-    hilbert_P2,
     intersect,
     mu,
     reduced_hilbert_key,
@@ -125,12 +127,6 @@ def clear_cache() -> None:
 def _char_of(key: IKey) -> ChernCharacter:
     r, a, b, s = key
     return ChernCharacter(r, DivisorClass(a, b), Fraction(s, 2))
-
-
-def _delta2(key: IKey, e: int) -> int:
-    # 2 r^2 Delta = 2ab - e a^2 - r s, which has the sign of Delta
-    r, a, b, s = key
-    return 2 * a * b - e * a * a - r * s
 
 
 def _prior(key: IKey, n: int, e: int) -> bool:
@@ -202,7 +198,7 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
     if r == 1:
         return (vkey,)
 
-    n2v = _delta2(vkey, e)          # 2 r^2 Delta(v)
+    n2v = delta2(vkey, e)           # 2 r^2 Delta(v)
     cf = fiber_window(m, e)
     cp, cq = cf.numerator, cf.denominator
     # H_m-degree of v times (r mq): mu(v) = degv / den
@@ -285,7 +281,7 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
                     # Delta_1 >= 0 holds by construction and Delta(u) >= 0 by
                     # the b1 cut off the degenerate branch; then the cheap
                     # prioritary gates
-                    if not two_r1_minus_r and _delta2(u, e) < 0:
+                    if not two_r1_minus_r and delta2(u, e) < 0:
                         continue
                     if not _prior(w1, n0 + 1, e):
                         continue      # necessary for (5)
@@ -302,7 +298,7 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
                     # condition (3): mu(w1) - mu(last) <= 1
                     if (a1 * mp + b1 * mq) * last[0] - (last[1] * mp + last[2] * mq) * r1 > r1 * last[0] * mq:
                         continue
-                    if any(_chi2(w1, f, e) != 0 for f in tail):
+                    if any(chi2(w1, f, e) != 0 for f in tail):
                         continue      # condition (4)
                     return (w1,) + tail
     if not _prior(vkey, n0 + 1, e):
@@ -311,17 +307,6 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
             "character is not H_{ceil(m)+1}-prioritary" % (vkey, m)
         )
     return (vkey,)
-
-
-def _chi2(v: IKey, w: IKey, e: int) -> int:
-    """2 chi(v, w): integer formula via ch(v)^dual ch(w) td."""
-    rv, av, bv, sv = v
-    rw, aw, bw, sw = w
-    ga = rv * aw - rw * av
-    gb = rv * bw - rw * bv
-    kdot = (e - 2) * ga - 2 * gb          # K . (ga E + gb F)
-    pair = av * bw + aw * bv - e * av * aw
-    return 2 * rv * rw - kdot + (rv * sw + rw * sv) - 2 * pair
 
 
 def _key_gt(w: IKey, x: IKey, m: Fraction, e: int) -> bool:
@@ -334,17 +319,12 @@ def _key_gt(w: IKey, x: IKey, m: Fraction, e: int) -> bool:
     rhs = (ax * mp + bx * mq) * rw
     if lhs != rhs:
         return lhs > rhs
-
-    def chival(key):
-        # 2 r^2 (P(nu) - Delta); ties in mu are broken by chi/r
-        r, a, b, _ = key
-        return hilbert_P2(a, b, r, e) - _delta2(key, e)
-
-    return chival(w) * rx * rx > chival(x) * rw * rw
+    # ties in mu are broken by chi/r, and 2 chi(v) = chi2(O, v)
+    return chi2((1, 0, 0, 0), w, e) * rx > chi2((1, 0, 0, 0), x, e) * rw
 
 
 def _verdict_key(key: IKey, m: Fraction, e: int) -> str:
-    if _delta2(key, e) < 0:
+    if delta2(key, e) < 0:
         return BOGOMOLOV_VIOLATION
     n0 = -(-m.numerator // m.denominator)   # ceil(m)
     if not _prior(key, n0, e):
@@ -363,7 +343,7 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
     H_{ceil m}-prioritary sheaves exist.  Raises BogomolovViolation for
     Delta < 0."""
     m, key = _validate(v, m, e)
-    if _delta2(key, e) < 0:
+    if delta2(key, e) < 0:
         raise BogomolovViolation("Delta(v) = %s < 0" % (v.delta(e),))
     factors = _hn_key(key, m, e)
     if factors is None:
@@ -401,7 +381,7 @@ def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
     BOGOMOLOV_VIOLATION carry no filtration.
     """
     m, key = _validate(v, m, e)
-    if _delta2(key, e) < 0:
+    if delta2(key, e) < 0:
         return DecisionCertificate(BOGOMOLOV_VIOLATION, None, False)
     wall = is_wall(v, m, e)
     factors = _hn_key(key, m, e)

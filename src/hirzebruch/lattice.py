@@ -16,7 +16,9 @@ Delta = nu^2/2 - ch2/r, and Riemann-Roch reads
     chi(v, w) = r(v) r(w) (P(nu(w) - nu(v)) - Delta(v) - Delta(w)).
 
 All arithmetic is exact rational (`fractions.Fraction`); floats are never
-used, and serialization keeps rationals as lowest-terms "p/q" strings.
+used, and serialization keeps rationals as lowest-terms "p/q" strings.  The
+integer kernels are `hilbert_P2` (2 L^2 P on slopes over L) and, on integer
+keys (r, a, b, 2 ch2), `delta2` (2 r^2 Delta) and `chi2` (2 chi(v, w)).
 """
 
 from __future__ import annotations
@@ -113,6 +115,24 @@ def hilbert_P(nu: DivisorClass, e: int) -> Fraction:
 def hilbert_P2(x: int, y: int, L: int, e: int) -> int:
     """2 L^2 P(nu) for nu = (x/L) E + (y/L) F, in integers."""
     return (x + L) * (2 * y + 2 * L - e * x)
+
+
+def delta2(key: Tuple[int, int, int, int], e: int) -> int:
+    """2 r^2 Delta = 2ab - e a^2 - r s of the key (r, a, b, s = 2 ch2), which
+    has the sign of Delta."""
+    r, a, b, s = key
+    return 2 * a * b - e * a * a - r * s
+
+
+def chi2(v: Tuple[int, int, int, int], w: Tuple[int, int, int, int], e: int) -> int:
+    """2 chi(v, w) of two keys: integer formula via ch(v)^dual ch(w) td."""
+    rv, av, bv, sv = v
+    rw, aw, bw, sw = w
+    ga = rv * aw - rw * av
+    gb = rv * bw - rw * bv
+    kdot = (e - 2) * ga - 2 * gb          # K . (ga E + gb F)
+    pair = av * bw + aw * bv - e * av * aw
+    return 2 * rv * rw - kdot + (rv * sw + rw * sv) - 2 * pair
 
 
 @dataclass(frozen=True)

@@ -168,14 +168,11 @@ class DecompositionOracle:
         return [d for d in self.decompositions(vkey, 4) if len(d) >= 2]
 
 
-def dlp_brute_force(nu, m, e, below_rank, table, box=6):
-    """Max of the branch values over an enlarged twist box, stability-filtered.
-
-    Enumerates every twist with both offset coordinates in [-box, box] plus
-    the polarization strip; independent of the library's window derivation.
-    """
-    m = Fraction(m)
-    s = m + Fraction(e, 2) + 1
+def fraction_slope_classes(table, e, below_rank):
+    """O and every twist/dual (and, on F_0, fiber-swap) variant of the table
+    rows of rank 2 .. below_rank - 1 as (rank, slope.a, slope.b, Delta,
+    (lo, hi)) in Fractions, without deduplication; written out here rather
+    than taken from the library's orbit enumeration."""
     classes = [(1, Fraction(0), Fraction(0), Fraction(0), (Fraction(0), None))]
     for rec in table.records:
         if rec.r == 1 or rec.r >= below_rank:
@@ -188,6 +185,18 @@ def dlp_brute_force(nu, m, e, below_rank, table, box=6):
             variants += [((rec.b, rec.a), (lo, hi)), ((-rec.b, -rec.a), (lo, hi))]
         for (a, b), iv in variants:
             classes.append((rec.r, Fraction(a, rec.r), Fraction(b, rec.r), d, iv))
+    return classes
+
+
+def dlp_brute_force(nu, m, e, below_rank, table, box=6):
+    """Max of the branch values over an enlarged twist box, stability-filtered.
+
+    Enumerates every twist with both offset coordinates in [-box, box] plus
+    the polarization strip; independent of the library's window derivation.
+    """
+    m = Fraction(m)
+    s = m + Fraction(e, 2) + 1
+    classes = fraction_slope_classes(table, e, below_rank)
     best = None
     if below_rank <= 1:
         return None
@@ -224,28 +233,18 @@ def quotient_side_interval(rec, table):
     (x >= 1 kills P(-x,-y); for e = 1 also x <= -2 does), with X determined
     by the smallest wall parameter we must resolve.
     """
-    from fractions import Fraction
-    from math import ceil, floor
-    from hirzebruch.exceptional import _variants, exceptional_delta
-
     e = table.e
     anch = 1 - Fraction(e, 2)
     r, va, vb = rec.r, rec.a, rec.b
     eps, phi = Fraction(va, r), Fraction(vb, r)
-    dv = exceptional_delta(r)
+    dv = rec.delta()
     if e == 0:
         assert rec.lo > 0
         xbound = 1 / rec.lo + 1
     else:
         xbound = 2
-    classes = [(1, Fraction(0), Fraction(0), Fraction(0), (Fraction(0), None))]
-    for other in table.records:
-        if other.r == 1 or other.r >= r:
-            continue
-        for (a2, b2), iv in _variants(other, e):
-            classes.append((other.r, Fraction(a2, other.r), Fraction(b2, other.r), other.delta(), iv))
     walls = set()
-    for rw, na, nb, dw, (lo_w, hi_w) in classes:
+    for rw, na, nb, dw, (lo_w, hi_w) in fraction_slope_classes(table, e, r):
         x0 = eps - na
         y0 = phi - nb
         for i in range(ceil(-xbound - x0), floor(1 - x0) + 1):

@@ -1,5 +1,7 @@
-"""Smoke test: every demo script runs to completion from a clean directory."""
+"""Smoke tests: every demo script runs to completion from a clean directory,
+and the README's library quick start gives the values it shows."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +25,24 @@ def test_demo_runs(name, tmp_path):
             lines = fh.read().splitlines()
         assert lines[0] == "eps,phi,delta"
         assert len(lines) == 1 + 25 * 25
+
+
+def test_readme_quick_start():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    env, shown = {}, []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), env)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), env)
+        # the value is commented on the expression's line or on the next one
+        line = lines[node.end_lineno - 1]
+        if "#" not in line:
+            line = lines[node.end_lineno]
+        assert repr(value) == line.split("#", 1)[1].strip()
+        shown.append(value)
+    Q = env["Q"]
+    assert shown == ["EMPTY", [(2, Q(5, 8)), (11, Q(65, 121))], (Q(4, 7), Q(7, 4)), Q(3, 5)]

@@ -14,8 +14,8 @@ from hirzebruch import (
     exceptional_character,
     hilbert_P,
 )
-from hirzebruch.dlp import InsufficientTable, orbit, strip_halfwidth
-from hirzebruch.exceptional import exceptional_delta
+from hirzebruch.dlp import LINE_BUNDLES, InsufficientTable, orbit, slope_classes, strip_halfwidth
+from hirzebruch.exceptional import exceptional_delta, load_table, save_table
 from oracles import dlp_brute_force
 
 
@@ -199,7 +199,7 @@ def _orbit_by_fractions(rec, e):
     return out
 
 
-def test_orbit_matches_fraction_enumeration(table0, table1):
+def test_orbit_matches_fraction_enumeration(table0, table1, tmp_path):
     # the F_1 row (2, 1, 1) has a single class: (1, 1) and (-1, -1) agree mod 2
     assert len(orbit(table1.row(2, 1, 1), 1)) == 1
     for table in (table0, table1):
@@ -209,3 +209,17 @@ def test_orbit_matches_fraction_enumeration(table0, table1):
                 for c in orbit(rec, table.e)
             ]
             assert got == _orbit_by_fractions(rec, table.e), (table.e, rec)
+    # the classes a table keeps are O plus the orbits of its rows, cut at the
+    # rank, for built and loaded tables alike
+    loaded = []
+    for table in (table0, table1):
+        path = str(tmp_path / ("t%d.jsonl" % table.e))
+        save_table(table, path)
+        loaded.append(load_table(path, table.e))
+    for table in [table0, table1] + loaded:
+        for cut in range(2, table.max_rank + 2):
+            want = [LINE_BUNDLES]
+            for rec in table.records:
+                if 1 < rec.r < cut:
+                    want += orbit(rec, table.e)
+            assert slope_classes(table, table.e, cut) == want, (table.e, cut)

@@ -9,7 +9,6 @@ from hirzebruch import (
     euler_pair,
     exceptional_character,
     is_exceptional,
-    is_stable_at,
     load_table,
     mu,
     potential_characters,
@@ -26,7 +25,6 @@ from hirzebruch.exceptional import (
     record_from_json,
     record_to_json,
     solve_congruence_b,
-    _variants,
 )
 from hirzebruch.existence import InternalError
 from hirzebruch.lattice import ChernCharacter, DivisorClass, hilbert_P
@@ -109,6 +107,9 @@ def test_is_exceptional(table0, table1):
             assert not is_exceptional(v, 1, table1)
     with pytest.raises(ValueError):
         is_exceptional(exceptional_character(3, 1, 1, 0) + exceptional_character(1, 0, 0, 0), 0, table0)
+    # chi(v, v) = 1 but 2 ch2 = -8/3: no integer key
+    with pytest.raises(ValueError, match="integral c1 and 2 ch2"):
+        is_exceptional(exceptional_character(3, 1, 0, 0), 0, table0)
 
 
 def test_tables_match_golden(table0, table1):
@@ -216,14 +217,14 @@ def test_wall_at_anticanonical_parameter_is_internal_error():
 
 
 def test_is_stable_at(table0, table1):
-    rec = table0.row(3, 1, 1)
-    assert is_stable_at(rec, 1)
-    assert not is_stable_at(rec, 2)  # strictly semistable at the endpoint
-    assert not is_stable_at(rec, Q(1, 2))
-    line = table0.row(1, 0, 0)
-    for m in (Q(1, 100), 1, 17):
-        assert is_stable_at(line, m)
-    assert not is_stable_at(table1.row(2, 1, 1), 1)
+    # a row's own slope class comes first in its orbit
+    cls = dlp.orbit(table0.row(3, 1, 1), 0)[0]
+    assert cls.stable_at(Q(1))
+    assert not cls.stable_at(Q(2))  # strictly semistable at the endpoint
+    assert not cls.stable_at(Q(1, 2))
+    for m in (Q(1, 100), Q(1), Q(17)):
+        assert dlp.LINE_BUNDLES.stable_at(m)
+    assert not dlp.orbit(table1.row(2, 1, 1), 1)[0].stable_at(Q(1))
 
 
 def test_record_invariants(table0, table1, wide_tables):
@@ -254,9 +255,9 @@ def witness_interval(table, wit, e):
         return (Q(0), None)
     base = table.row(rw, *canonical_pair(rw, wa, wb, e))
     assert base is not None
-    for (a2, b2), iv in _variants(base, e):
-        if (wa - a2) % rw == 0 and (wb - b2) % rw == 0:
-            return iv
+    for cls in dlp.orbit(base, e):
+        if (wa - cls.a) % rw == 0 and (wb - cls.b) % rw == 0:
+            return (cls.lo, cls.hi)
     raise AssertionError("witness %r not in the orbit of its canonical row" % (wit,))
 
 

@@ -26,6 +26,7 @@ from hirzebruch import (
     reduced_hilbert_key,
     twist,
 )
+from hirzebruch.lattice import chi2, delta2
 
 
 def test_intersection_form():
@@ -68,6 +69,17 @@ def test_euler_pair_examples():
     # integrality witness
     v = from_rank_slope_disc(13, DivisorClass(Q(3, 13), Q(6, 13)), Q(98, 169), 1)
     assert euler_char(v, 1).denominator == 1
+
+
+def test_integer_riemann_roch_matches_fractions():
+    rng = random.Random(12)
+    for _ in range(400):
+        e = rng.randint(0, 5)
+        k, l = [(rng.randint(1, 6), rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-40, 40))
+                for _ in range(2)]
+        v, w = [character(r, a, b, Q(s, 2)) for r, a, b, s in (k, l)]
+        assert chi2(k, l, e) == 2 * euler_pair(v, w, e)
+        assert delta2(k, e) == 2 * k[0] ** 2 * v.delta(e)
 
 
 def test_euler_char_integer_on_integral():
