@@ -22,10 +22,17 @@ by `slope_classes`).  A class is integers (rank, a, b) with slope
 O or exceptional, so Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
 twist scan runs per class on integers: scaled by L = lcm(den nu.a,
 den nu.b, rank), every offset d, its H_m-degree, P(+-d) and Delta(V) have
-one denominator, so the class contributes its best offset as a single
-`Fraction`.  The exceptional module walks the stability walls of I_V on
-the same classes with the same scaling (`LINE_BUNDLES` gives the sentinels),
-so the orbit enumeration and the open-interval stability test live here.
+one denominator.  On a column of offsets with fixed fiber part, each branch
+of DLP is affine in the other coordinate, so the column's best offset is
+the lattice point nearest the line d.H_m = 0 on either side or the one on
+it (`_scan` says why the far ends never win): O(#columns) integer steps
+per class.  Ties go to the smallest witness, as a walk over the whole box
+in ascending order keeping the last maximum would give, and classes are
+compared by cross-multiplying; the one `Fraction` is the returned value.
+The exceptional module walks the stability walls of I_V on the same
+classes with the same scaling (`LINE_BUNDLES` gives the sentinels), so the
+orbit enumeration and the open-interval stability test (integer
+cross-multiplication against m) live here.
 
 Polarizations with e >= 2 are rejected here; reduce to F_0/F_1 first.
 """
@@ -111,8 +118,12 @@ class SlopeClass(NamedTuple):
     hi: Optional[Fraction]      # None = +infinity
 
     def stable_at(self, m: Fraction) -> bool:
-        """mu_{H_m}-stability: m strictly inside the open interval."""
-        return m > self.lo and (self.hi is None or m < self.hi)
+        """mu_{H_m}-stability: m strictly inside the open interval, decided
+        by cross-multiplying m = p/q against lo and hi."""
+        p, q = m.numerator, m.denominator
+        lo, hi = self.lo, self.hi
+        return (p * lo.denominator > lo.numerator * q
+                and (hi is None or p * hi.denominator < hi.numerator * q))
 
 
 LINE_BUNDLES = SlopeClass(1, 0, 0, Fraction(0), None)
@@ -162,54 +173,82 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
     # offsets d = nu - (twist of the class) are (X, Y)/L with X = x0 and
     # Y = y0 mod L, (x0, y0)/L = nu - (class slope), kept to |d.H_m| <= s
     # and fiber part in [-X_w, X_w] (anything scoring above the
-    # always-positive base value lies in this box), and
-    # 2 L^2 P(d) = hilbert_P2(X, Y, L, e).  Within a class Delta(V) is fixed,
-    # 2 L^2 Delta(V) = L^2 - (L / rank)^2, so the best offset is the largest
-    # P, ties going to the largest (X, Y), i.e. the smallest witness.
+    # always-positive base value lies in this box).  Within a class
+    # 2 L^2 Delta(V) = L^2 - (L / rank)^2 is fixed, so the best offset is the
+    # largest P, ties going to the largest (X, Y), i.e. the smallest witness.
+    # On a column X the branches are affine in Y, split by t = X mp + Y mq:
+    #   t < 0:  2 L^2 P(d)  = (X + L)(2Y + 2L - eX), slope 2(X + L),
+    #   t > 0:  2 L^2 P(-d) = (L - X)(2L - 2Y + eX), slope -2(L - X),
+    # so on a column with -L <= X <= L the best point is the lattice point
+    # nearest the line on either side or the one on it.  Where a slope
+    # turns (below the line at X < -L, above it at X > L) the strip bound
+    # keeps P < 0, while the column with |X| < L has a point of P > 0 within
+    # one lattice step of the line: those half-columns never hold the
+    # maximum.  The <= 3 points are visited in ascending Y with `>=`, as a
+    # walk over the whole box would, which keeps the tie rule.
     mp, mq = m.numerator, m.denominator
     xw = fiber_window(m, e)
+    xwp, xwq = xw.numerator, xw.denominator
     s = strip_halfwidth(m, e)
-    sp, sq = s.numerator, s.denominator
-    mps, ysc = mp * sq, mq * sq     # |d.H_m| <= s is |X mp + Y mq| sq <= L mq sp
-    best: Optional[Fraction] = None
+    hwq = mq * s.numerator
+    mps, ysc = mp * s.denominator, mq * s.denominator   # |t| sq <= L mq sp
+    ap, aq = nu.a.numerator, nu.a.denominator
+    bp, bq = nu.b.numerator, nu.b.denominator
+    nu_den = lcm(aq, bq)
+    best_num = best_den = None          # the best value is best_num / best_den
     best_wit: Optional[Tuple[int, int, int]] = None
     best_eq = False
     for con in contributors:
         if not con.stable_at(m):
             continue
         rank = con.rank
-        L = lcm(nu.a.denominator, nu.b.denominator, rank)
-        nx = nu.a.numerator * (L // nu.a.denominator)
-        ny = nu.b.numerator * (L // nu.b.denominator)
+        L = lcm(nu_den, rank)
         k = L // rank
+        nx = ap * (L // aq)
+        ny = bp * (L // bq)
         x0 = nx - con.a * k
         y0 = ny - con.b * k
-        xlim = xw.numerator * L // xw.denominator
-        hw = L * mq * sp
+        xlim = xwp * L // xwq
+        hw = L * hwq
         top = None
         for X in range(-xlim + (x0 + xlim) % L, xlim + 1, L):
             y_lo = -((hw + X * mps) // ysc)
             y_hi = (hw - X * mps) // ysc
-            for Y in range(y_lo + (y0 - y_lo) % L, y_hi + 1, L):
-                t = X * mp + Y * mq
-                if t < 0:
-                    p = hilbert_P2(X, Y, L, e)
-                elif t > 0:
-                    p = hilbert_P2(-X, -Y, L, e)
-                else:
-                    p = max(hilbert_P2(X, Y, L, e), hilbert_P2(-X, -Y, L, e))
+            y_lo += (y0 - y_lo) % L             # first and last lattice Y
+            y_hi -= (y_hi - y0) % L
+            if y_lo > y_hi:
+                continue
+            tx = X * mp
+            below = (-tx - 1) // mq             # last Y with t < 0
+            if y_lo <= below:
+                Y = min(y_hi, below)
+                Y -= (Y - y0) % L
+                p = hilbert_P2(X, Y, L, e)
+                if top is None or p >= top:
+                    top, bx, by = p, X, Y
+            if tx % mq == 0 and (-tx // mq - y0) % L == 0:
+                Y = -tx // mq
+                p = max(hilbert_P2(X, Y, L, e), hilbert_P2(-X, -Y, L, e))
+                if top is None or p >= top:
+                    top, bx, by = p, X, Y
+            above = -tx // mq + 1                # first Y with t > 0
+            if y_hi >= above:
+                Y = max(y_lo, above)
+                Y += (y0 - Y) % L
+                p = hilbert_P2(-X, -Y, L, e)
                 if top is None or p >= top:
                     top, bx, by = p, X, Y
         if top is None:
             continue
-        val = Fraction(top - L * L + k * k, 2 * L * L)
-        wa, ra = divmod(rank * (nx - bx), L)
-        wb, rb = divmod(rank * (ny - by), L)
-        assert ra == 0 and rb == 0
-        wit = (rank, wa, wb)
-        if best is None or val > best or (val == best and wit < best_wit):
-            best, best_wit = val, wit
+        num, den = top - L * L + k * k, 2 * L * L
+        cmp = 1 if best_num is None else num * best_den - best_num * den
+        if cmp < 0:
+            continue
+        wit = (rank, (nx - bx) // k, (ny - by) // k)
+        if cmp > 0 or wit < best_wit:
+            best_num, best_den, best_wit = num, den, wit
             best_eq = bx * mp + by * mq == 0 and (bx, by) != (0, 0)
+    best = None if best_num is None else Fraction(best_num, best_den)
     return DlpValue(best, best_wit, best_eq)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -191,3 +192,69 @@ def test_cached_read_does_not_rewrite(tmp_path, capsys, monkeypatch):
         assert code == 0 and saves == []
     with open(cache, "rb") as fh:
         assert fh.read() == before
+
+
+def _fuzz_argv(rng):
+    """One argv for a random subcommand from well-formed and malformed atoms:
+    zero denominators, float and exponent literals, empty strings, wrong
+    arity, zero or negative ranks and e >= 2 where only F_0/F_1 is served."""
+    bad = ["1/0", "0/0", "1.5", "1e3", "", "x", "-1", "0", " 2", "1/-2"]
+    rat = ["1", "1/2", "3/2", "2", "1/3", "7/3"]
+    small = ["-2", "-1", "0", "1", "2", "3"]
+
+    def pick(good, weight=0.15):
+        return rng.choice(bad) if rng.random() < weight else rng.choice(good)
+
+    def tup(*pools):
+        """A comma list, one entry per pool, with one entry too few or too
+        many one time in ten."""
+        pools = list(pools)
+        if rng.random() < 0.05:
+            pools.pop()
+        elif rng.random() < 0.05:
+            pools.append(rat)
+        return ",".join(pick(pool, 0.05) for pool in pools)
+
+    e = pick(["0", "1", "0", "1", "2", "3", "5"])
+    rank = pick(["1", "2", "3", "4", "5"])
+    char = tup(["1", "2", "3", "4", "0"], small, small, small + ["1/2", "-3/2"])
+    nu = tup(rat + ["-1/4"], rat + ["-1/4"])
+    opts = {
+        "exceptional": [("--e", e), ("--max-rank", rank)],
+        "exists": [("--e", e), ("--char", char), ("--m", pick(rat))],
+        "hn": [("--e", e), ("--char", char), ("--m", pick(rat))],
+        "dlp": [("--e", e), ("--nu", nu), ("--m", pick(rat)), ("--below-rank", rank)],
+        "delta": [("--e", e), ("--nu", nu), ("--m", pick(rat)), ("--max-rank", rank)],
+        "kronecker": [("--e", e), ("--ell", pick(small)), ("--abcd", tup(*[small] * 4))],
+        "reduce": [("--e", e), ("--char", char), ("--m", pick(rat))],
+        "grid": [("--e", e), ("--m", pick(rat)), ("--square", tup(*[rat + ["0"]] * 4)),
+                 ("--steps", pick(["0", "1", "2", "-1"])), ("--below-rank", rank)],
+    }
+    sub = rng.choice(sorted(opts))
+    argv = [sub]
+    for flag, value in opts[sub]:
+        if rng.random() < 0.05:
+            continue                    # a missing option
+        argv += [flag, value]
+    if rng.random() < 0.05:
+        argv.append(rng.choice(bad + ["--e"]))  # a stray argument
+    return argv
+
+
+def test_fuzz_exit_codes(capsys, monkeypatch):
+    # malformed input gets a documented exit code and a message, never a
+    # traceback; ranks stay <= 5 so that every command is quick
+    monkeypatch.delenv("HIRZ_CACHE", raising=False)
+    rng = random.Random(29)
+    codes = {}
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse rejections
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, argv
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0, 0) >= 20 and codes.get(2, 0) >= 100, codes

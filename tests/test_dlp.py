@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import ceil, floor, lcm
 
 import pytest
 
@@ -14,8 +15,17 @@ from hirzebruch import (
     exceptional_character,
     hilbert_P,
 )
-from hirzebruch.dlp import LINE_BUNDLES, InsufficientTable, orbit, slope_classes, strip_halfwidth
+from hirzebruch import dlp
+from hirzebruch.dlp import (
+    LINE_BUNDLES,
+    DlpValue,
+    InsufficientTable,
+    orbit,
+    slope_classes,
+    strip_halfwidth,
+)
 from hirzebruch.exceptional import exceptional_delta, load_table, save_table
+from hirzebruch.lattice import fiber_window, hilbert_P2
 from oracles import dlp_brute_force
 
 
@@ -223,3 +233,80 @@ def test_orbit_matches_fraction_enumeration(table0, table1, tmp_path):
                 if 1 < rec.r < cut:
                     want += orbit(rec, table.e)
             assert slope_classes(table, table.e, cut) == want, (table.e, cut)
+
+
+def _full_box_scan(nu, m, e, classes):
+    """The DLP bound over `classes` by visiting every offset of each class's
+    twist box.
+
+    Per stable class (open interval, compared as Fractions), the offsets
+    (X, Y)/L of nu from the twists, |X| <= X_w L and |X m + Y| <= s L, are
+    visited column by column in ascending X and Y, the last maximum of
+    2 L^2 P winning (`>=`); classes compare by value, then by the smaller
+    witness.
+    """
+    m = Q(m)
+    xw, s = fiber_window(m, e), strip_halfwidth(m, e)
+    best = None
+    for con in classes:
+        if not (m > con.lo and (con.hi is None or m < con.hi)):
+            continue
+        rank = con.rank
+        L = lcm(nu.a.denominator, nu.b.denominator, rank)
+        k = L // rank
+        nx, ny = int(nu.a * L), int(nu.b * L)
+        x0, y0 = nx - con.a * k, ny - con.b * k
+        top = None
+        xlim = floor(xw * L)
+        for X in range(-xlim + (x0 + xlim) % L, xlim + 1, L):
+            y_lo = ceil(-s * L - X * m)
+            for Y in range(y_lo + (y0 - y_lo) % L, floor(s * L - X * m) + 1, L):
+                t = X * m + Y
+                if t < 0:
+                    p = hilbert_P2(X, Y, L, e)
+                elif t > 0:
+                    p = hilbert_P2(-X, -Y, L, e)
+                else:
+                    p = max(hilbert_P2(X, Y, L, e), hilbert_P2(-X, -Y, L, e))
+                if top is None or p >= top:
+                    top, bx, by = p, X, Y
+        if top is None:
+            continue
+        val = Q(top - L * L + k * k, 2 * L * L)
+        wit = (rank, (nx - bx) // k, (ny - by) // k)
+        if best is None or val > best.value or (val == best.value and wit < best.witness):
+            best = DlpValue(val, wit, bx * m + by == 0 and (bx, by) != (0, 0))
+    return DlpValue(None) if best is None else best
+
+
+def test_scan_matches_full_box(table0, table1):
+    # every cutoff; m down to 1/12 (fiber window 12, so columns with
+    # |X| >= L occur); m at an interval endpoint of a class near nu, where
+    # the open interval decides whether that class takes part
+    rng = random.Random(28)
+    n = 0
+    for table in (table0, table1):
+        e = table.e
+        for r in range(1, table.max_rank + 2):
+            ends = [(c, t) for c in slope_classes(table, e, max(r, 2)) if c.rank > 1
+                    for t in (c.lo, c.hi) if t]
+            for _ in range(60):
+                pick = rng.random()
+                nu = random_slope(rng, den_max=6, num_span=12)
+                if pick < 0.4 and ends:
+                    c, m = rng.choice(ends)
+                    off = random_slope(rng, den_max=2 * c.rank, num_span=2)
+                    nu = DivisorClass(Q(c.a, c.rank) + off.a, Q(c.b, c.rank) + off.b)
+                elif pick < 0.7:
+                    m = Q(1, rng.randint(1, 12))
+                else:
+                    m = Q(rng.randint(1, 24), rng.randint(1, 8))
+                classes = slope_classes(table, e, r) if r > 1 else []
+                got = dlp_below_rank(nu, m, e, r, table)
+                assert got == _full_box_scan(nu, m, e, classes), (e, r, m, nu)
+                if pick < 0.4:
+                    # class by class, so that a class at its endpoint shows
+                    for c in classes:
+                        assert dlp._scan(nu, [c], m, e) == _full_box_scan(nu, m, e, [c])
+                n += 1
+    assert n >= 2000

@@ -222,9 +222,18 @@ def test_is_stable_at(table0, table1):
     assert cls.stable_at(Q(1))
     assert not cls.stable_at(Q(2))  # strictly semistable at the endpoint
     assert not cls.stable_at(Q(1, 2))
+    # (1/2, 2) is open at both ends, whatever the denominators
+    assert (cls.lo, cls.hi) == (Q(1, 2), Q(2))
+    assert cls.stable_at(Q(501, 1000)) and cls.stable_at(Q(1999, 1000))
+    assert not cls.stable_at(Q(499, 1000)) and not cls.stable_at(Q(2001, 1000))
     for m in (Q(1, 100), Q(1), Q(17)):
         assert dlp.LINE_BUNDLES.stable_at(m)
-    assert not dlp.orbit(table1.row(2, 1, 1), 1)[0].stable_at(Q(1))
+    # lo = 0: stable down to any m > 0, and hi is still excluded
+    low = dlp.orbit(table1.row(2, 1, 1), 1)[0]
+    assert low.lo == 0 and low.hi == 1
+    assert low.stable_at(Q(1, 10**6)) and low.stable_at(Q(999, 1000))
+    assert not low.stable_at(Q(1)) and not low.stable_at(Q(0))
+    assert not dlp.LINE_BUNDLES.stable_at(Q(0))
 
 
 def test_record_invariants(table0, table1, wide_tables):
