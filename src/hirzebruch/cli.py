@@ -137,7 +137,7 @@ def cmd_exceptional(args) -> int:
 
 def cmd_exists(args) -> int:
     v = _parse_char(args.char)
-    if args.e >= 2 and not args.direct:
+    if args.e >= 2:
         cert, trace = reduction.reduce_decision(v, args.e, args.m)
         emit(cert_obj(cert, trace))
     else:
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--char", required=True, help="r,a,b,ch2")
     p.add_argument("--m", type=_rational, required=True)
-    p.add_argument("--direct", action="store_true", help="run the direct engine even for e >= 2")
     p.set_defaults(func=cmd_exists)
 
     p = sub.add_parser("hn", help="generic Harder-Narasimhan filtration")

@@ -37,7 +37,7 @@ is integers (rank, a, b) with its interval, and its Delta is
 `exceptional_delta(rank)`.  `_candidates` is the one enumeration of
 canonical pairs per rank, shared by `potential_characters` and
 `build_table`, and `is_exceptional` is the one exceptionality test, with
-chi(v, v) = 1 read from `lattice.chi2` on the integer key.  `load_table`
+chi(v, v) = 1 read from `lattice.chi2` on `lattice.int_key`.  `load_table`
 refuses rows that fail `_check_row`.
 """
 
@@ -58,8 +58,10 @@ from .lattice import (
     DivisorClass,
     check_surface,
     chi2,
+    delta2,
     format_rational,
     hilbert_P2,
+    int_key,
     parse_rational,
 )
 
@@ -191,10 +193,7 @@ def is_exceptional(v: ChernCharacter, e: int, table: Optional[ExceptionalTable] 
     check_surface(e)
     if e not in (0, 1):
         raise ValueError("exceptionality is decided on F_0/F_1; reduce e >= 2 first")
-    key = (v.r, v.c1.a, v.c1.b, 2 * v.ch2)
-    if v.r < 1 or any(t.denominator != 1 for t in key[1:]):
-        raise ValueError("not a character of positive rank with integral c1 and 2 ch2: %r" % (v,))
-    key = tuple(map(int, key))
+    key = int_key(v)
     if chi2(key, key, e) != 2:
         raise ValueError("character is not potentially exceptional (chi(v,v) != 1)")
     if v.r == 1:
@@ -252,10 +251,11 @@ def stability_interval(
     if r < 2:
         raise ValueError("stability_interval wants rank >= 2 (line bundles are always stable)")
     classes = dlp.slope_classes(table, e, r)
-    A, B = v.c1.a.numerator, v.c1.b.numerator
-    if not v.c1.is_integral() or A % r == 0 or B % r == 0 or v.delta(e) != exceptional_delta(r):
-        raise ValueError("an exceptional character of rank >= 2 has an integral c1, a slope with "
-                         "non-integral coordinates and Delta = 1/2 - 1/(2 r^2)")
+    key = int_key(v)
+    _, A, B, _ = key
+    if A % r == 0 or B % r == 0 or delta2(key, e) != r * r - 1:
+        raise ValueError("an exceptional character of rank >= 2 has a slope with non-integral "
+                         "coordinates and Delta = 1/2 - 1/(2 r^2)")
     anch = 1 - Fraction(e, 2)
     walls = {}
 

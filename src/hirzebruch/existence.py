@@ -27,9 +27,9 @@ enumerates first factors w_1 = (r1, a1 E + b1 F, ch2_1) with
 
 then recurses on u = v - w_1.  Filtration length never exceeds 4.
 
-The inner loops run on plain integers.  Characters are keys (r, a, b, 2 ch2),
-Delta is read from its numerator 2 r^2 Delta = 2ab - e a^2 - r s and chi
-from 2 chi (`lattice.delta2`, `lattice.chi2`), and m and
+The inner loops run on plain integers.  Characters are keys (r, a, b, 2 ch2)
+from `lattice.int_key`, Delta is read from 2 r^2 Delta = 2ab - e a^2 - r s
+and chi from 2 chi (`lattice.delta2`, `lattice.chi2`), and m and
 the fiber window enter as numerator and denominator.  For fixed (r1, a1) the
 pinned ch2_1 and Delta(u) are linear in b1, so the b1 loop visits only the
 arithmetic progression where ch2_1 is integral, cut to the half-line
@@ -51,15 +51,16 @@ from typing import Dict, Optional, Tuple
 from .lattice import (
     ChernCharacter,
     DivisorClass,
+    IKey,
     Rat,
-    ceil_frac,
     check_polarization,
     check_surface,
     chi2,
     delta2,
     euler_pair,
     fiber_window,
-    intersect,
+    from_key,
+    int_key,
     mu,
     reduced_hilbert_key,
 )
@@ -70,8 +71,6 @@ NONEMPTY = "NONEMPTY"
 EMPTY = "EMPTY"
 NO_PRIORITARY = "NO_PRIORITARY"
 BOGOMOLOV_VIOLATION = "BOGOMOLOV_VIOLATION"
-
-IKey = Tuple[int, int, int, int]  # (r, a, b, 2*ch2), all integers
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,7 @@ def clear_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# integer-key plumbing: characters are (r, a, b, s) with s = 2 ch2
-
-def _char_of(key: IKey) -> ChernCharacter:
-    r, a, b, s = key
-    return ChernCharacter(r, DivisorClass(a, b), Fraction(s, 2))
-
+# integer-key plumbing
 
 def _prior(key: IKey, n: int, e: int) -> bool:
     # Delta >= 0 assumed checked by the caller
@@ -139,15 +133,11 @@ def _validate(v: ChernCharacter, m: Rat, e: int) -> Tuple[Fraction, IKey]:
     """The checked polarization and the integer key (r, a, b, 2 ch2) of v."""
     check_surface(e)
     m = check_polarization(m)
-    if v.r < 1:
-        raise ValueError("decision engine needs positive rank")
-    a, b, s2 = v.c1.a, v.c1.b, 2 * v.ch2
-    if a.denominator != 1 or b.denominator != 1 or s2.denominator != 1:
-        raise ValueError("decision engine needs an integral character, got %r" % (v,))
-    a, b, s = a.numerator, b.numerator, s2.numerator
+    key = int_key(v)
+    _, a, b, s = key
     if (2 * a * b - e * a * a - s) % 2:  # 2 c2 = c1^2 - 2 ch2
         raise ValueError("decision engine needs an integral character, got %r" % (v,))
-    return m, (v.r, a, b, s)
+    return m, key
 
 
 def _quad_b_bound(m: Fraction, e: int) -> Fraction:
@@ -348,7 +338,7 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
     factors = _hn_key(key, m, e)
     if factors is None:
         return None
-    return HNDecomposition(tuple(_char_of(k) for k in factors), m, e)
+    return HNDecomposition(tuple(from_key(k) for k in factors), m, e)
 
 
 def is_wall(v: ChernCharacter, m: Rat, e: int) -> bool:
@@ -387,7 +377,7 @@ def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
     factors = _hn_key(key, m, e)
     if factors is None:
         return DecisionCertificate(NO_PRIORITARY, None, wall)
-    hn = HNDecomposition(tuple(_char_of(k) for k in factors), m, e)
+    hn = HNDecomposition(tuple(from_key(k) for k in factors), m, e)
     verdict = NONEMPTY if len(factors) == 1 else EMPTY
     return DecisionCertificate(verdict, hn, wall)
 
@@ -479,24 +469,24 @@ def delta_estimate(
     wall = False
     cap = lower + 8
     for r in range(r0, rank_cutoff + 1, r0):
-        c1 = nu.scale(r)
-        c1sq_half = Fraction(1, 2) * intersect(c1, c1, e)
-        # Delta(t) = c1^2/(2 r^2) - (c1^2/2 - t)/r over integers t
-        base = c1sq_half / (r * r) - c1sq_half / r
-        t = ceil_frac((Fraction(1, 2) - base) * r)
+        a, b = int(r * nu.a), int(r * nu.b)
+        c1sq = 2 * a * b - e * a * a
+        # Delta = (c1sq - r s) / (2 r^2) for s = 2 ch2 = c1sq - 2 c2: start at
+        # the largest s with c2 integral and Delta >= 1/2; s -= 2 adds 1/r
+        s = (c1sq - r * r) // r
+        s -= (s - c1sq) % 2
         while True:
-            d = base + Fraction(t, r)
+            d = Fraction(c1sq - r * s, 2 * r * r)
             if upper is not None and d >= upper:
                 break
             if d > cap:
                 raise InternalError("delta scan exceeded cap %s at rank %d" % (cap, r))
-            w = ChernCharacter(r, c1, c1sq_half - t)
-            assert w.delta(e) == d
+            w = from_key((r, a, b, s))
             cert = moduli_nonempty(w, m, e)
             wall = wall or cert.wall
             if cert.verdict == NONEMPTY:
                 if upper is None or d < upper:
                     upper, witness = d, w
                 break
-            t += 1
+            s -= 2
     return DeltaBracket(nu, m, e, rank_cutoff, lower, upper, witness, wall)

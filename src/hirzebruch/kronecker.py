@@ -40,6 +40,8 @@ from .lattice import (
     mu,
 )
 
+MAX_EPS_EXPONENT = 9  # wall_crossing_epsilon tries eps = 10^-j, j <= this
+
 
 class KroneckerDomainError(ValueError):
     """Parameters or slopes outside the admissible Kronecker region."""
@@ -284,19 +286,19 @@ def params_for_slope(nu: DivisorClass, m: Rat, e: int, ell: int) -> KroneckerPar
     return p
 
 
-def wall_crossing_epsilon(p: KroneckerParams, max_exponent: int = 9) -> Fraction:
-    """Largest eps = 10^-j (j <= max_exponent) for which the engine confirms the
-    generic H_{m_V + eps}-filtration (k, l); the chosen eps is part of the
-    reported result."""
+def wall_crossing_epsilon(p: KroneckerParams) -> Fraction:
+    """Largest eps = 10^-j (j <= MAX_EPS_EXPONENT) for which the engine
+    confirms the generic H_{m_V + eps}-filtration (k, l); the chosen eps is
+    part of the reported result."""
     from .existence import hn_generic
 
     k_char, l_char, v_char = kronecker_characters(p)
     m_v = wall_m_v(p)
-    for j in range(1, max_exponent + 1):
+    for j in range(1, MAX_EPS_EXPONENT + 1):
         eps = Fraction(1, 10 ** j)
         dec = hn_generic(v_char, m_v + eps, p.e)
         if dec is not None and dec.factors == (k_char, l_char):
             return eps
     raise KroneckerDomainError(
-        "no eps of the form 10^-j (j <= %d) confirms the wall crossing" % max_exponent
+        "no eps of the form 10^-j (j <= %d) confirms the wall crossing" % MAX_EPS_EXPONENT
     )

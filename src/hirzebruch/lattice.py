@@ -17,8 +17,8 @@ Delta = nu^2/2 - ch2/r, and Riemann-Roch reads
 
 All arithmetic is exact rational (`fractions.Fraction`); floats are never
 used, and serialization keeps rationals as lowest-terms "p/q" strings.  The
-integer kernels are `hilbert_P2` (2 L^2 P on slopes over L) and, on integer
-keys (r, a, b, 2 ch2), `delta2` (2 r^2 Delta) and `chi2` (2 chi(v, w)).
+integer kernels are `hilbert_P2` (2 L^2 P on slopes over L) and, on keys
+(r, a, b, 2 ch2) from `int_key` (`from_key` inverts it), `delta2` and `chi2`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
+IKey = Tuple[int, int, int, int]  # (r, a, b, 2 ch2), all integers
 
 
 class IntegralityError(ValueError):
@@ -117,14 +118,14 @@ def hilbert_P2(x: int, y: int, L: int, e: int) -> int:
     return (x + L) * (2 * y + 2 * L - e * x)
 
 
-def delta2(key: Tuple[int, int, int, int], e: int) -> int:
+def delta2(key: IKey, e: int) -> int:
     """2 r^2 Delta = 2ab - e a^2 - r s of the key (r, a, b, s = 2 ch2), which
     has the sign of Delta."""
     r, a, b, s = key
     return 2 * a * b - e * a * a - r * s
 
 
-def chi2(v: Tuple[int, int, int, int], w: Tuple[int, int, int, int], e: int) -> int:
+def chi2(v: IKey, w: IKey, e: int) -> int:
     """2 chi(v, w) of two keys: integer formula via ch(v)^dual ch(w) td."""
     rv, av, bv, sv = v
     rw, aw, bw, sw = w
@@ -180,8 +181,18 @@ class ChernCharacter:
             raise ValueError("character scaling wants a non-negative integer")
         return ChernCharacter(n * self.r, self.c1.scale(n), n * self.ch2)
 
-    def key(self) -> Tuple[int, Fraction, Fraction, Fraction]:
-        return (self.r, self.c1.a, self.c1.b, self.ch2)
+
+def int_key(v: ChernCharacter) -> IKey:
+    """The key (r, a, b, 2 ch2) of v; ValueError unless r >= 1 and a, b, 2 ch2 are integers."""
+    a, b, s = v.c1.a, v.c1.b, 2 * v.ch2
+    if v.r < 1 or a.denominator != 1 or b.denominator != 1 or s.denominator != 1:
+        raise ValueError("not a character of positive rank with integral c1 and 2 ch2: %r" % (v,))
+    return (v.r, a.numerator, b.numerator, s.numerator)
+
+
+def from_key(key: IKey) -> ChernCharacter:
+    r, a, b, s = key
+    return ChernCharacter(r, DivisorClass(a, b), Fraction(s, 2))
 
 
 def character(r: int, a: Rat, b: Rat, ch2: Rat) -> ChernCharacter:

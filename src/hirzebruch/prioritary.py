@@ -12,8 +12,8 @@ direct sum O(-E+(n-1)F)^A + O^B + O(-F)^C whose slope matches nu after
 normalizing nu by twists and duals into the triangle with vertices
 (-1, n-1), (0, 0), (0, -1).  Integral eps is degenerate: every n works.
 
-Also here: Gaeta resolution exponents relative to L_0, the generic
-prioritary index, and the Betti numbers of a general prioritary sheaf.
+Also here: the generic prioritary index (the chi test reads n <= index), Gaeta
+exponents relative to L_0 and the Betti numbers of a general prioritary sheaf.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ from .lattice import (
     DivisorClass,
     E,
     F,
+    IKey,
     IntegralityError,
     canonical_divisor,
     ceil_frac,
     check_surface,
     euler_char,
     floor_frac,
+    int_key,
     line_bundle,
-    polarization_divisor,
     serre_dual,
     twist,
 )
@@ -142,19 +143,16 @@ def gaeta_character(exps: GaetaExponents, l0: DivisorClass, e: int) -> ChernChar
 def prioritary_nonempty(v: ChernCharacter, n: int, e: int) -> bool:
     """Is the stack of F- and H_n-prioritary sheaves of character v nonempty?
 
-    True iff Delta >= 0 and chi(v(-L_0 - H_n)) <= 0; integral eps always
-    passes, and Delta < 0 always fails (Bogomolov).
+    True iff Delta >= 0 and n <= the generic prioritary index (the test
+    chi(v(-L_0 - H_n)) <= 0); integral eps always passes, Delta < 0 fails.
     """
     check_surface(e)
     if not isinstance(n, int):
         raise ValueError("prioritary index must be an integer, got %r" % (n,))
     if v.delta(e) < 0:
         return False
-    l0, _, degenerate = l0_and_psi(v, e)
-    if degenerate:
-        return True
-    hn = polarization_divisor(n, e)
-    return euler_char(twist(v, -(l0 + hn), e), e) <= 0
+    rho = generic_prioritary_index(v, e)
+    return rho is None or n <= rho
 
 
 def generic_prioritary_index(v: ChernCharacter, e: int) -> Optional[int]:
@@ -167,12 +165,11 @@ def generic_prioritary_index(v: ChernCharacter, e: int) -> Optional[int]:
     """
     check_surface(e)
     _require_delta(v, e)
-    a, b, s = v.c1.a, v.c1.b, 2 * v.ch2
-    n = lcm(a.denominator, b.denominator, s.denominator)
-    return prioritary_index_of_key((n * v.r, int(n * a), int(n * b), int(n * s)), e)
+    n = lcm(v.c1.a.denominator, v.c1.b.denominator, (2 * v.ch2).denominator)
+    return prioritary_index_of_key(int_key(v.scale(n)), e)
 
 
-def prioritary_index_of_key(key: Tuple[int, int, int, int], e: int) -> Optional[int]:
+def prioritary_index_of_key(key: IKey, e: int) -> Optional[int]:
     """The generic prioritary index of (r, aE + bF, ch2 = s/2) in integers.
 
     Needs r >= 1 and Delta >= 0 (not checked).  With a' = a mod r (None when

@@ -94,7 +94,10 @@ class DecompositionOracle:
         self.mq = self.m.denominator
         self.memo = {}
         self.vmemo = {}
-        self.bcap = quad_b_bound(self.m, e)
+        cf = max(Fraction(1), Fraction(2, 1) / (2 * self.m + e))
+        self.cp, self.cq = cf.numerator, cf.denominator
+        bcap = quad_b_bound(self.m, e)
+        self.bp, self.bq = bcap.numerator, bcap.denominator
 
     def verdict_nonempty(self, key):
         got = self.vmemo.get(key)
@@ -106,28 +109,29 @@ class DecompositionOracle:
     def _first_factors(self, vkey):
         """All (r1, a1, b1, s1) with slope in the closed quadrilateral around
         nu(v) and Delta_1 in [0, B] on the integral lattice."""
-        e, m = self.e, self.m
-        mp, mq = self.mp, self.mq
+        e, mp, mq = self.e, self.mp, self.mq
+        cp, cq, bp, bq = self.cp, self.cq, self.bp, self.bq
         r, a, b, s = vkey
-        cf = max(Fraction(1), Fraction(2, 1) / (2 * m + e))
+        rq = r * cq
         out = []
         for r1 in range(1, r):
-            alo = Fraction(r1 * a, r) - r1 * cf
-            ahi = Fraction(r1 * a, r) + r1 * cf
+            # |a1/r1 - a/r| <= cp/cq: a1 in [r1 (a cq - cp r), r1 (a cq + cp r)] / (r cq)
+            alo = -((-r1 * (a * cq - cp * r)) // rq)
+            ahi = r1 * (a * cq + cp * r) // rq
             # |mu(w1) - mu(v)| <= 1: b1 in [num/den - r1, num/den + r1], den = r mq
             num = r1 * (a * mp + b * mq)
             den = r * mq
-            for a1 in range(ceil(alo), floor(ahi) + 1):
+            for a1 in range(alo, ahi + 1):
                 num1 = num - a1 * mp * r
                 blo = -((-(num1 - r1 * den)) // den)  # ceil((num1 - r1*den)/den)
                 bhi = (num1 + r1 * den) // den
                 for b1 in range(blo, bhi + 1):
                     c1sq = 2 * a1 * b1 - e * a1 * a1
-                    # s1 = c1sq - 2 t (so c2 = t in Z) and
-                    # Delta_1 = (c1sq (1 - r1)/r1 + 2 t) / (2 r1) in [0, B]
-                    base = Fraction(c1sq * (1 - r1), r1)
-                    tlo = ceil(-base / 2)
-                    thi = floor((2 * r1 * self.bcap - base) / 2)
+                    # s1 = c1sq - 2 t (so c2 = t in Z) and, with k = c1sq (1 - r1),
+                    # Delta_1 = (k/r1 + 2 t) / (2 r1) in [0, Bp/Bq]
+                    k = c1sq * (1 - r1)
+                    tlo = -(k // (2 * r1))
+                    thi = (2 * r1 * r1 * bp - k * bq) // (2 * r1 * bq)
                     for t in range(tlo, thi + 1):
                         out.append((r1, a1, b1, c1sq - 2 * t))
         return out
@@ -140,19 +144,30 @@ class DecompositionOracle:
             return got
         e = self.e
         mp, mq = self.mp, self.mq
+        memo, vmemo = self.memo, self.vmemo
         out = []
         if delta2_num(vkey, e) >= 0 and self.verdict_nonempty(vkey):
             out.append((vkey,))
         if maxlen >= 2:
+            r, a, b, s = vkey
+            # the filters below inline delta2_num and the verdict memo lookup
             for w1 in self._first_factors(vkey):
-                if delta2_num(w1, e) < 0:
+                r1, a1, b1, s1 = w1
+                if 2 * a1 * b1 - e * a1 * a1 - r1 * s1 < 0:
                     continue
-                u = (vkey[0] - w1[0], vkey[1] - w1[1], vkey[2] - w1[2], vkey[3] - w1[3])
-                if u[0] < 1 or delta2_num(u, e) < 0:
+                ru, au, bu, su = r - r1, a - a1, b - b1, s - s1
+                if ru < 1 or 2 * au * bu - e * au * au - ru * su < 0:
                     continue
-                if not self.verdict_nonempty(w1):
+                ok = vmemo.get(w1)
+                if ok is None:
+                    ok = self.verdict_nonempty(w1)
+                if not ok:
                     continue
-                for tail in self.decompositions(u, maxlen - 1):
+                u = (ru, au, bu, su)
+                tails = memo.get((u, maxlen - 1))
+                if tails is None:
+                    tails = self.decompositions(u, maxlen - 1)
+                for tail in tails:
                     if not key_gt(w1, tail[0], mp, mq, e):
                         continue
                     if not mu_gap_le_one(w1, tail[-1], mp, mq):
@@ -160,7 +175,7 @@ class DecompositionOracle:
                     if any(chi2(w1, f, e) != 0 for f in tail):
                         continue
                     out.append((w1,) + tail)
-        self.memo[k] = out
+        memo[k] = out
         return out
 
     def nontrivial(self, vkey):

@@ -209,10 +209,18 @@ def test_strip_walls_match_fraction_enumeration(table0, table1):
 
 
 def test_wall_at_anticanonical_parameter_is_internal_error():
-    # the fabricated rank-2 row (interval (0, inf)) cuts (5, 2E + F) at m = 1/2
+    # (7, 2E + 6F) is potentially exceptional on F_1 but not exceptional:
+    # O(F) cuts it at m = 1/2
+    v = exceptional_character(7, 2, 6, 1)
+    table = build_table(1, 6)
+    assert not is_exceptional(v, 1, table)
+    with pytest.raises(InternalError):
+        stability_interval(v, 1, table)
+    # (5, E + 2F) on F_1 has 2 ch2 = -21/5, so it is refused as input
+    # before any wall is walked, even against a fabricated rank-2 row
     small = build_table(1, 4)
     table = ExceptionalTable(1, 4, small.records + (ExceptionalRecord(2, 0, 1, Q(0), None),))
-    with pytest.raises(InternalError):
+    with pytest.raises(ValueError, match="integral c1 and 2 ch2"):
         stability_interval(exceptional_character(5, 1, 2, 1), 1, table)
 
 

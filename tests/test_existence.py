@@ -24,7 +24,7 @@ from hirzebruch import (
     validate_hn,
     verdict,
 )
-from hirzebruch import existence
+from hirzebruch import dlp_below_rank, existence, intersect
 from hirzebruch.prioritary import BogomolovViolation
 from oracles import DecompositionOracle, key_of
 
@@ -299,3 +299,59 @@ def test_delta_monotone_in_m(table0, table1):
         b_hi = delta_estimate(nu, ms[1], e, 4, table)
         if b_lo.upper is not None and b_hi.upper is not None:
             assert b_lo.upper <= b_hi.upper
+
+
+def _fraction_delta_scan(nu, m, e, rank_cutoff, table):
+    """(lower, upper, witness, wall) of `delta_estimate` by the Fraction scan
+    it replaced: at each rank Delta(t) = base + t/r over the integers t, from
+    the smallest t with Delta >= 1/2.  Also returns the first candidates of
+    the ranks whose scan stopped before testing anything."""
+    lower = Q(1, 2)
+    if rank_cutoff > 1:
+        bound = dlp_below_rank(nu, m, e, rank_cutoff, table)
+        if bound.value is not None:
+            lower = max(lower, bound.value)
+    upper = witness = None
+    wall = False
+    untested = []
+    r0 = math.lcm(nu.a.denominator, nu.b.denominator)
+    for r in range(r0, rank_cutoff + 1, r0):
+        c1 = nu.scale(r)
+        c1sq_half = Q(1, 2) * intersect(c1, c1, e)
+        base = c1sq_half / (r * r) - c1sq_half / r
+        t = t0 = math.ceil((Q(1, 2) - base) * r)
+        while True:
+            d = base + Q(t, r)
+            w = ChernCharacter(r, c1, c1sq_half - t)
+            if upper is not None and d >= upper:
+                if t == t0:
+                    untested.append(w)
+                break
+            assert d <= lower + 8
+            assert w.delta(e) == d
+            cert = moduli_nonempty(w, m, e)
+            wall = wall or cert.wall
+            if cert.verdict == "NONEMPTY":
+                if upper is None or d < upper:
+                    upper, witness = d, w
+                break
+            t += 1
+    return (lower, upper, witness, wall), untested
+
+
+def test_delta_estimate_matches_fraction_scan(table0, table1):
+    rng = random.Random(38)
+    untested_walls = 0
+    for _ in range(300):
+        e = rng.randint(0, 1)
+        table = table0 if e == 0 else table1
+        nu = DivisorClass(Q(rng.randint(-4, 4), rng.randint(1, 3)), Q(rng.randint(-4, 4), rng.randint(1, 3)))
+        m = random_m(rng)
+        cutoff = rng.randint(1, 9)
+        br = delta_estimate(nu, m, e, cutoff, table)
+        want, untested = _fraction_delta_scan(nu, m, e, cutoff, table)
+        assert (br.lower, br.upper, br.witness, br.wall) == want
+        # a slope tie of a candidate that is never tested leaves the flag unset
+        if not br.wall:
+            untested_walls += any(is_wall(w, m, e) for w in untested)
+    assert untested_walls > 0

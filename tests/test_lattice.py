@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction as Q
 
@@ -5,11 +7,13 @@ import pytest
 
 from conftest import random_integral_character
 from hirzebruch import (
+    BogomolovViolation,
     CH_O,
     DivisorClass,
     E,
     F,
     IntegralityError,
+    build_table,
     canonical_divisor,
     character,
     dual,
@@ -18,15 +22,22 @@ from hirzebruch import (
     format_rational,
     from_rank_slope_disc,
     hilbert_P,
+    hn_generic,
     intersect,
+    is_exceptional,
+    is_wall,
     line_bundle,
+    moduli_nonempty,
     mu,
     parse_rational,
     polarization_divisor,
     reduced_hilbert_key,
+    stability_interval,
     twist,
+    verdict,
 )
-from hirzebruch.lattice import chi2, delta2
+from hirzebruch.cli import main
+from hirzebruch.lattice import chi2, delta2, from_key, int_key
 
 
 def test_intersection_form():
@@ -195,3 +206,59 @@ def test_kronecker_pair_key_order_past_wall():
     assert reduced_hilbert_key(k, m, 1) > reduced_hilbert_key(l, m, 1)
     m_wall = Q(12, 7)  # at the wall the slopes tie and chi/r orders l first
     assert reduced_hilbert_key(k, m_wall, 1) < reduced_hilbert_key(l, m_wall, 1)
+
+
+def test_integer_key_round_trip():
+    rng = random.Random(41)
+    for _ in range(500):
+        key = (rng.randint(1, 12), rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-60, 60))
+        v = from_key(key)
+        assert (v.r, v.c1, 2 * v.ch2) == (key[0], DivisorClass(key[1], key[2]), key[3])
+        assert int_key(v) == key and all(type(t) is int for t in int_key(v))
+    for _ in range(300):
+        e = rng.randint(0, 3)
+        v = random_integral_character(rng, e)
+        assert from_key(int_key(v)) == v
+    # the key does not ask for an integral c2: 2 ch2 = 1 with c1^2 = 2 on F_0
+    assert int_key(character(2, 1, 1, Q(1, 2))) == (2, 1, 1, 1)
+
+
+# rank 0, a half-integral E- or F-coefficient, and 2 ch2 = 1/3
+NO_KEY = (
+    character(0, 1, 1, 0),
+    character(2, Q(1, 2), 1, 0),
+    character(2, 1, Q(1, 2), 0),
+    character(3, 1, 1, Q(1, 6)),
+)
+
+
+def test_integer_key_refusals():
+    for v in NO_KEY:
+        with pytest.raises(ValueError, match="integral c1 and 2 ch2"):
+            int_key(v)
+
+
+def test_no_key_inputs_are_refused_everywhere():
+    # every entry point that reads a key refuses these with a plain input
+    # error (ValueError, not BogomolovViolation) and `hirz exists` exits 2
+    tables = {e: build_table(e, 3) for e in (0, 1)}
+    calls = (
+        lambda v, e: hn_generic(v, 1, e),
+        lambda v, e: verdict(v, 1, e),
+        lambda v, e: moduli_nonempty(v, Q(3, 2), e),
+        lambda v, e: is_wall(v, 1, e),
+        lambda v, e: is_exceptional(v, e, tables[e]),
+        lambda v, e: stability_interval(v, e, tables[e]),
+    )
+    for v in NO_KEY:
+        for e in (0, 1):
+            for call in calls:
+                with pytest.raises(ValueError) as info:
+                    call(v, e)
+                assert not isinstance(info.value, BogomolovViolation)
+    for text in ("0,1,1,0", "2,1/2,1,0", "2,1,1/2,0", "3,1,1,1/6"):
+        for e in ("0", "1", "2"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["exists", "--e", e, "--char", text, "--m", "1"])
+            assert code == 2 and err.getvalue().startswith("invalid input")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import ceil, floor
 
@@ -17,9 +18,12 @@ from hirzebruch import (
     gaeta_exponents,
     general_cohomology,
     generic_prioritary_index,
+    intersect,
     l0_and_psi,
+    polarization_divisor,
     prioritary_nonempty,
     prioritary_report,
+    twist,
 )
 from hirzebruch.prioritary import BogomolovViolation, bracket_points, prioritary_index_of_key
 
@@ -91,6 +95,40 @@ def test_integer_index_matches_fraction_formula():
     # non-integral characters go through an integral multiple
     v = ChernCharacter(3, DivisorClass(Q(1, 2), Q(2, 3)), Q(-5, 7))
     assert generic_prioritary_index(v, 1) == _index_by_fractions(v, 1)
+
+
+def _chi_criterion(v, n, e):
+    # the former body of prioritary_nonempty: chi(v(-L_0 - H_n)) <= 0
+    if v.delta(e) < 0:
+        return False
+    l0, _, degenerate = l0_and_psi(v, e)
+    if degenerate:
+        return True
+    return euler_char(twist(v, -(l0 + polarization_divisor(n, e)), e), e) <= 0
+
+
+def test_prioritary_nonempty_matches_chi_criterion():
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(20000):
+        e = rng.randint(0, 4)
+        r = rng.randint(1, 10)
+        da, db = (1, 1) if rng.random() < 0.5 else (rng.randint(1, 3), rng.randint(1, 3))
+        # an integral eps = a/(da r) one draw in six
+        a = r * da * rng.randint(-2, 2) if rng.random() < 1 / 6 else rng.randint(-15, 15)
+        nu = DivisorClass(Q(a, da * r), Q(rng.randint(-15, 15), db * r))
+        delta = Q(rng.randint(-3, 30), rng.choice((1, 2, r, 2 * r, 2 * r * r, rng.randint(1, 7))))
+        v = ChernCharacter(r, nu.scale(r), r * (intersect(nu, nu, e) / 2 - delta))
+        n = rng.randint(-3, 8)
+        got = prioritary_nonempty(v, n, e)
+        assert got == _chi_criterion(v, n, e), (v, n, e)
+        seen[got] += 1
+        seen["integral"] += v.is_integral(e)
+        seen["integral eps"] += nu.a.denominator == 1
+        seen["Delta < 0"] += delta < 0
+    assert seen[True] > 5000 and seen[False] > 3000
+    assert seen["integral"] > 2000 and 20000 - seen["integral"] > 10000
+    assert seen["integral eps"] > 2000 and seen["Delta < 0"] > 1000
 
 
 def test_bogomolov_failures():
