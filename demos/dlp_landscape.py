@@ -21,10 +21,6 @@ if __name__ == "__main__":
         for i, ev in enumerate(eps):
             for j, pv in enumerate(phi):
                 fh.write("%s,%s,%s\n" % (format_rational(ev), format_rational(pv),
-                                         format_rational(rows[i][j])))
-    ranks = set()
-    _, _, cells = dlp_grid(E_SURF, 1, (0, 1, 0, 1), STEPS, CUTOFF, table, with_witnesses=True)
-    for row in cells:
-        for cell in row:
-            ranks.add(cell.witness[0])
+                                         format_rational(rows[i][j].value)))
+    ranks = {cell.witness[0] for row in rows for cell in row}
     print(f"wrote {out} ({(STEPS+1)**2} samples); contributing ranks: {sorted(ranks)}")

@@ -236,26 +236,17 @@ def cmd_grid(args) -> int:
     )
     if args.format == "csv":
         sys.stdout.write("eps,phi,delta\n")
-        for i, ev in enumerate(eps_vals):
-            for j, pv in enumerate(phi_vals):
-                val = rows[i][j]
-                sys.stdout.write(
-                    "%s,%s,%s\n"
-                    % (
-                        format_rational(ev),
-                        format_rational(pv),
-                        format_rational(val) if val is not None else "-inf",
-                    )
-                )
+        for ev, row in zip(eps_vals, rows):
+            for pv, dv in zip(phi_vals, row):
+                sys.stdout.write("%s,%s,%s\n" % (format_rational(ev), format_rational(pv),
+                                                 format_rational(dv.value, infinity="-inf")))
     else:
         emit(
             {
                 "eps": [format_rational(t) for t in eps_vals],
                 "phi": [format_rational(t) for t in phi_vals],
-                "values": [
-                    [format_rational(v) if v is not None else "-inf" for v in row]
-                    for row in rows
-                ],
+                "values": [[format_rational(dv.value, infinity="-inf") for dv in row]
+                           for row in rows],
             }
         )
     return EXIT_OK

@@ -18,8 +18,10 @@ The contributing bundles come as slope classes mod Z^2 (`SlopeClass`): the
 twist/dual and, on F_0, fiber-swap orbits of the exceptional table rows
 (`orbit`; once per table as `ExceptionalTable.classes`, cut below a rank
 by `slope_classes`).  A class is integers (rank, a, b) with slope
-(a/rank, b/rank) mod Z^2 plus its stability interval; every contributor is
-O or exceptional, so Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
+(a/rank, b/rank) mod Z^2 plus its stability interval, whose ends are
+integer pairs (p, q), q >= 0, (1, 0) = +infinity (`orbit` converts a table
+row's ends); every contributor is O or exceptional, so
+Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
 twist scan runs per class on integers: scaled by L = lcm(den nu.a,
 den nu.b, rank), every offset d, its H_m-degree, P(+-d) and Delta(V) have
 one denominator.  On a column of offsets with fixed fiber part, each branch
@@ -30,9 +32,8 @@ per class.  Ties go to the smallest witness, as a walk over the whole box
 in ascending order keeping the last maximum would give, and classes are
 compared by cross-multiplying; the one `Fraction` is the returned value.
 The exceptional module walks the stability walls of I_V on the same
-classes with the same scaling (`LINE_BUNDLES` gives the sentinels), so the
-orbit enumeration and the open-interval stability test (integer
-cross-multiplication against m) live here.
+classes with the same scaling and the same end pairs (`LINE_BUNDLES` gives
+the sentinels), so the orbit enumeration and the stability test live here.
 
 Polarizations with e >= 2 are rejected here; reduce to F_0/F_1 first.
 """
@@ -114,30 +115,28 @@ class SlopeClass(NamedTuple):
     rank: int
     a: int
     b: int
-    lo: Fraction                # 0 allowed
-    hi: Optional[Fraction]      # None = +infinity
+    lo: Tuple[int, int]         # (p, q) for p/q, q > 0
+    hi: Tuple[int, int]         # (p, q) for p/q, q >= 0; (1, 0) = +infinity
 
-    def stable_at(self, m: Fraction) -> bool:
-        """mu_{H_m}-stability: m strictly inside the open interval, decided
-        by cross-multiplying m = p/q against lo and hi."""
-        p, q = m.numerator, m.denominator
-        lo, hi = self.lo, self.hi
-        return (p * lo.denominator > lo.numerator * q
-                and (hi is None or p * hi.denominator < hi.numerator * q))
+    def stable_at(self, p: int, q: int) -> bool:
+        """mu_{H_m}-stability at m = p/q (q > 0, any scale): lo < m < hi."""
+        (lp, lq), (hp, hq) = self.lo, self.hi
+        return lp * q < p * lq and p * hq < hp * q
 
 
-LINE_BUNDLES = SlopeClass(1, 0, 0, Fraction(0), None)
+LINE_BUNDLES = SlopeClass(1, 0, 0, (0, 1), (1, 0))
 
 
 def orbit(rec, e: int) -> List[SlopeClass]:
     """Slope classes of the twist/dual (and, on F_0, fiber-swap) orbit of a
     table row, deduplicated modulo Z^2 together with their intervals."""
-    r, lo, hi = rec.r, rec.lo, rec.hi
+    r = rec.r
+    lo = (rec.lo.numerator, rec.lo.denominator)
+    hi = (1, 0) if rec.hi is None else (rec.hi.numerator, rec.hi.denominator)
     variants = [(rec.a, rec.b, lo, hi), (-rec.a, -rec.b, lo, hi)]
     if e == 0:
-        # the fiber swap sends H_m to a multiple of H_{1/m}
-        slo = Fraction(0) if hi is None else 1 / hi
-        shi = None if lo == 0 else 1 / lo
+        # the fiber swap sends H_m to a multiple of H_{1/m}: (1/hi, 1/lo)
+        slo, shi = hi[::-1], lo[::-1]
         variants += [(rec.b, rec.a, slo, shi), (-rec.b, -rec.a, slo, shi)]
     out, seen = [], set()
     for a, b, vlo, vhi in variants:
@@ -199,7 +198,7 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
     best_wit: Optional[Tuple[int, int, int]] = None
     best_eq = False
     for con in contributors:
-        if not con.stable_at(m):
+        if not con.stable_at(mp, mq):
             continue
         rank = con.rank
         L = lcm(nu_den, rank)
@@ -281,9 +280,8 @@ def dlp_grid(
     steps: int,
     rank_cutoff: int,
     table=None,
-    with_witnesses: bool = False,
 ):
-    """Row-major grid of DLP^{<rank_cutoff} values over a slope square.
+    """Row-major grid of DLP^{<rank_cutoff} `DlpValue`s over a slope square.
 
     `square` is (eps0, eps1, phi0, phi1); `steps` subdivisions give steps+1
     samples per axis (steps = 0 samples the single corner).  Rows follow eps.
@@ -299,10 +297,7 @@ def dlp_grid(
         eps_vals = [e0 + (e1 - e0) * Fraction(i, steps) for i in range(steps + 1)]
         phi_vals = [p0 + (p1 - p0) * Fraction(j, steps) for j in range(steps + 1)]
 
-    rows = [
+    return eps_vals, phi_vals, [
         [dlp_below_rank(DivisorClass(ev, pv), m, e, rank_cutoff, table) for pv in phi_vals]
         for ev in eps_vals
     ]
-    if with_witnesses:
-        return eps_vals, phi_vals, rows
-    return eps_vals, phi_vals, [[cell.value for cell in r] for r in rows]

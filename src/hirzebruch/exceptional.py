@@ -21,6 +21,8 @@ nu(V) - nu(W) = xE + yF.  `_strip_walls` walks the twists of one slope
 class of W on a vertical (x in (-1, 0)) or horizontal (y in (-1, 0)) strip
 in integers over L = lcm(r(V), r(W)), where chi(W, V) > 0 reads
 hilbert_P2 > 2 L^2 (Delta(V) + Delta(W)) = 2 L^2 - (L/r(V))^2 - (L/r(W))^2.
+A wall is tested as an integer pair against end pairs (`dlp.SlopeClass`)
+and becomes a `Fraction` only when it is yielded.
 Its first walls on O's strips are the sentinels that bracket 1 - e/2 and
 bound every other walk: M1 above it, and M0 below 1 on F_0 (0 on F_1,
 where P > 0 bounds the horizontal strips).
@@ -52,10 +54,10 @@ from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from . import dlp
-from .existence import InternalError
 from .lattice import (
     ChernCharacter,
     DivisorClass,
+    InternalError,
     check_surface,
     chi2,
     delta2,
@@ -206,17 +208,17 @@ def is_exceptional(v: ChernCharacter, e: int, table: Optional[ExceptionalTable] 
 
 
 def _strip_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int,
-                 vertical: bool, lo: Fraction, hi: Optional[Fraction]):
-    """Walls lo < m < hi (None = +inf) of the twists W of `cls` against the
-    rank-r V with c1 = AE + BF, with their witnesses, in walk order (m rises
-    on the vertical strip, falls on the horizontal one)."""
+                 vertical: bool, lo: Tuple[int, int], hi: Tuple[int, int]):
+    """Walls lo < m < hi (end pairs, (1, 0) = +inf) of the twists W of `cls`
+    against the rank-r V with c1 = AE + BF, with their witnesses, in walk
+    order (m rises on the vertical strip, falls on the horizontal one)."""
     rank = cls.rank
     L = lcm(r, rank)
     nx, ny = A * (L // r), B * (L // r)         # (X, Y)/L = nu(V) - nu(W)
     x0, y0 = nx - cls.a * (L // rank), ny - cls.b * (L // rank)
     bound = 2 * L * L - (L // r) ** 2 - (L // rank) ** 2
-    lp, lq = lo.numerator, lo.denominator
-    hp, hq = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    lp, lq = lo
+    hp, hq = hi
     if vertical:
         X = x0 % L - L
         Y = lp * -X // lq + 1
@@ -231,9 +233,9 @@ def _strip_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int,
     while (Y * hq < hp * -X if vertical
            else X * lp < -Y * lq and e * X < 2 * (Y + L)):
         if hilbert_P2(X, Y, L, e) > bound:
-            m = Fraction(-Y, X)
-            if cls.stable_at(m):
-                yield m, (rank, (nx - X) * rank // L, (ny - Y) * rank // L)
+            p, q = (Y, -X) if vertical else (-Y, X)     # m = p/q, q > 0
+            if cls.stable_at(p, q):
+                yield Fraction(p, q), (rank, (nx - X) * rank // L, (ny - Y) * rank // L)
         X, Y = (X, Y + L) if vertical else (X + L, Y)
 
 
@@ -245,7 +247,7 @@ def stability_interval(
 
     Only the component of 1 - e/2 between the line-bundle sentinels is
     walked.  A wall at 1 - e/2 (v is not exceptional, or the table is wrong)
-    raises `existence.InternalError`.
+    raises `lattice.InternalError`.
     """
     r = v.r
     if r < 2:
@@ -259,17 +261,18 @@ def stability_interval(
     anch = 1 - Fraction(e, 2)
     walls = {}
 
-    def record_wall(m: Fraction, wit: Witness) -> Fraction:
+    def record_wall(m: Fraction, wit: Witness) -> Tuple[int, int]:
         if m == anch:
             raise InternalError("anticanonical stability violated at %s by %r" % (m, wit))
         walls[m] = min(walls.get(m, wit), wit)
-        return m
+        return m.numerator, m.denominator
 
     line = dlp.LINE_BUNDLES
-    m1 = record_wall(*next(_strip_walls(line, r, A, B, e, True, anch, None)))
-    m0 = Fraction(0)
+    anch2 = (2 - e, 2)                          # anch as an end pair
+    m1 = record_wall(*next(_strip_walls(line, r, A, B, e, True, anch2, (1, 0))))
+    m0 = (0, 1)
     if e == 0:
-        m0 = record_wall(*next(_strip_walls(line, r, A, B, e, False, m0, anch)))
+        m0 = record_wall(*next(_strip_walls(line, r, A, B, e, False, m0, anch2)))
     for cls in classes:
         for vertical in (True, False):
             for m, wit in _strip_walls(cls, r, A, B, e, vertical, m0, m1):

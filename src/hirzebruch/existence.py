@@ -52,6 +52,7 @@ from .lattice import (
     ChernCharacter,
     DivisorClass,
     IKey,
+    InternalError,
     Rat,
     check_polarization,
     check_surface,
@@ -65,6 +66,7 @@ from .lattice import (
     reduced_hilbert_key,
 )
 from .prioritary import BogomolovViolation, prioritary_index_of_key
+from .exceptional import build_table
 from . import dlp as _dlp
 
 NONEMPTY = "NONEMPTY"
@@ -107,10 +109,6 @@ class DeltaBracket:
     upper: Optional[Fraction]       # None = no NONEMPTY found up to the cutoff
     witness: Optional[ChernCharacter]
     wall: bool
-
-
-class InternalError(RuntimeError):
-    """A broken invariant of the engine: a bug, never a property of the input."""
 
 
 _HN: Dict[tuple, Optional[Tuple[IKey, ...]]] = {}
@@ -458,8 +456,6 @@ def delta_estimate(
     lower = Fraction(1, 2)
     if rank_cutoff > 1:
         if table is None:
-            from .exceptional import build_table
-
             table = build_table(e, max(rank_cutoff - 1, 1))
         bound = _dlp.dlp_below_rank(nu, m, e, rank_cutoff, table)
         if bound.value is not None:

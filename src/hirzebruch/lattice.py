@@ -36,6 +36,10 @@ class IntegralityError(ValueError):
     """A character or divisor fails an integrality requirement."""
 
 
+class InternalError(RuntimeError):
+    """A broken invariant of the engine: a bug, never a property of the input."""
+
+
 def check_surface(e: int) -> int:
     if not isinstance(e, int) or e < 0:
         raise ValueError("surface parameter e must be a non-negative integer, got %r" % (e,))

@@ -33,9 +33,9 @@ from .lattice import (
     canonical_divisor,
     ceil_frac,
     check_surface,
+    delta2,
     euler_char,
     floor_frac,
-    int_key,
     line_bundle,
     serre_dual,
     twist,
@@ -149,9 +149,10 @@ def prioritary_nonempty(v: ChernCharacter, n: int, e: int) -> bool:
     check_surface(e)
     if not isinstance(n, int):
         raise ValueError("prioritary index must be an integer, got %r" % (n,))
-    if v.delta(e) < 0:
+    key = _multiple_key(v)
+    if delta2(key, e) < 0:
         return False
-    rho = generic_prioritary_index(v, e)
+    rho = prioritary_index_of_key(key, e)
     return rho is None or n <= rho
 
 
@@ -164,9 +165,19 @@ def generic_prioritary_index(v: ChernCharacter, e: int) -> Optional[int]:
     index depends on nu and Delta only).
     """
     check_surface(e)
-    _require_delta(v, e)
-    n = lcm(v.c1.a.denominator, v.c1.b.denominator, (2 * v.ch2).denominator)
-    return prioritary_index_of_key(int_key(v.scale(n)), e)
+    key = _multiple_key(v)
+    if delta2(key, e) < 0:
+        raise BogomolovViolation("Delta = %s < 0" % (v.delta(e),))
+    return prioritary_index_of_key(key, e)
+
+
+def _multiple_key(v: ChernCharacter) -> IKey:
+    """Key of the least multiple of v with integral c1 and 2 ch2 (same nu, Delta)."""
+    if v.r == 0:
+        raise ZeroDivisionError("discriminant needs positive rank")
+    ts = (v.c1.a, v.c1.b, 2 * v.ch2)
+    n = lcm(*(t.denominator for t in ts))
+    return (n * v.r,) + tuple(t.numerator * (n // t.denominator) for t in ts)
 
 
 def prioritary_index_of_key(key: IKey, e: int) -> Optional[int]:

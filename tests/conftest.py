@@ -43,5 +43,11 @@ def random_slope(rng: random.Random, den_max=4, num_span=8):
     )
 
 
+def fraction_end(pair):
+    """A slope class end (p, q) as the Fraction p/q, None for +inf = (1, 0)."""
+    p, q = pair
+    return None if q == 0 else Fraction(p, q)
+
+
 def random_m(rng: random.Random):
     return Fraction(rng.randint(1, 12), rng.randint(1, 4))

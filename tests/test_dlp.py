@@ -4,7 +4,7 @@ from math import ceil, floor, lcm
 
 import pytest
 
-from conftest import random_slope
+from conftest import fraction_end, random_slope
 from hirzebruch import (
     CH_O,
     DivisorClass,
@@ -162,20 +162,20 @@ def test_grid_shapes_and_single_point(table0):
     assert len(eps) == len(phi) == 4 and len(rows) == 4 and len(rows[0]) == 4
     nu = DivisorClass(Q(1, 3), Q(2, 3))
     _, _, single = dlp_grid(0, 1, (Q(1, 3), Q(1, 3), Q(2, 3), Q(2, 3)), 0, 8, table0)
-    assert single == [[dlp_below_rank(nu, 1, 0, 8, table0).value]]
+    assert single == [[dlp_below_rank(nu, 1, 0, 8, table0)]]
 
 
 def test_grid_contributor_ranks(table0, table1):
     seen0 = set()
     for steps in (15, 14):
-        _, _, rows = dlp_grid(0, 1, (0, 1, 0, 1), steps, 8, table0, with_witnesses=True)
+        _, _, rows = dlp_grid(0, 1, (0, 1, 0, 1), steps, 8, table0)
         for row in rows:
             for cell in row:
                 seen0.add(cell.witness[0])
     assert seen0 == {1, 3, 5, 7}
     seen1 = set()
     for steps in (20, 12):
-        _, _, rows = dlp_grid(1, Q(1, 2), (0, 1, 0, 1), steps, 7, table1, with_witnesses=True)
+        _, _, rows = dlp_grid(1, Q(1, 2), (0, 1, 0, 1), steps, 7, table1)
         for row in rows:
             for cell in row:
                 seen1.add(cell.witness[0])
@@ -215,7 +215,8 @@ def test_orbit_matches_fraction_enumeration(table0, table1, tmp_path):
     for table in (table0, table1):
         for rec in table.records:
             got = [
-                (c.rank, Q(c.a, c.rank), Q(c.b, c.rank), exceptional_delta(c.rank), c.lo, c.hi)
+                (c.rank, Q(c.a, c.rank), Q(c.b, c.rank), exceptional_delta(c.rank),
+                 fraction_end(c.lo), fraction_end(c.hi))
                 for c in orbit(rec, table.e)
             ]
             assert got == _orbit_by_fractions(rec, table.e), (table.e, rec)
@@ -249,7 +250,8 @@ def _full_box_scan(nu, m, e, classes):
     xw, s = fiber_window(m, e), strip_halfwidth(m, e)
     best = None
     for con in classes:
-        if not (m > con.lo and (con.hi is None or m < con.hi)):
+        lo, hi = fraction_end(con.lo), fraction_end(con.hi)
+        if not (m > lo and (hi is None or m < hi)):
             continue
         rank = con.rank
         L = lcm(nu.a.denominator, nu.b.denominator, rank)
@@ -289,7 +291,7 @@ def test_scan_matches_full_box(table0, table1):
         e = table.e
         for r in range(1, table.max_rank + 2):
             ends = [(c, t) for c in slope_classes(table, e, max(r, 2)) if c.rank > 1
-                    for t in (c.lo, c.hi) if t]
+                    for t in map(fraction_end, (c.lo, c.hi)) if t]
             for _ in range(60):
                 pick = rng.random()
                 nu = random_slope(rng, den_max=6, num_span=12)

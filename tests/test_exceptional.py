@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import fraction_end
 from hirzebruch import (
     build_table,
     euler_pair,
@@ -180,7 +181,7 @@ def fraction_strip_walls(cls, v, e, vertical, lo, hi, box):
             if not (-1 < (x if vertical else y) < 0) or (y if vertical else x) <= 0:
                 continue
             m = -y / x
-            if lo < m < hi and hilbert_P(DivisorClass(x, y), e) > dv + dw and cls.stable_at(m):
+            if lo < m < hi and hilbert_P(DivisorClass(x, y), e) > dv + dw and in_interval(cls, m):
                 out.append((m, (cls.rank, cls.a + i * cls.rank, cls.b + j * cls.rank)))
     return sorted(out, key=lambda w: w[0], reverse=not vertical)
 
@@ -204,7 +205,8 @@ def test_strip_walls_match_fraction_enumeration(table0, table1):
                     continue
                 lo, hi = sorted(rng.sample(ms, 2))
                 want = [w for w in walls if lo < w[0] < hi]
-                got = list(exceptional._strip_walls(cls, rec.r, rec.a, rec.b, e, vertical, lo, hi))
+                window = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+                got = list(exceptional._strip_walls(cls, rec.r, rec.a, rec.b, e, vertical, *window))
                 assert got == want, (e, rec, cls, vertical, lo, hi)
 
 
@@ -224,24 +226,57 @@ def test_wall_at_anticanonical_parameter_is_internal_error():
         stability_interval(exceptional_character(5, 1, 2, 1), 1, table)
 
 
+def in_interval(cls, m):
+    """The open-interval test of a slope class, in Fractions."""
+    lo, hi = fraction_end(cls.lo), fraction_end(cls.hi)
+    return lo < m and (hi is None or m < hi)
+
+
+def stable(cls, m):
+    return cls.stable_at(m.numerator, m.denominator)
+
+
 def test_is_stable_at(table0, table1):
     # a row's own slope class comes first in its orbit
     cls = dlp.orbit(table0.row(3, 1, 1), 0)[0]
-    assert cls.stable_at(Q(1))
-    assert not cls.stable_at(Q(2))  # strictly semistable at the endpoint
-    assert not cls.stable_at(Q(1, 2))
+    assert stable(cls, Q(1))
+    assert not stable(cls, Q(2))  # strictly semistable at the endpoint
+    assert not stable(cls, Q(1, 2))
     # (1/2, 2) is open at both ends, whatever the denominators
-    assert (cls.lo, cls.hi) == (Q(1, 2), Q(2))
-    assert cls.stable_at(Q(501, 1000)) and cls.stable_at(Q(1999, 1000))
-    assert not cls.stable_at(Q(499, 1000)) and not cls.stable_at(Q(2001, 1000))
+    assert (fraction_end(cls.lo), fraction_end(cls.hi)) == (Q(1, 2), Q(2))
+    assert stable(cls, Q(501, 1000)) and stable(cls, Q(1999, 1000))
+    assert not stable(cls, Q(499, 1000)) and not stable(cls, Q(2001, 1000))
     for m in (Q(1, 100), Q(1), Q(17)):
-        assert dlp.LINE_BUNDLES.stable_at(m)
+        assert stable(dlp.LINE_BUNDLES, m)
     # lo = 0: stable down to any m > 0, and hi is still excluded
     low = dlp.orbit(table1.row(2, 1, 1), 1)[0]
-    assert low.lo == 0 and low.hi == 1
-    assert low.stable_at(Q(1, 10**6)) and low.stable_at(Q(999, 1000))
-    assert not low.stable_at(Q(1)) and not low.stable_at(Q(0))
-    assert not dlp.LINE_BUNDLES.stable_at(Q(0))
+    assert fraction_end(low.lo) == 0 and fraction_end(low.hi) == 1
+    assert stable(low, Q(1, 10**6)) and stable(low, Q(999, 1000))
+    assert not stable(low, Q(1)) and not stable(low, Q(0))
+    assert not stable(dlp.LINE_BUNDLES, Q(0))
+
+
+def test_stable_at_reads_unreduced_pairs(table0):
+    # the strip walk tests a wall -Y/X as the pair (Y, -X) or (-Y, X) as it
+    # comes, so stable_at(k p, k q) must equal stable_at(p, q); checked on
+    # and around both ends, 0 and +inf included, against Fractions
+    swapped = []
+    for lo, hi in ((Q(0), Q(2)), (Q(1, 2), None)):
+        # hand-made F_0 rows: the fiber swap (1/hi, 1/lo) trades 0 and +inf
+        cls = dlp.orbit(ExceptionalRecord(5, 1, 2, lo, hi), 0)[2]
+        assert (cls.a, cls.b) == (2, 1)
+        assert fraction_end(cls.lo) == (0 if hi is None else 1 / hi)
+        assert fraction_end(cls.hi) == (None if lo == 0 else 1 / lo)
+        swapped.append(cls)
+    classes = [dlp.LINE_BUNDLES] + swapped + list(dlp.orbit(table0.row(5, 1, 2), 0))
+    for cls in classes:
+        ends = [t for t in map(fraction_end, (cls.lo, cls.hi)) if t is not None]
+        ms = {Q(0), Q(1, 3), Q(1), Q(7, 2)}
+        ms |= {t + d for t in ends for d in (Q(-1, 1000), Q(0), Q(1, 1000))}
+        for m in sorted(t for t in ms if t >= 0):
+            want = in_interval(cls, m)
+            for k in (1, 2, 3, 12):
+                assert cls.stable_at(k * m.numerator, k * m.denominator) == want, (cls, m, k)
 
 
 def test_record_invariants(table0, table1, wide_tables):
@@ -274,7 +309,7 @@ def witness_interval(table, wit, e):
     assert base is not None
     for cls in dlp.orbit(base, e):
         if (wa - cls.a) % rw == 0 and (wb - cls.b) % rw == 0:
-            return (cls.lo, cls.hi)
+            return (fraction_end(cls.lo), fraction_end(cls.hi))
     raise AssertionError("witness %r not in the orbit of its canonical row" % (wit,))
 
 

@@ -136,6 +136,16 @@ def test_bogomolov_failures():
     assert not prioritary_nonempty(v, 1, 0)
     with pytest.raises(BogomolovViolation):
         generic_prioritary_index(v, 0)
+    # non-integral c1 and ch2: the test runs on an integral multiple
+    v = character(3, Q(1, 2), 0, Q(1, 3))  # Delta = -1/9
+    assert not prioritary_nonempty(v, 1, 0)
+    with pytest.raises(BogomolovViolation, match="Delta = -1/9 < 0"):
+        generic_prioritary_index(v, 0)
+    # rank 0 has no Delta
+    with pytest.raises(ZeroDivisionError):
+        prioritary_nonempty(character(0, 1, 0, 0), 1, 0)
+    with pytest.raises(ZeroDivisionError):
+        generic_prioritary_index(character(0, 1, 0, 0), 0)
 
 
 def test_gaeta_exponents():
