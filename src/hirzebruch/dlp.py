@@ -11,8 +11,8 @@ Delta(W) >= DLP_{H_m,V}(nu(W)) where, with d = nu - nu(V),
 DLP^{<r} takes the maximum over all mu_{H_m}-stable exceptional bundles of
 rank < r inside the strip; DLP^1 restricts to line bundles.  The supremum is
 an honest maximum: any contribution >= c > 0 forces the fiber component of d
-into (-X, X) with X = `lattice.fiber_window(m, e)` = max(1, 2/(2m+e)), which
-makes the twist search finite.
+into (-X, X) with X = max(1, 2/(2m+e)) (the pair `lattice.fiber_window`),
+which makes the twist search finite.
 
 The contributing bundles come as slope classes mod Z^2 (`SlopeClass`): the
 twist/dual and, on F_0, fiber-swap orbits of the exceptional table rows
@@ -186,11 +186,10 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
     # maximum.  The <= 3 points are visited in ascending Y with `>=`, as a
     # walk over the whole box would, which keeps the tie rule.
     mp, mq = m.numerator, m.denominator
-    xw = fiber_window(m, e)
-    xwp, xwq = xw.numerator, xw.denominator
-    s = strip_halfwidth(m, e)
-    hwq = mq * s.numerator
-    mps, ysc = mp * s.denominator, mq * s.denominator   # |t| sq <= L mq sp
+    xwp, xwq = fiber_window(mp, mq, e)
+    # |t| <= L mq s, s = strip_halfwidth = (2 mp + (e + 2) mq) / (2 mq)
+    hwq = mq * (2 * mp + (e + 2) * mq)
+    mps, ysc = 2 * mp * mq, 2 * mq * mq
     ap, aq = nu.a.numerator, nu.a.denominator
     bp, bq = nu.b.numerator, nu.b.denominator
     nu_den = lcm(aq, bq)

@@ -29,16 +29,17 @@ then recurses on u = v - w_1.  Filtration length never exceeds 4.
 
 The inner loops run on plain integers.  Characters are keys (r, a, b, 2 ch2)
 from `lattice.int_key`, Delta is read from 2 r^2 Delta = 2ab - e a^2 - r s
-and chi from 2 chi (`lattice.delta2`, `lattice.chi2`), and m and
-the fiber window enter as numerator and denominator.  For fixed (r1, a1) the
+and chi from 2 chi (`lattice.delta2`, `lattice.chi2`), m enters as its
+reduced pair (p, q) and the fiber window as the integer pair
+`lattice.fiber_window(p, q, e)`.  For fixed (r1, a1) the
 pinned ch2_1 and Delta(u) are linear in b1, so the b1 loop visits only the
 arithmetic progression where ch2_1 is integral, cut to the half-line
 Delta(u) >= 0 (in the degenerate case the pinning identity fixes b1); the
 candidates are still visited in the order of the plain triple loop.  The
 generic prioritary index comes from `prioritary.prioritary_index_of_key`.
-Verdicts and filtrations are memoized per character and polarization
-(Gieseker tie-breaks on walls are not twist-equivariant, so no twist
-sharing).  A broken invariant of the search raises `InternalError`.
+Filtrations are memoized on (e, p, q, key) (Gieseker tie-breaks on walls
+are not twist-equivariant, so no twist sharing).  A broken invariant of the
+search raises `InternalError`.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _quad_b_bound(m: Fraction, e: int) -> Fraction:
     # max of P over the closed quadrilateral {x in [-1, cF], x m + y in [-1, 0]}:
     # P is largest on the top edge y = -x m, where it equals
     # g(x) = (x+1)(1 - x(m + e/2)); evaluate the clipped vertex and corners.
-    cf = fiber_window(m, e)
+    cf = Fraction(*fiber_window(m.numerator, m.denominator, e))
     s = m + Fraction(e, 2)
     xs = [Fraction(-1), cf]
     vertex = (1 / s - 1) / 2
@@ -160,26 +161,26 @@ def _degenerate_c2_range(c1sq1: int, r1: int, b_cap: Fraction) -> range:
 
 
 def _fiber_range(r: int, a: int, r1: int, cp: int, cq: int) -> range:
-    # the a1 with |a1/r1 - a/r| < cp/cq, cp/cq = fiber_window(m, e)
+    # the a1 with |a1/r1 - a/r| < cp/cq, (cp, cq) = fiber_window(p, q, e)
     rq = r * cq
     return range((r1 * (a * cq - r * cp)) // rq + 1, -((-r1 * (a * cq + r * cp)) // rq))
 
 
-def _hn_key(key: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
+def _hn_key(key: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
     # NB: cached on the raw key.  Gieseker tie-breaking at non-generic m is
     # not twist-equivariant, so the filtration genuinely belongs to the
     # character itself, not to a twist-normalized representative.
-    ck = (e, m, key)
+    ck = (e, mp, mq, key)
     if ck not in _HN:
-        _HN[ck] = _search(key, m, e)
+        _HN[ck] = _search(key, mp, mq, e)
     return _HN[ck]
 
 
-def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
-    """Factors of the generic HN filtration of an integral key with
-    Delta >= 0, or None when no H_{ceil m}-prioritary sheaves exist."""
+def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
+    """Factors of the generic HN filtration at m = mp/mq (lowest terms) of
+    an integral key with Delta >= 0, or None when no H_{ceil m}-prioritary
+    sheaves exist."""
     r, a, b, s = vkey
-    mp, mq = m.numerator, m.denominator
     n0 = -(-mp // mq)               # ceil(m)
     if not _prior(vkey, n0, e):
         return None
@@ -187,8 +188,7 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
         return (vkey,)
 
     n2v = delta2(vkey, e)           # 2 r^2 Delta(v)
-    cf = fiber_window(m, e)
-    cp, cq = cf.numerator, cf.denominator
+    cp, cq = fiber_window(mp, mq, e)
     # H_m-degree of v times (r mq): mu(v) = degv / den
     degv = a * mp + b * mq
     den = r * mq
@@ -261,7 +261,7 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
                     s1_list = [s1]
                 else:
                     if b_cap is None:
-                        b_cap = _quad_b_bound(m, e)
+                        b_cap = _quad_b_bound(Fraction(mp, mq), e)
                     s1_list = [c1sq1 - 2 * t for t in _degenerate_c2_range(c1sq1, r1, b_cap)]
                 for s1 in s1_list:
                     w1 = (r1, a1, b1, s1)
@@ -275,12 +275,14 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
                         continue      # necessary for (5)
                     if not _prior(u, n0, e):
                         continue      # condition (1)
-                    if _verdict_key(w1, m, e) != NONEMPTY:
+                    # w1 has Delta_1 >= 0 and is H_{ceil m}-prioritary, so
+                    # it has a filtration; (5) asks for length one
+                    if len(_hn_key(w1, mp, mq, e)) != 1:
                         continue      # condition (5)
-                    tail = _hn_key(u, m, e)
+                    tail = _hn_key(u, mp, mq, e)
                     if tail is None:
                         continue
-                    if not _key_gt(w1, tail[0], m, e):
+                    if not _key_gt(w1, tail[0], mp, mq, e):
                         continue      # condition (2)
                     last = tail[-1]
                     # condition (3): mu(w1) - mu(last) <= 1
@@ -291,36 +293,23 @@ def _search(vkey: IKey, m: Fraction, e: int) -> Optional[Tuple[IKey, ...]]:
                     return (w1,) + tail
     if not _prior(vkey, n0 + 1, e):
         raise InternalError(
-            "inconsistent state: no decomposition found for %r at m=%s but the "
-            "character is not H_{ceil(m)+1}-prioritary" % (vkey, m)
+            "inconsistent state: no decomposition found for %r at m=%d/%d but the "
+            "character is not H_{ceil(m)+1}-prioritary" % (vkey, mp, mq)
         )
     return (vkey,)
 
 
-def _key_gt(w: IKey, x: IKey, m: Fraction, e: int) -> bool:
-    """reduced_hilbert_key(w) > reduced_hilbert_key(x), lexicographic on
-    (mu_{H_m}, chi/r), in integer arithmetic."""
+def _key_gt(w: IKey, x: IKey, mp: int, mq: int, e: int) -> bool:
+    """reduced_hilbert_key(w) > reduced_hilbert_key(x) at m = mp/mq,
+    lexicographic on (mu_{H_m}, chi/r), in integer arithmetic."""
     rw, aw, bw, _ = w
     rx, ax, bx, _ = x
-    mp, mq = m.numerator, m.denominator
     lhs = (aw * mp + bw * mq) * rx
     rhs = (ax * mp + bx * mq) * rw
     if lhs != rhs:
         return lhs > rhs
     # ties in mu are broken by chi/r, and 2 chi(v) = chi2(O, v)
     return chi2((1, 0, 0, 0), w, e) * rx > chi2((1, 0, 0, 0), x, e) * rw
-
-
-def _verdict_key(key: IKey, m: Fraction, e: int) -> str:
-    if delta2(key, e) < 0:
-        return BOGOMOLOV_VIOLATION
-    n0 = -(-m.numerator // m.denominator)   # ceil(m)
-    if not _prior(key, n0, e):
-        return NO_PRIORITARY
-    if not _prior(key, n0 + 1, e):
-        return EMPTY  # semistable sheaves are H_{ceil(m)+1}-prioritary
-    factors = _hn_key(key, m, e)
-    return NONEMPTY if len(factors) == 1 else EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +322,7 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
     m, key = _validate(v, m, e)
     if delta2(key, e) < 0:
         raise BogomolovViolation("Delta(v) = %s < 0" % (v.delta(e),))
-    factors = _hn_key(key, m, e)
+    factors = _hn_key(key, m.numerator, m.denominator, e)
     if factors is None:
         return None
     return HNDecomposition(tuple(from_key(k) for k in factors), m, e)
@@ -343,11 +332,11 @@ def is_wall(v: ChernCharacter, m: Rat, e: int) -> bool:
     """Does some lower-rank slope in the search quadrilateral tie with v at H_m?"""
     m, (r, a, b, _) = _validate(v, m, e)
     mp, mq = m.numerator, m.denominator
-    cf = fiber_window(m, e)
+    cp, cq = fiber_window(mp, mq, e)
     degv = a * mp + b * mq
     den = r * mq
     for r1 in range(1, r):
-        for a1 in _fiber_range(r, a, r1, cf.numerator, cf.denominator):
+        for a1 in _fiber_range(r, a, r1, cp, cq):
             # the b1 with mu(w1) = mu(v) is (r1 degv - a1 mp r) / (r mq); on
             # that line the slope equals nu exactly when a1/r1 = a/r
             if (r1 * degv - a1 * mp * r) % den == 0 and a1 * r != a * r1:
@@ -358,7 +347,15 @@ def is_wall(v: ChernCharacter, m: Rat, e: int) -> bool:
 def verdict(v: ChernCharacter, m: Rat, e: int) -> str:
     """The decision verdict alone (no filtration, no wall detection)."""
     m, key = _validate(v, m, e)
-    return _verdict_key(key, m, e)
+    if delta2(key, e) < 0:
+        return BOGOMOLOV_VIOLATION
+    mp, mq = m.numerator, m.denominator
+    n0 = -(-mp // mq)               # ceil(m)
+    if not _prior(key, n0, e):
+        return NO_PRIORITARY
+    if not _prior(key, n0 + 1, e):
+        return EMPTY  # semistable sheaves are H_{ceil(m)+1}-prioritary
+    return NONEMPTY if len(_hn_key(key, mp, mq, e)) == 1 else EMPTY
 
 
 def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
@@ -372,7 +369,7 @@ def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
     if delta2(key, e) < 0:
         return DecisionCertificate(BOGOMOLOV_VIOLATION, None, False)
     wall = is_wall(v, m, e)
-    factors = _hn_key(key, m, e)
+    factors = _hn_key(key, m.numerator, m.denominator, e)
     if factors is None:
         return DecisionCertificate(NO_PRIORITARY, None, wall)
     hn = HNDecomposition(tuple(from_key(k) for k in factors), m, e)

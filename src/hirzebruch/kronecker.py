@@ -35,6 +35,7 @@ from .lattice import (
     E,
     F,
     Rat,
+    check_polarization,
     euler_pair,
     line_bundle,
     mu,
@@ -232,7 +233,7 @@ def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
     """
     tri = TriangleR(e, ell)
     k = tri.k
-    m = Fraction(m)
+    m = check_polarization(m)
     x0, y0 = Fraction(nu.a), Fraction(nu.b)
     if m == k:
         raise KroneckerDomainError("the slope -m line is parallel to the K-side")
@@ -268,7 +269,7 @@ def params_for_slope(nu: DivisorClass, m: Rat, e: int, ell: int) -> KroneckerPar
     """Smallest positive-integer parameters realizing the wall m at slope nu."""
     tri = TriangleR(e, ell)
     k = tri.k
-    m = Fraction(m)
+    m = check_polarization(m)
     x0, y0 = Fraction(nu.a), Fraction(nu.b)
     if m == k:
         raise KroneckerDomainError("the slope -m line is parallel to the K-side")

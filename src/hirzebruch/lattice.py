@@ -47,6 +47,8 @@ def check_surface(e: int) -> int:
 
 
 def check_polarization(m: Rat) -> Fraction:
+    if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
+        raise ValueError("polarization parameter m must be an int or a Fraction, got %r" % (m,))
     m = Fraction(m)
     if m <= 0:
         raise ValueError("polarization parameter m must be positive, got %s" % (m,))
@@ -98,13 +100,12 @@ def polarization_divisor(m: Rat, e: int) -> DivisorClass:
     return DivisorClass(1, Fraction(m) + e)
 
 
-def fiber_window(m: Fraction, e: int) -> Fraction:
-    """X = max(1, 2/(2m+e)): the bound on the fiber component |d.F| of the
-    slope difference d in the DLP twist scan and the HN first-factor search."""
-    # 2/(2m+e) = 2q/(2p+eq) for m = p/q
-    p, q = m.numerator, m.denominator
+def fiber_window(p: int, q: int, e: int) -> Tuple[int, int]:
+    """X = max(1, 2/(2m+e)) at m = p/q as an integer pair (num, den), not
+    always reduced: the bound on the fiber component |d.F| of the slope
+    difference d in the DLP twist scan and the HN first-factor search."""
     d = 2 * p + e * q
-    return Fraction(2 * q, d) if 2 * q > d else Fraction(1)
+    return (2 * q, d) if 2 * q > d else (1, 1)
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass, e: int) -> Fraction:

@@ -25,7 +25,7 @@ from hirzebruch.dlp import (
     strip_halfwidth,
 )
 from hirzebruch.exceptional import exceptional_delta, load_table, save_table
-from hirzebruch.lattice import fiber_window, hilbert_P2
+from hirzebruch.lattice import hilbert_P2
 from oracles import dlp_brute_force
 
 
@@ -247,7 +247,7 @@ def _full_box_scan(nu, m, e, classes):
     witness.
     """
     m = Q(m)
-    xw, s = fiber_window(m, e), strip_halfwidth(m, e)
+    xw, s = max(Q(1), Q(2) / (2 * m + e)), strip_halfwidth(m, e)
     best = None
     for con in classes:
         lo, hi = fraction_end(con.lo), fraction_end(con.hi)

@@ -8,12 +8,14 @@ from conftest import random_integral_character, random_m
 from hirzebruch import (
     CH_O,
     ChernCharacter,
+    DecisionCertificate,
     DivisorClass,
     character,
     delta_estimate,
     dual,
     exceptional_character,
     exists_above,
+    generic_prioritary_index,
     hn_generic,
     is_wall,
     kronecker_characters,
@@ -355,3 +357,55 @@ def test_delta_estimate_matches_fraction_scan(table0, table1):
         if not br.wall:
             untested_walls += any(is_wall(w, m, e) for w in untested)
     assert untested_walls > 0
+
+
+def test_memo_never_mixes_polarizations(monkeypatch):
+    # one memo shared by interleaved decisions on F_0 and F_1 at polarizations
+    # with a common numerator or denominator (1 twice: as int and as 2/2)
+    # gives what a cold memo gives, call by call
+    rng = random.Random(41)
+    ms = (Q(1, 3), Q(2, 3), Q(1, 2), Q(3, 2), 1, Q(2, 2))
+    sample = [(e, random_integral_character(rng, e, rmax=5, coeff=3)) for e in (0, 1) for _ in range(60)]
+    calls = [(fn, v, m, e) for e, v in sample for m in ms for fn in (hn_generic, moduli_nonempty)]
+    rng.shuffle(calls)
+    cold = []
+    for fn, v, m, e in calls:
+        monkeypatch.setattr(existence, "_HN", {})
+        cold.append(fn(v, m, e))
+    monkeypatch.setattr(existence, "_HN", {})
+    assert [fn(v, m, e) for fn, v, m, e in calls] == cold
+    # and the sample tells those polarizations apart
+    by_m = {}
+    for (fn, v, m, e), c in zip(calls, cold):
+        hn = c.hn if isinstance(c, DecisionCertificate) else c
+        by_m.setdefault((e, v), {})[m] = None if hn is None else hn.factors
+    for m1, m2 in ((Q(1, 3), Q(2, 3)), (Q(1, 3), Q(1, 2))):
+        assert any(d[m1] != d[m2] for d in by_m.values())
+
+
+def test_verdict_matches_the_certificate():
+    # verdict decides gates in place and reads (5) from the memo; the
+    # certificate runs the search: they agree on all four verdicts, and
+    # a character that is H_{ceil m}- but not H_{ceil m + 1}-prioritary is
+    # EMPTY without a search
+    rng = random.Random(42)
+    seen, gap = set(), 0
+    for _ in range(1000):
+        e = rng.randint(0, 2)
+        m = Q(rng.randint(1, 12), rng.randint(1, 4))
+        v = random_integral_character(rng, e, rmax=5, coeff=4)
+        v = ChernCharacter(v.r, v.c1, v.ch2 + rng.randint(0, 1))  # Delta -= 1/r
+        cert = moduli_nonempty(v, m, e)
+        assert verdict(v, m, e) == cert.verdict
+        seen.add(cert.verdict)
+        if cert.verdict == "BOGOMOLOV_VIOLATION":
+            with pytest.raises(BogomolovViolation):
+                hn_generic(v, m, e)
+            continue
+        assert (hn_generic(v, m, e) is None) == (cert.verdict == "NO_PRIORITARY")
+        if generic_prioritary_index(v, e) == math.ceil(m):
+            gap += 1
+            existence.clear_cache()
+            assert verdict(v, m, e) == "EMPTY" and not existence._HN
+    assert seen == {"NONEMPTY", "EMPTY", "NO_PRIORITARY", "BOGOMOLOV_VIOLATION"}
+    assert gap > 0

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+from decimal import Decimal
 from fractions import Fraction as Q
 
 import pytest
@@ -16,9 +17,16 @@ from hirzebruch import (
     build_table,
     canonical_divisor,
     character,
+    delta_closed_form,
+    delta_estimate,
+    dlp_below_rank,
+    dlp_grid,
+    dlp_line_bundles,
+    dlp_single,
     dual,
     euler_char,
     euler_pair,
+    exists_above,
     format_rational,
     from_rank_slope_disc,
     hilbert_P,
@@ -29,15 +37,18 @@ from hirzebruch import (
     line_bundle,
     moduli_nonempty,
     mu,
+    params_for_slope,
     parse_rational,
     polarization_divisor,
+    reduce_character,
+    reduce_decision,
     reduced_hilbert_key,
     stability_interval,
     twist,
     verdict,
 )
 from hirzebruch.cli import main
-from hirzebruch.lattice import chi2, delta2, from_key, int_key
+from hirzebruch.lattice import chi2, delta2, fiber_window, from_key, int_key
 
 
 def test_intersection_form():
@@ -262,3 +273,42 @@ def test_no_key_inputs_are_refused_everywhere():
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["exists", "--e", e, "--char", text, "--m", "1"])
             assert code == 2 and err.getvalue().startswith("invalid input")
+
+
+def test_fiber_window_is_the_integer_pair():
+    for e in range(6):
+        for p in range(1, 13):
+            for q in range(1, 13):
+                num, den = fiber_window(p, q, e)
+                assert Q(num, den) == max(Q(1), Q(2) / (2 * Q(p, q) + e))
+
+
+def test_non_rational_polarizations_are_refused_everywhere():
+    # every entry point that takes m accepts only int and Fraction: a float,
+    # a string, a bool or a Decimal is refused by name, never decided
+    v, nu = character(2, 1, 0, 0), DivisorClass(Q(1, 5), Q(1, 3))
+    calls = (
+        lambda m: hn_generic(v, m, 0),
+        lambda m: verdict(v, m, 0),
+        lambda m: moduli_nonempty(v, m, 1),
+        lambda m: is_wall(v, m, 0),
+        lambda m: exists_above(v, m, 1),
+        lambda m: delta_estimate(nu, m, 0, 1),
+        lambda m: dlp_single(CH_O, nu, m, 0),
+        lambda m: dlp_line_bundles(nu, m, 1),
+        lambda m: dlp_below_rank(nu, m, 0, 2),
+        lambda m: dlp_grid(0, m, (0, 1, 0, 1), 1, 2),
+        lambda m: reduce_character(v, 2, m),
+        lambda m: reduce_decision(v, 3, m),
+        lambda m: delta_closed_form(nu, m, 0, 3),
+        lambda m: params_for_slope(nu, m, 0, 3),
+    )
+    for m in (0.5, "1/2", True, Decimal("0.5")):
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(m)
+            assert repr(m) in str(info.value)
+    for m in (0, Q(-1, 2)):
+        for call in calls[-2:]:
+            with pytest.raises(ValueError, match="must be positive"):
+                call(m)
