@@ -272,19 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--max-rank", type=int, required=True)
     p.add_argument("--cache", help="JSONL cache path (env HIRZ_CACHE also honored)")
-    p.set_defaults(func=cmd_exceptional)
 
     p = sub.add_parser("exists", help="decide nonemptiness of the semistable moduli space")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--char", required=True, help="r,a,b,ch2")
     p.add_argument("--m", type=_rational, required=True)
-    p.set_defaults(func=cmd_exists)
 
     p = sub.add_parser("hn", help="generic Harder-Narasimhan filtration")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--char", required=True, help="r,a,b,ch2")
     p.add_argument("--m", type=_rational, required=True)
-    p.set_defaults(func=cmd_hn)
 
     p = sub.add_parser("dlp", help="rank-bounded Drezet-Le Potier value at a slope")
     p.add_argument("--e", type=int, required=True)
@@ -292,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_rational, required=True)
     p.add_argument("--below-rank", type=int, required=True)
     p.add_argument("--cache")
-    p.set_defaults(func=cmd_dlp)
 
     p = sub.add_parser("delta", help="bracket the sharp Bogomolov threshold")
     p.add_argument("--e", type=int, required=True)
@@ -300,19 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_rational, required=True)
     p.add_argument("--max-rank", type=int, required=True)
     p.add_argument("--cache")
-    p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("kronecker", help="orthogonal Kronecker pair: characters, wall, threshold")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--abcd", required=True, help="a,b,c,d positive integers")
-    p.set_defaults(func=cmd_kronecker)
 
     p = sub.add_parser("reduce", help="decide on F_e (e >= 2) through the reduction map")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--char", required=True)
     p.add_argument("--m", type=_rational, required=True)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("grid", help="emit a DLP value grid over a slope square")
     p.add_argument("--e", type=int, required=True)
@@ -322,16 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--below-rank", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache")
-    p.set_defaults(func=cmd_grid)
 
     return top
 
 
+_PARSER = None     # built by the first call of `main`
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name at call time, so a replaced cmd_* is the one run
+        return globals()["cmd_" + args.command](args)
     except exc_mod.CacheError as err:
         sys.stderr.write("cache error: %s\n" % err)
         return EXIT_CACHE

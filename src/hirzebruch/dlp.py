@@ -84,7 +84,7 @@ def _check_del_pezzo(e: int) -> None:
 
 def strip_halfwidth(m: Rat, e: int) -> Fraction:
     """-(1/2) K . H_m = m + e/2 + 1."""
-    return Fraction(m) + Fraction(e, 2) + 1
+    return check_polarization(m) + Fraction(e, 2) + 1
 
 
 def dlp_single(v: ChernCharacter, nu: DivisorClass, m: Rat, e: int) -> Optional[Fraction]:

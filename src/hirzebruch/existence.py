@@ -35,18 +35,25 @@ reduced pair (p, q) and the fiber window as the integer pair
 pinned ch2_1 and Delta(u) are linear in b1, so the b1 loop visits only the
 arithmetic progression where ch2_1 is integral, cut to the half-line
 Delta(u) >= 0 (in the degenerate case the pinning identity fixes b1); the
-candidates are still visited in the order of the plain triple loop.  The
+candidates are still visited in the order of the plain triple loop.  Before
+that, off the degenerate case, `_a1_window` bounds a1 for each r1: with b1
+relaxed to its real window, one Delta cut is a quadratic in a1 at each end
+of the window that opens downwards, Delta(u) >= 0 when 2 r1 > r and
+Delta_1 >= 0 when 2 r1 < r (on the other side each opens upwards and bounds
+nothing); the a1 outside the hull of their nonnegativity intervals
+(`math.isqrt` roots, widened by one) have no b1 to visit.  The
 generic prioritary index comes from `prioritary.prioritary_index_of_key`.
 Filtrations are memoized on (e, p, q, key) (Gieseker tie-breaks on walls
-are not twist-equivariant, so no twist sharing).  A broken invariant of the
-search raises `InternalError`.
+are not twist-equivariant, so no twist sharing), and the degenerate case's
+bound B on (e, p, q).  A broken invariant of the search raises
+`InternalError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, Optional, Tuple
 
 from .lattice import (
@@ -113,10 +120,12 @@ class DeltaBracket:
 
 
 _HN: Dict[tuple, Optional[Tuple[IKey, ...]]] = {}
+_B_CAP: Dict[Tuple[int, int, int], Fraction] = {}
 
 
 def clear_cache() -> None:
     _HN.clear()
+    _B_CAP.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +152,17 @@ def _quad_b_bound(m: Fraction, e: int) -> Fraction:
     # max of P over the closed quadrilateral {x in [-1, cF], x m + y in [-1, 0]}:
     # P is largest on the top edge y = -x m, where it equals
     # g(x) = (x+1)(1 - x(m + e/2)); evaluate the clipped vertex and corners.
-    cf = Fraction(*fiber_window(m.numerator, m.denominator, e))
-    s = m + Fraction(e, 2)
-    xs = [Fraction(-1), cf]
-    vertex = (1 / s - 1) / 2
-    if -1 < vertex < cf:
-        xs.append(vertex)
-    return max((x + 1) * (1 - x * s) for x in xs)
+    # Memoized on (e, p, q).
+    ck = (e, m.numerator, m.denominator)
+    if ck not in _B_CAP:
+        cf = Fraction(*fiber_window(m.numerator, m.denominator, e))
+        s = m + Fraction(e, 2)
+        xs = [Fraction(-1), cf]
+        vertex = (1 / s - 1) / 2
+        if -1 < vertex < cf:
+            xs.append(vertex)
+        _B_CAP[ck] = max((x + 1) * (1 - x * s) for x in xs)
+    return _B_CAP[ck]
 
 
 def _degenerate_c2_range(c1sq1: int, r1: int, b_cap: Fraction) -> range:
@@ -164,6 +177,60 @@ def _fiber_range(r: int, a: int, r1: int, cp: int, cq: int) -> range:
     # the a1 with |a1/r1 - a/r| < cp/cq, (cp, cq) = fiber_window(p, q, e)
     rq = r * cq
     return range((r1 * (a * cq - r * cp)) // rq + 1, -((-r1 * (a * cq + r * cp)) // rq))
+
+
+def _a1_window(vkey: IKey, mp: int, mq: int, e: int, r1: int, cp: int, cq: int) -> range:
+    """The a1 of `_fiber_range` whose b1 window may hold a b1 passing the
+    Delta cut of its side of 2 r1 = r: Delta(u) >= 0 when 2 r1 > r, Delta_1 >= 0
+    when 2 r1 < r.  A superset in integers: b1 is relaxed to the real
+    y in [num/den, num/den + r1], the cut is linear in y, and at either end
+    den times it is a quadratic in a1; the a1 kept are the hull of the two
+    nonnegativity intervals, widened by one step around `isqrt`.  The whole
+    fiber range when 2 r1 = r or a quadratic does not open downwards."""
+    r, a, b, s = vkey
+    fr = _fiber_range(r, a, r1, cp, cq)
+    t = 2 * r1 - r
+    if t == 0:
+        return fr
+    den = r * mq
+    ru = r - r1
+    # the loop's quantities as polynomials in x = a1:
+    #   num = n0 - r mp x,   ax = x0 - r x,   pnum0 = p0 + p1 x + e r^2 x^2
+    n0 = r1 * (a * mp + b * mq)
+    x0 = r1 * (a + r)
+    l0 = r1 * (2 * b + 2 * r - e * a)
+    p0 = 2 * r * r1 ** 3 + r1 * r1 * delta2(vkey, e) - x0 * l0
+    p1 = r * (l0 - e * x0)
+    if t > 0:
+        # gam = g0 + g1 x and dlt = d0 + d1 x + d2 x^2 (s1_den > 0, no flip)
+        sd = r * r1 * t
+        g0 = -2 * r * ru * x0 - 2 * sd * a
+        g1 = 2 * r * r * r1
+        d0 = sd * (2 * a * b - e * a * a - ru * s) - ru * p0
+        d1 = 2 * sd * (e * a - b) - ru * p1
+        d2 = -e * r * r * r1
+    lo, hi = fr.stop, fr.start        # the hull of nothing yet
+    for nj in (n0, n0 + r1 * den):    # den y = nj - r mp x at the two ends
+        if t > 0:
+            # den (gam y + dlt) >= 0
+            qa = den * d2 - r * mp * g1
+            qb = den * d1 + g1 * nj - r * mp * g0
+            qc = den * d0 + g0 * nj
+        else:
+            # -den (pnum0 + 2 r ax y) >= 0
+            qa = -den * e * r * r - 2 * r ** 3 * mp
+            qb = 2 * r * r * (nj + mp * x0) - den * p1
+            qc = -den * p0 - 2 * r * x0 * nj
+        if qa >= 0:
+            return fr
+        disc = qb * qb - 4 * qa * qc
+        if disc < 0:
+            continue                  # negative for every a1
+        # nonnegative for (qb - sqrt(disc)) / w <= a1 <= (qb + sqrt(disc)) / w
+        sq, w = isqrt(disc) + 1, -2 * qa
+        jlo, jhi = (qb - sq) // w + 1, -(-(qb + sq) // w)
+        lo, hi = min(lo, jlo), max(hi, jhi)
+    return range(max(fr.start, lo), min(fr.stop, hi))
 
 
 def _hn_key(key: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
@@ -200,7 +267,7 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
         s1_den = r * r1 * two_r1_minus_r
         ru = r - r1
         k1 = 2 * r * r1 ** 3 + r1 * r1 * n2v
-        for a1 in _fiber_range(r, a, r1, cp, cq):
+        for a1 in _a1_window(vkey, mp, mq, e, r1, cp, cq):
             # mu(v) <= mu(w1) < mu(v) + 1:
             #   b1 in [ (r1 degv - a1 mp r) / (r mq), same + r1 )
             num = r1 * degv - a1 * mp * r

@@ -46,10 +46,14 @@ def check_surface(e: int) -> int:
     return e
 
 
-def check_polarization(m: Rat) -> Fraction:
+def _exact_polarization(m: Rat) -> Fraction:
     if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
         raise ValueError("polarization parameter m must be an int or a Fraction, got %r" % (m,))
-    m = Fraction(m)
+    return Fraction(m)
+
+
+def check_polarization(m: Rat) -> Fraction:
+    m = _exact_polarization(m)
     if m <= 0:
         raise ValueError("polarization parameter m must be positive, got %s" % (m,))
     return m
@@ -84,7 +88,7 @@ class DivisorClass:
 
     def hm_degree(self, m: Rat) -> Fraction:
         # (aE + bF).H_m = a m + b, independently of e.
-        return self.a * Fraction(m) + self.b
+        return self.a * check_polarization(m) + self.b
 
 
 ZERO_DIV = DivisorClass(0, 0)
@@ -97,7 +101,9 @@ def canonical_divisor(e: int) -> DivisorClass:
 
 
 def polarization_divisor(m: Rat, e: int) -> DivisorClass:
-    return DivisorClass(1, Fraction(m) + e)
+    # H_m = E + (e + m)F for any exact m: the prioritary criterion also
+    # twists by H_n with n <= 0, which is not ample
+    return DivisorClass(1, _exact_polarization(m) + e)
 
 
 def fiber_window(p: int, q: int, e: int) -> Tuple[int, int]:

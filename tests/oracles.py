@@ -65,14 +65,6 @@ def mu_gap_le_one(w, x, mp, mq):
     return (w[1] * mp + w[2] * mq) * x[0] - (x[1] * mp + x[2] * mq) * w[0] <= w[0] * x[0] * mq
 
 
-def hilb_key(key, m, e):
-    """(mu, chi/r) as exact fractions (used by a few spot tests)."""
-    r, a, b, s = key
-    mu = Fraction(a * m.numerator + b * m.denominator, r * m.denominator)
-    chir = Fraction(chival(key, e), 2 * r * r)
-    return (mu, chir)
-
-
 def quad_b_bound(m, e):
     cf = max(Fraction(1), Fraction(2, 1) / (2 * m + e))
     s = m + Fraction(e, 2)

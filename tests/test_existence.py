@@ -16,6 +16,7 @@ from hirzebruch import (
     exceptional_character,
     exists_above,
     generic_prioritary_index,
+    hilbert_P,
     hn_generic,
     is_wall,
     kronecker_characters,
@@ -409,3 +410,97 @@ def test_verdict_matches_the_certificate():
             assert verdict(v, m, e) == "EMPTY" and not existence._HN
     assert seen == {"NONEMPTY", "EMPTY", "NO_PRIORITARY", "BOGOMOLOV_VIOLATION"}
     assert gap > 0
+
+
+def _window_cases(rng, e, n):
+    # n seeded characters (r, a, b, s) with r <= 7, |a|, |b| <= 5 and
+    # 0 <= Delta <= 2, each at its own s
+    out = []
+    while len(out) < n:
+        r, a, b = rng.randint(2, 7), rng.randint(-5, 5), rng.randint(-5, 5)
+        c1sq = 2 * a * b - e * a * a
+        s_hi = c1sq // r                                  # Delta >= 0
+        s = s_hi - rng.randint(0, 4 * r)
+        if c1sq - r * s <= 4 * r * r:                     # Delta <= 2
+            out.append((r, a, b, s))
+    return out
+
+
+def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
+    # brute force in Fractions: an (r1, a1) of the fiber range with a b1 in
+    # [ceil(num/den), ceil(num/den) + r1) whose pinned Delta_1 and Delta(u)
+    # are both >= 0 lies in the window (integrality of w1 is not asked)
+    rng = random.Random(43)
+    kept = total = tight = 0
+    for e in (0, 1, 2, 3):
+        for m in (Q(1, 3), Q(1, 2), Q(1), Q(12, 7), Q(3)):
+            mp, mq = m.numerator, m.denominator
+            cp, cq = existence.fiber_window(mp, mq, e)
+            for r, a, b, s in _window_cases(rng, e, 16):
+                v = ChernCharacter(r, DivisorClass(a, b), Q(s, 2))
+                nu, dv = v.nu(), v.delta(e)
+                for r1 in range(1, r):
+                    fr = existence._fiber_range(r, a, r1, cp, cq)
+                    win = existence._a1_window((r, a, b, s), mp, mq, e, r1, cp, cq)
+                    assert fr.start <= win.start and win.stop <= fr.stop or not win
+                    if 2 * r1 == r:
+                        assert win == fr
+                        continue
+                    total += len(fr)
+                    kept += len(win)
+                    for a1 in fr:
+                        b1_lo = math.ceil((r1 * (a * m + b) - a1 * m * r) / r)
+                        for b1 in range(b1_lo, b1_lo + r1):
+                            nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
+                            d1 = (r1 - r * hilbert_P(nu - nu1, e) + r * dv) / (2 * r1 - r)
+                            w1 = ChernCharacter(r1, nu1.scale(r1), r1 * (intersect(nu1, nu1, e) / 2 - d1))
+                            assert w1.delta(e) == d1
+                            if d1 >= 0 and (v - w1).delta(e) >= 0:
+                                assert a1 in win, ((r, a, b, s), e, m, r1, a1, b1)
+                                tight += 1
+    assert tight > 0 and kept < total / 4, (tight, kept, total)
+
+
+def test_a1_window_leaves_the_search_unchanged(monkeypatch):
+    # the same _prior and _hn_key calls, in the same order and with the same
+    # memo size, as with the whole fiber range, on a seeded sample of the
+    # criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
+    rng = random.Random(44)
+    slices = []
+    for e in (0, 1):
+        for m in (Q(1, 3), Q(1), Q(3, 2), Q(12, 7), Q(3)):
+            chars = []
+            while len(chars) < 400:
+                v = random_integral_character(rng, e, rmax=6, coeff=6, extra=18)
+                if v.delta(e) <= 3:
+                    chars.append(v)
+            slices.append((e, m, chars))
+    prior, hn_key = existence._prior, existence._hn_key
+
+    def run():
+        log = []
+
+        def logged_prior(key, n, e):
+            log.append(("prior", key, n, e, len(existence._HN)))
+            return prior(key, n, e)
+
+        def logged_hn_key(key, mp, mq, e):
+            log.append(("hn", key, mp, mq, e, len(existence._HN)))
+            return hn_key(key, mp, mq, e)
+
+        monkeypatch.setattr(existence, "_prior", logged_prior)
+        monkeypatch.setattr(existence, "_hn_key", logged_hn_key)
+        results = []
+        for e, m, chars in slices:
+            existence.clear_cache()
+            results += [hn_generic(v, m, e) for v in chars]
+        return log, results
+
+    windowed = run()
+    monkeypatch.setattr(
+        existence, "_a1_window",
+        lambda vkey, mp, mq, e, r1, cp, cq: existence._fiber_range(vkey[0], vkey[1], r1, cp, cq),
+    )
+    assert run() == windowed
+    assert sum(x[0] == "hn" for x in windowed[0]) > 5000
+    assert sum(dec is not None and len(dec) > 1 for dec in windowed[1]) > 100

@@ -48,6 +48,7 @@ from hirzebruch import (
     verdict,
 )
 from hirzebruch.cli import main
+from hirzebruch.dlp import strip_halfwidth
 from hirzebruch.lattice import chi2, delta2, fiber_window, from_key, int_key
 
 
@@ -302,13 +303,22 @@ def test_non_rational_polarizations_are_refused_everywhere():
         lambda m: reduce_decision(v, 3, m),
         lambda m: delta_closed_form(nu, m, 0, 3),
         lambda m: params_for_slope(nu, m, 0, 3),
+        # the formula helpers read m through the same check
+        lambda m: mu(v, m),
+        lambda m: nu.hm_degree(m),
+        lambda m: reduced_hilbert_key(v, m, 1),
+        lambda m: strip_halfwidth(m, 1),
+        # H_n with n <= 0 is used by the prioritary criterion, so only the
+        # type is checked here
+        lambda m: polarization_divisor(m, 0),
     )
-    for m in (0.5, "1/2", True, Decimal("0.5")):
+    for m in (0.5, 0.1, "1/2", True, Decimal("0.5")):
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call(m)
             assert repr(m) in str(info.value)
     for m in (0, Q(-1, 2)):
-        for call in calls[-2:]:
+        for call in calls[-7:-1]:
             with pytest.raises(ValueError, match="must be positive"):
                 call(m)
+    assert polarization_divisor(-2, 1) == DivisorClass(1, -1)
