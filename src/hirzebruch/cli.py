@@ -196,7 +196,6 @@ def cmd_kronecker(args) -> int:
     ell = args.ell
     a, b, c, d = (int(t) for t in args.abcd.split(","))
     p = kronecker.KroneckerParams(args.e, ell, a, b, c, d)
-    p.require_admissible()
     k_char, l_char, v_char = kronecker.kronecker_characters(p)
     m_v = kronecker.wall_m_v(p)
     eps = kronecker.wall_crossing_epsilon(p)

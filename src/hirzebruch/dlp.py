@@ -252,9 +252,7 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
 
 def dlp_line_bundles(nu: DivisorClass, m: Rat, e: int) -> DlpValue:
     """DLP^1_{H_m}(nu): the line-bundle-only bound (always finite)."""
-    _check_del_pezzo(e)
-    m = check_polarization(m)
-    return _scan(nu, [LINE_BUNDLES], m, e)
+    return dlp_below_rank(nu, m, e, 2)
 
 
 def dlp_below_rank(nu: DivisorClass, m: Rat, e: int, r: int, table=None) -> DlpValue:

@@ -137,7 +137,8 @@ def solve_congruence_b(r: int, a: int, e: int) -> Optional[int]:
     inv = pow(a, -1, r)
     b = (inv * (num // 2)) % r
     # the mod-r reduction is equivalent to the mod-2r congruence
-    assert (2 * a * b - num) % (2 * r) == 0
+    if (2 * a * b - num) % (2 * r) != 0:
+        raise InternalError("b = %d solves the congruence mod %d only" % (b, r))
     return b
 
 
@@ -154,7 +155,7 @@ def canonical_pair(r: int, a: int, b: int, e: int) -> Tuple[int, int]:
     else:
         ok = [c for c in cands if 2 * c[0] <= r]
     if not ok:
-        raise AssertionError("no canonical representative for (%d, %d, %d)" % (r, a, b))
+        raise InternalError("no canonical representative for (%d, %d, %d)" % (r, a, b))
     return min(ok)
 
 

@@ -22,8 +22,10 @@ enumerates first factors w_1 = (r1, a1 E + b1 F, ch2_1) with
     relations summed over the tail, which solves to
       Delta_1 = (r1 - r P(nu - nu_1) + r Delta) / (2 r1 - r)   when 2 r1 != r;
     when 2 r1 = r the identity degenerates to P(nu - nu_1) = Delta + 1/2 and
-    Delta_1 runs over its 1/r1-lattice in [0, B], B the maximum of P on the
-    closed slope-difference quadrilateral,
+    Delta_1 runs over its 1/r1-lattice where Delta_1 >= 0 and Delta(u) >= 0;
+    chi(w_1, u) = 0 then reads Delta_1 + Delta(u) = P(nu_u - nu_1), and P on
+    the strip mu(w_1) - mu(u) in [0, 2) never exceeds its maximum B on the
+    slope-difference quadrilateral, so Delta_1 <= B needs no separate cut,
 
 then recurses on u = v - w_1.  Filtration length never exceeds 4.
 
@@ -44,9 +46,8 @@ nothing); the a1 outside the hull of their nonnegativity intervals
 (`math.isqrt` roots, widened by one) have no b1 to visit.  The
 generic prioritary index comes from `prioritary.prioritary_index_of_key`.
 Filtrations are memoized on (e, p, q, key) (Gieseker tie-breaks on walls
-are not twist-equivariant, so no twist sharing), and the degenerate case's
-bound B on (e, p, q).  A broken invariant of the search raises
-`InternalError`.
+are not twist-equivariant, so no twist sharing).  A broken invariant of the
+search raises `InternalError`.
 """
 
 from __future__ import annotations
@@ -120,12 +121,10 @@ class DeltaBracket:
 
 
 _HN: Dict[tuple, Optional[Tuple[IKey, ...]]] = {}
-_B_CAP: Dict[Tuple[int, int, int], Fraction] = {}
 
 
 def clear_cache() -> None:
     _HN.clear()
-    _B_CAP.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +147,11 @@ def _validate(v: ChernCharacter, m: Rat, e: int) -> Tuple[Fraction, IKey]:
     return m, key
 
 
-def _quad_b_bound(m: Fraction, e: int) -> Fraction:
-    # max of P over the closed quadrilateral {x in [-1, cF], x m + y in [-1, 0]}:
-    # P is largest on the top edge y = -x m, where it equals
-    # g(x) = (x+1)(1 - x(m + e/2)); evaluate the clipped vertex and corners.
-    # Memoized on (e, p, q).
-    ck = (e, m.numerator, m.denominator)
-    if ck not in _B_CAP:
-        cf = Fraction(*fiber_window(m.numerator, m.denominator, e))
-        s = m + Fraction(e, 2)
-        xs = [Fraction(-1), cf]
-        vertex = (1 / s - 1) / 2
-        if -1 < vertex < cf:
-            xs.append(vertex)
-        _B_CAP[ck] = max((x + 1) * (1 - x * s) for x in xs)
-    return _B_CAP[ck]
-
-
-def _degenerate_c2_range(c1sq1: int, r1: int, b_cap: Fraction) -> range:
-    # integral w1 means s1 = c1sq1 - 2t with t = c2(w1) in Z, and then
-    # Delta_1 = (c1sq1 (1 - r1)/r1 + 2 t) / (2 r1): the t with Delta_1 in [0, B]
-    bp, bq = b_cap.numerator, b_cap.denominator
-    k = c1sq1 * (r1 - 1)
-    return range(-((-k) // (2 * r1)), (2 * r1 * r1 * bp + k * bq) // (2 * r1 * bq) + 1)
+def _degenerate_c2_range(c1sq1: int, r1: int, n2u0: int) -> range:
+    # when 2 r1 = r, integral w1 means s1 = c1sq1 - 2t with t = c2(w1) in Z,
+    # and then 2 r1^2 Delta_1 = 2 r1 t - c1sq1 (r1 - 1) and, u having rank r1,
+    # 2 r1^2 Delta(u) = n2u0 - 2 r1 t: the t with Delta_1, Delta(u) >= 0
+    return range(-((-c1sq1 * (r1 - 1)) // (2 * r1)), n2u0 // (2 * r1) + 1)
 
 
 def _fiber_range(r: int, a: int, r1: int, cp: int, cq: int) -> range:
@@ -259,7 +240,6 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
     # H_m-degree of v times (r mq): mu(v) = degv / den
     degv = a * mp + b * mq
     den = r * mq
-    b_cap = None
 
     for r1 in range(1, r):
         rr1 = r * r1
@@ -277,6 +257,7 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
             ax = dx + rr1
             # 2 r r1^2 * (r1 - r P(nu - nu1) + r Delta) = pnum0 + 2 r ax b1
             pnum0 = k1 - ax * (2 * b * r1 + 2 * rr1 - e * dx)
+            au = a - a1
             if two_r1_minus_r != 0:
                 # s1 = s1_num / s1_den with s1_num = c1sq1 r (2 r1 - r) - pnum
                 # = beta b1 + alpha, and then 2 (r - r1)^2 Delta(u) s1_den =
@@ -284,7 +265,6 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                 # integer
                 beta = 2 * r * (a1 * two_r1_minus_r - ax)
                 alpha = -e * a1 * a1 * r * two_r1_minus_r - pnum0
-                au = a - a1
                 gam = ru * beta - 2 * au * s1_den
                 dlt = (2 * au * b - e * au * au - ru * s) * s1_den + ru * alpha
                 if s1_den < 0:
@@ -327,17 +307,14 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                         continue
                     s1_list = [s1]
                 else:
-                    if b_cap is None:
-                        b_cap = _quad_b_bound(Fraction(mp, mq), e)
-                    s1_list = [c1sq1 - 2 * t for t in _degenerate_c2_range(c1sq1, r1, b_cap)]
+                    n2u0 = 2 * au * (b - b1) - e * au * au - ru * (s - c1sq1)
+                    s1_list = [c1sq1 - 2 * t for t in _degenerate_c2_range(c1sq1, r1, n2u0)]
                 for s1 in s1_list:
                     w1 = (r1, a1, b1, s1)
                     u = (r - r1, a - a1, b - b1, s - s1)
-                    # Delta_1 >= 0 holds by construction and Delta(u) >= 0 by
-                    # the b1 cut off the degenerate branch; then the cheap
-                    # prioritary gates
-                    if not two_r1_minus_r and delta2(u, e) < 0:
-                        continue
+                    # Delta_1 >= 0 and Delta(u) >= 0 hold by construction on
+                    # both branches (the b1 cut and sign test, or the t
+                    # window); then the cheap prioritary gates
                     if not _prior(w1, n0 + 1, e):
                         continue      # necessary for (5)
                     if not _prior(u, n0, e):

@@ -34,6 +34,7 @@ from .lattice import (
     DivisorClass,
     E,
     F,
+    InternalError,
     Rat,
     check_polarization,
     euler_pair,
@@ -144,13 +145,13 @@ def kronecker_characters(p: KroneckerParams) -> Tuple[ChernCharacter, ChernChara
     e, ell, k = p.e, p.ell, p.k
     k_char = line_bundle(E - F.scale(k - 1), e).scale(p.b) + line_bundle(F, e).scale(p.a)
     l_char = line_bundle(DivisorClass(0, 0), e).scale(p.d) - line_bundle(-E - F.scale(ell), e).scale(p.c)
-    assert euler_pair(k_char, l_char, e) == 0
+    if euler_pair(k_char, l_char, e) != 0:
+        raise InternalError("chi(K, L) != 0 for %r" % (p,))
     return k_char, l_char, k_char + l_char
 
 
 def wall_m_v(p: KroneckerParams) -> Fraction:
     """The unique m with mu_{H_m}(K) = mu_{H_m}(L); lies in (1 - e/2, k)."""
-    p.require_admissible()
     k_char, l_char, _ = kronecker_characters(p)
     # both slopes are linear in m: solve a1 m + b1 = a2 m + b2 over the rationals
     a1 = Fraction(k_char.c1.a, k_char.r)
@@ -159,9 +160,12 @@ def wall_m_v(p: KroneckerParams) -> Fraction:
     b2 = Fraction(l_char.c1.b, l_char.r)
     m = (b2 - b1) / (a1 - a2)
     anch = 1 - Fraction(p.e, 2)
-    assert anch < m < p.k, "wall %s escaped (1 - e/2, k)" % (m,)
-    assert m < wall_m_l(p)
-    assert mu(k_char, m) == mu(l_char, m)
+    if not anch < m < p.k:
+        raise InternalError("wall %s escaped (1 - e/2, k)" % (m,))
+    if not m < wall_m_l(p):
+        raise InternalError("wall %s is not below m_L for %r" % (m, p))
+    if mu(k_char, m) != mu(l_char, m):
+        raise InternalError("K and L have different slopes at the wall %s" % (m,))
     return m
 
 
@@ -219,7 +223,8 @@ class TriangleR:
         side = self._side_p2p3_sign(x0, y0)
         p4 = DivisorClass(Fraction(1, self.k + self.ell), Fraction(self.ell, self.k + self.ell))
         ref = self._side_p2p3_sign(p4.a, p4.b)
-        assert ref != 0
+        if ref == 0:
+            raise InternalError("P4 lies on the line P2P3 of %r" % (self,))
         if closed:
             return t1 <= 0 and t2 <= 0 and (side == 0 or side == ref)
         return t1 < 0 and t2 < 0 and side == ref

@@ -30,6 +30,7 @@ from .lattice import (
     F,
     IKey,
     IntegralityError,
+    InternalError,
     canonical_divisor,
     ceil_frac,
     check_surface,
@@ -230,7 +231,7 @@ def _normalize_into_triangle(eps: Fraction, phi: Fraction, n: int) -> Tuple[Frac
         t = ceil_frac(lo - pt)
         if pt + t <= hi:
             return et, pt + t
-    raise AssertionError("triangle normalization failed for (%s, %s)" % (eps, phi))
+    raise InternalError("triangle normalization failed for (%s, %s)" % (eps, phi))
 
 
 def delta_p(nu: DivisorClass, n: int, e: int) -> Fraction:
@@ -251,7 +252,8 @@ def delta_p(nu: DivisorClass, n: int, e: int) -> Fraction:
     l1 = -et
     l3 = -((n - 1) * et + pt)
     l2 = 1 - l1 - l3
-    assert l1 > 0 and l2 >= 0 and l3 >= 0
+    if not (l1 > 0 and l2 >= 0 and l3 >= 0):
+        raise InternalError("barycentric weights (%s, %s, %s) outside the triangle" % (l1, l2, l3))
     value = l1 * (l2 * (e + 2 * n - 2) + l3 * (e + 2 * n)) / 2
     return max(value, Fraction(0))
 
@@ -278,7 +280,8 @@ def _rank_one_cohomology(v: ChernCharacter, e: int) -> Tuple[int, int, int]:
     h2 = _h0_line(int(k.a) - a, int(k.b) - b, e)
     chi = int(euler_char(v, e))
     h1 = h0 + h2 - chi
-    assert h1 >= 0
+    if h1 < 0:
+        raise InternalError("h1 = %d < 0 for %r" % (h1, v))
     return (h0, h1, h2)
 
 
@@ -302,7 +305,8 @@ def general_cohomology(v: ChernCharacter, e: int) -> Tuple[int, int, int]:
     nu = v.nu()
     nu_dot_f = nu.a
     chi = euler_char(v, e)
-    assert chi.denominator == 1
+    if chi.denominator != 1:
+        raise InternalError("chi = %s of the integral %r is not an integer" % (chi, v))
     chi = int(chi)
     if nu_dot_f < -1:
         h0, h1, h2 = general_cohomology(serre_dual(v, e), e)

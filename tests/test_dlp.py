@@ -234,6 +234,9 @@ def test_orbit_matches_fraction_enumeration(table0, table1, tmp_path):
                 if 1 < rec.r < cut:
                     want += orbit(rec, table.e)
             assert slope_classes(table, table.e, cut) == want, (table.e, cut)
+    # below rank 2 no table is read: `dlp_line_bundles` is DLP^{<2}
+    for e in (0, 1):
+        assert slope_classes(None, e, 2) == [LINE_BUNDLES]
 
 
 def _full_box_scan(nu, m, e, classes):

@@ -413,3 +413,17 @@ def test_failed_cache_write_keeps_old_file(tmp_path, table1, monkeypatch):
 def test_is_exceptional_builds_table_on_demand():
     assert is_exceptional(exceptional_character(5, 1, 2, 0), 0)
     assert not is_exceptional(exceptional_character(7, 2, 5, 0), 0)
+
+
+# each broken invariant raises InternalError (exit 5 in `hirz`), also under -O
+def test_congruence_check_is_an_internal_error(monkeypatch):
+    # a wrong modular inverse gives b = 0, which misses 2ab = -10 (mod 6)
+    monkeypatch.setattr(exceptional, "pow", lambda *args: 0, raising=False)
+    with pytest.raises(InternalError, match="congruence"):
+        solve_congruence_b(3, 1, 0)
+
+
+def test_missing_canonical_pair_is_an_internal_error():
+    # no caller passes (2, E + F) on F_0: its four candidates all have 2a = r
+    with pytest.raises(InternalError, match="canonical"):
+        canonical_pair(2, 1, 1, 0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -28,6 +29,7 @@ from hirzebruch import (
     verdict,
 )
 from hirzebruch import dlp_below_rank, existence, intersect
+from hirzebruch.lattice import chi2, fiber_window, from_key, hilbert_P2
 from hirzebruch.prioritary import BogomolovViolation
 from oracles import DecompositionOracle, key_of
 
@@ -226,15 +228,15 @@ def test_delta_estimate_lower_above_upper_on_a_split_witness(table1):
 
 def test_degenerate_branch_against_oracle(monkeypatch):
     # even ranks r with 2 r1 = r, where Delta_1 is not pinned and runs over
-    # its lattice in [0, B]; _quad_b_bound is computed only on that branch
+    # the window of _degenerate_c2_range, which only that branch calls
     calls = []
-    real = existence._quad_b_bound
+    real = existence._degenerate_c2_range
 
-    def counting(m, e):
-        calls.append((m, e))
-        return real(m, e)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(existence, "_quad_b_bound", counting)
+    monkeypatch.setattr(existence, "_degenerate_c2_range", counting)
     cases = [
         (0, Q(9, 4), character(2, 0, -2, -1)),        # EMPTY, ranks 1 + 1
         (1, 3, character(2, 1, 3, Q(-1, 2))),         # NONEMPTY
@@ -254,20 +256,79 @@ def test_degenerate_branch_against_oracle(monkeypatch):
             assert found == [tuple(key_of(f) for f in dec.factors)]
 
 
+def _quad_b_bound(m, e):
+    """B, the max of P over the closed slope-difference quadrilateral
+    {x in [-1, cF], x m + y in [-1, 0]}: reached on its top edge y = -x m,
+    where P = (x + 1)(1 - x (m + e/2)), at a corner or the clipped vertex."""
+    m = Q(m)
+    cf = Q(*fiber_window(m.numerator, m.denominator, e))
+    s = m + Q(e, 2)
+    xs = [Q(-1), cf]
+    vertex = (1 / s - 1) / 2
+    if -1 < vertex < cf:
+        xs.append(vertex)
+    return max((x + 1) * (1 - x * s) for x in xs)
+
+
 def test_degenerate_c2_range_matches_fraction_bounds():
-    # the t = c2(w1) with Delta_1 = (c1sq1 (1 - r1)/r1 + 2t)/(2 r1) in [0, B]
-    at_top = 0
+    # for 2 r1 = r the window holds the t = c2(w1) with Delta_1 >= 0 and
+    # Delta(u) >= 0, read from the Fraction characters w1 and u = v - w1;
+    # Delta_1 grows and Delta(u) falls with t, so the two ends of each window
+    # and their outer neighbours decide it
+    at_zero = 0
     for e in range(6):
-        for m in (Q(1, 3), Q(1, 2), 1, Q(12, 7), Q(9, 4), 3):
-            b_cap = existence._quad_b_bound(m, e)
+        for r1 in range(1, 5):
+            for a1, b1, au, bu in itertools.product((0, 1), (0, 1), range(-1, 2), range(-2, 3)):
+                c1sq1 = 2 * a1 * b1 - e * a1 * a1
+                top = (2 * au * bu - e * au * au) // r1 + c1sq1    # n2u0 >= 0 up to here
+                for s in range(top - 4, top + 1):
+                    n2u0 = 2 * au * bu - e * au * au - r1 * (s - c1sq1)
+                    ts = existence._degenerate_c2_range(c1sq1, r1, n2u0)
+                    for t in {ts.start - 1, ts.start, ts.stop - 1, ts.stop}:
+                        d1 = from_key((r1, a1, b1, c1sq1 - 2 * t)).delta(e)
+                        du = from_key((r1, au, bu, s - c1sq1 + 2 * t)).delta(e)
+                        assert (t in ts) == (d1 >= 0 and du >= 0), (e, r1, a1, b1, au, bu, s, t)
+                        at_zero += t in ts and t == ts[-1] and du == 0
+    assert at_zero > 0  # windows that end exactly at Delta(u) = 0
+    # on the first factors the search meets, the window stays inside
+    # [0, B]: w1 = (r1, a1, b1) twisted into [0, r1)^2 and u = (r1, a1 + X,
+    # b1 + Y) with |X| < 2 r1 cF and mu(u) - mu(w1) = (X m + Y)/r1 in (-2, 0],
+    # i.e. nu - nu_1 = (X, Y)/(2 r1) in the slope quadrilateral, and v = w1 + u
+    # with Delta(v) = P(nu - nu_1) - 1/2, the pinning identity of 2 r1 = r
+    windows = same_end = 0
+    for e in range(6):
+        for m in (Q(1, 3), Q(1, 2), Q(1), Q(12, 7), Q(9, 4), Q(3)):
+            b_cap = _quad_b_bound(m, e)
+            bp, bq = b_cap.numerator, b_cap.denominator
+            mp, mq = m.numerator, m.denominator
+            cp, cq = fiber_window(mp, mq, e)
             for r1 in range(1, 7):
-                for c1sq1 in range(-40, 41):
-                    ts = existence._degenerate_c2_range(c1sq1, r1, b_cap)
-                    base = Q(c1sq1 * (1 - r1), r1)
-                    assert ts == range(math.ceil(-base / 2), math.floor((2 * r1 * b_cap - base) / 2) + 1)
-                    assert (base + 2 * ts[0]) / (2 * r1) >= 0
-                    at_top += (base + 2 * ts[-1]) / (2 * r1) == b_cap
-    assert at_top > 0  # windows that end exactly at Delta_1 = B
+                r = 2 * r1
+                xmax = (r * cp - 1) // cq
+                for x in range(-xmax, xmax + 1):
+                    for y in range((-r * mq - x * mp) // mq + 1, (-x * mp) // mq + 1):
+                        n2v = hilbert_P2(x, y, r, e) - r * r     # 2 r^2 Delta(v)
+                        if n2v < 0:
+                            continue
+                        for a1, b1 in itertools.product(range(r1), repeat=2):
+                            a, b = 2 * a1 + x, 2 * b1 + y
+                            c1sq = 2 * a * b - e * a * a
+                            s, rem = divmod(c1sq - n2v, r)
+                            if rem or (c1sq - s) % 2:
+                                continue                        # v not integral
+                            c1sq1 = 2 * a1 * b1 - e * a1 * a1
+                            au, bu = a1 + x, b1 + y
+                            assert chi2((r1, a1, b1, c1sq1), (r1, au, bu, s - c1sq1), e) == 0
+                            n2u0 = 2 * au * bu - e * au * au - r1 * (s - c1sq1)
+                            ts = existence._degenerate_c2_range(c1sq1, r1, n2u0)
+                            if not ts:
+                                continue
+                            windows += 1
+                            # 2 r1^2 Delta_1 at the last t against 2 r1^2 B
+                            k = c1sq1 * (r1 - 1)
+                            assert (2 * r1 * ts[-1] - k) * bq <= 2 * r1 * r1 * bp, (e, m, r1, x, y, a1, b1)
+                            same_end += ts[-1] == (2 * r1 * r1 * bp + k * bq) // (2 * r1 * bq)
+    assert same_end > 0 and windows > same_end  # some windows end where [0, B] ends
 
 
 def test_delta_estimate_bracket_sanity(table0, table1):

@@ -7,7 +7,9 @@ from hirzebruch import (
     DivisorClass,
     KroneckerDomainError,
     KroneckerParams,
+    InternalError,
     TriangleR,
+    character,
     delta_closed_form,
     delta_estimate,
     euler_pair,
@@ -17,6 +19,7 @@ from hirzebruch import (
     wall_m_l,
     wall_m_v,
 )
+from hirzebruch import kronecker
 from hirzebruch.kronecker import in_psi_interval, params_for_slope, sign_with_sqrt
 
 P_F0 = KroneckerParams(0, 3, 1, 1, 2, 15)
@@ -191,3 +194,28 @@ def test_closed_form_matches_estimator(table0, table1):
         closed = delta_closed_form(v.nu(), m, p.e, p.ell)
         bracket = delta_estimate(v.nu(), m, p.e, v.r, table)
         assert bracket.upper == closed
+
+
+# each broken invariant raises InternalError (exit 5 in `hirz`), also under -O
+def test_characters_orthogonality_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(kronecker, "euler_pair", lambda *args: 1)
+    with pytest.raises(InternalError, match="chi"):
+        kronecker_characters(P_F0)
+
+
+@pytest.mark.parametrize("name, fake, match", [
+    # K = O and L = O(E - 100 F) tie at m = 100, above k
+    ("kronecker_characters", lambda p: (character(1, 0, 0, 0), character(1, 1, -100, 0), None), "escaped"),
+    ("wall_m_l", lambda p: Q(0), "m_L"),
+    ("mu", lambda v, m: Q(v.r), "slopes"),
+])
+def test_wall_invariants_are_internal_errors(monkeypatch, name, fake, match):
+    monkeypatch.setattr(kronecker, name, fake)
+    with pytest.raises(InternalError, match=match):
+        wall_m_v(P_F1)
+
+
+def test_triangle_reference_side_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(TriangleR, "_side_p2p3_sign", lambda self, x, y: 0)
+    with pytest.raises(InternalError, match="P4"):
+        TriangleR(0, 3).contains(DivisorClass(Q(1, 5), Q(1, 3)))

@@ -10,6 +10,7 @@ from hirzebruch import (
     CH_O,
     ChernCharacter,
     DivisorClass,
+    InternalError,
     character,
     delta_p,
     euler_char,
@@ -25,6 +26,7 @@ from hirzebruch import (
     prioritary_report,
     twist,
 )
+from hirzebruch import prioritary
 from hirzebruch.prioritary import BogomolovViolation, bracket_points, prioritary_index_of_key
 
 EX4 = from_rank_slope_disc(120, DivisorClass(Q(1, 2), Q(1, 3)), Q(11, 10), 1)
@@ -293,3 +295,29 @@ def test_general_cohomology_serre_side():
         assert h0 == 0
         assert h0 - h1 + h2 == euler_char(v, e)
         done += 1
+
+
+# each broken invariant raises InternalError (exit 5 in `hirz`), also under -O
+def test_triangle_normalization_failure_is_an_internal_error(monkeypatch):
+    # a ceiling off by ten puts eps outside (-1, 0) for both signs
+    monkeypatch.setattr(prioritary, "ceil_frac", lambda x: ceil(x) + 10)
+    with pytest.raises(InternalError, match="triangle normalization"):
+        prioritary._normalize_into_triangle(Q(1, 3), Q(1, 4), 2)
+
+
+def test_delta_p_weights_outside_triangle_are_an_internal_error(monkeypatch):
+    monkeypatch.setattr(prioritary, "_normalize_into_triangle", lambda eps, phi, n: (Q(1, 2), Q(0)))
+    with pytest.raises(InternalError, match="barycentric"):
+        delta_p(DivisorClass(Q(1, 3), Q(1, 4)), 2, 0)
+
+
+def test_negative_rank_one_h1_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(prioritary, "euler_char", lambda v, e: Q(10 ** 6))
+    with pytest.raises(InternalError, match="h1"):
+        general_cohomology(character(1, 0, 0, 0), 0)
+
+
+def test_non_integral_chi_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(prioritary, "euler_char", lambda v, e: Q(1, 2))
+    with pytest.raises(InternalError, match="chi"):
+        general_cohomology(character(2, 0, 0, 0), 0)
