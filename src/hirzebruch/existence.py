@@ -37,10 +37,24 @@ reduced pair (p, q) and the fiber window as the integer pair
 pinned ch2_1 and Delta(u) are linear in b1, so the b1 loop visits only the
 arithmetic progression where ch2_1 is integral, cut to the half-line
 Delta(u) >= 0 (in the degenerate case the pinning identity fixes b1); the
-candidates are still visited in the order of the plain triple loop.  Before
-that, off the degenerate case, `_a1_window` bounds a1 for each r1: with b1
-relaxed to its real window, one Delta cut is a quadratic in a1 at each end
-of the window that opens downwards, Delta(u) >= 0 when 2 r1 > r and
+candidates are still visited in the order of the plain triple loop.
+
+Before any per-a1 work, `_first_ranks` drops each r1 whose Delta cut fails
+on the whole strip delta.H_m in [-1, 0], delta = nu - nu_1.  Write
+P(delta) = delta^2/2 + L(delta) + 1 with L = -K/2, and
+delta = c H_m/H_m^2 + t z0, where z0 = E - m F spans H_m^perp and
+z0^2 = -H_m^2.  When 2 r1 < r, Delta_1 >= 0 reads P(delta) >= Delta + r1/r;
+at 2 r1 = r the pinning asks P(delta) = Delta + 1/2; when 2 r1 > r,
+Delta(u) >= 0 reads Q(delta) = lam delta^2/2 + L(delta) + 1 >=
+(r - r1) Delta/r1 + r1/r with lam = r1/(r - r1) (lam = 1 gives P).  By the
+Hodge index theorem the maximum of Q over t is
+1 + [lam c^2/2 + c L(H_m) + L(z0)^2/(2 lam)]/H_m^2, convex in c, so its
+maximum on the strip is at c = -1 or c = 0, and an r1 whose maximum falls
+short has no first factor.  With hn = mq H_m^2, ln = 2 mq L(H_m) and
+zn = 2 mq L(z0) the test is in integers, and on 2 r1 <= r it grows with r1,
+so one bound per search.  Then, off the degenerate case, `_a1_window`
+bounds a1 for each r1 left: with b1 relaxed to its real window, one Delta
+cut is a quadratic in a1 at each end of the window that opens downwards, Delta(u) >= 0 when 2 r1 > r and
 Delta_1 >= 0 when 2 r1 < r (on the other side each opens upwards and bounds
 nothing); the a1 outside the hull of their nonnegativity intervals
 (`math.isqrt` roots, widened by one) have no b1 to visit.  The
@@ -214,6 +228,28 @@ def _a1_window(vkey: IKey, mp: int, mq: int, e: int, r1: int, cp: int, cq: int) 
     return range(max(fr.start, lo), min(fr.stop, hi))
 
 
+def _first_ranks(r: int, n2v: int, mp: int, mq: int, e: int) -> list[int]:
+    """The r1 in [1, r) whose Delta cut may hold somewhere on the strip
+    delta.H_m in [-1, 0], delta = nu - nu_1 (see the module docstring):
+    Delta_1 >= 0 (or the pinning) when 2 r1 <= r, Delta(u) >= 0 when
+    2 r1 > r; n2v = 2 r^2 Delta(v) and m = mp/mq."""
+    hn = 2 * mp + e * mq            # mq H^2
+    ln = hn + 2 * mq                # 2 mq L(H)
+    zn = 2 * mq - hn                # 2 mq L(z0), z0 = E - m F
+    k = 4 * mq * hn
+    rz = r * r * zn * zn
+    # 2 r1 <= r: k (n2v + 2 r r1 - 2 r^2) <= r^2 zn^2, increasing in r1
+    top = (rz - k * (n2v - 2 * r * r)) // (2 * r * k)
+    ranks = list(range(1, min(r // 2, top) + 1))
+    # 2 r1 > r: k ru^2 (n2v - 2 r r1) <= 4 r^2 r1 mq max(0, r1 mq - ln ru)
+    # + r^2 ru^2 zn^2, the maximum of Q at c = -1 or c = 0
+    for r1 in range(r // 2 + 1, r):
+        ru = r - r1
+        if k * ru * ru * (n2v - 2 * r * r1) <= 4 * r * r * r1 * mq * max(0, r1 * mq - ln * ru) + rz * ru * ru:
+            ranks.append(r1)
+    return ranks
+
+
 def _hn_key(key: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
     # NB: cached on the raw key.  Gieseker tie-breaking at non-generic m is
     # not twist-equivariant, so the filtration genuinely belongs to the
@@ -241,7 +277,7 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
     degv = a * mp + b * mq
     den = r * mq
 
-    for r1 in range(1, r):
+    for r1 in _first_ranks(r, n2v, mp, mq, e):
         rr1 = r * r1
         two_r1_minus_r = 2 * r1 - r
         s1_den = r * r1 * two_r1_minus_r
@@ -356,6 +392,21 @@ def _key_gt(w: IKey, x: IKey, mp: int, mq: int, e: int) -> bool:
     return chi2((1, 0, 0, 0), w, e) * rx > chi2((1, 0, 0, 0), x, e) * rw
 
 
+def _is_wall_key(key: IKey, mp: int, mq: int, e: int) -> bool:
+    """`is_wall` on an integer key, at m = mp/mq in lowest terms."""
+    r, a, b, _ = key
+    cp, cq = fiber_window(mp, mq, e)
+    degv = a * mp + b * mq
+    den = r * mq
+    for r1 in range(1, r):
+        for a1 in _fiber_range(r, a, r1, cp, cq):
+            # the b1 with mu(w1) = mu(v) is (r1 degv - a1 mp r) / (r mq); on
+            # that line the slope equals nu exactly when a1/r1 = a/r
+            if (r1 * degv - a1 * mp * r) % den == 0 and a1 * r != a * r1:
+                return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # public API
 
@@ -374,18 +425,8 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
 
 def is_wall(v: ChernCharacter, m: Rat, e: int) -> bool:
     """Does some lower-rank slope in the search quadrilateral tie with v at H_m?"""
-    m, (r, a, b, _) = _validate(v, m, e)
-    mp, mq = m.numerator, m.denominator
-    cp, cq = fiber_window(mp, mq, e)
-    degv = a * mp + b * mq
-    den = r * mq
-    for r1 in range(1, r):
-        for a1 in _fiber_range(r, a, r1, cp, cq):
-            # the b1 with mu(w1) = mu(v) is (r1 degv - a1 mp r) / (r mq); on
-            # that line the slope equals nu exactly when a1/r1 = a/r
-            if (r1 * degv - a1 * mp * r) % den == 0 and a1 * r != a * r1:
-                return True
-    return False
+    m, key = _validate(v, m, e)
+    return _is_wall_key(key, m.numerator, m.denominator, e)
 
 
 def verdict(v: ChernCharacter, m: Rat, e: int) -> str:
@@ -412,8 +453,9 @@ def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
     m, key = _validate(v, m, e)
     if delta2(key, e) < 0:
         return DecisionCertificate(BOGOMOLOV_VIOLATION, None, False)
-    wall = is_wall(v, m, e)
-    factors = _hn_key(key, m.numerator, m.denominator, e)
+    mp, mq = m.numerator, m.denominator
+    wall = _is_wall_key(key, mp, mq, e)
+    factors = _hn_key(key, mp, mq, e)
     if factors is None:
         return DecisionCertificate(NO_PRIORITARY, None, wall)
     hn = HNDecomposition(tuple(from_key(k) for k in factors), m, e)

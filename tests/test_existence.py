@@ -473,16 +473,16 @@ def test_verdict_matches_the_certificate():
     assert gap > 0
 
 
-def _window_cases(rng, e, n):
-    # n seeded characters (r, a, b, s) with r <= 7, |a|, |b| <= 5 and
-    # 0 <= Delta <= 2, each at its own s
+def _window_cases(rng, e, n, rmax=7, coeff=5, dmax=2):
+    # n seeded characters (r, a, b, s) with 2 <= r <= rmax, |a|, |b| <= coeff
+    # and 0 <= Delta <= dmax, each at its own s
     out = []
     while len(out) < n:
-        r, a, b = rng.randint(2, 7), rng.randint(-5, 5), rng.randint(-5, 5)
+        r, a, b = rng.randint(2, rmax), rng.randint(-coeff, coeff), rng.randint(-coeff, coeff)
         c1sq = 2 * a * b - e * a * a
         s_hi = c1sq // r                                  # Delta >= 0
-        s = s_hi - rng.randint(0, 4 * r)
-        if c1sq - r * s <= 4 * r * r:                     # Delta <= 2
+        s = s_hi - rng.randint(0, 2 * dmax * r)
+        if c1sq - r * s <= 2 * dmax * r * r:              # Delta <= dmax
             out.append((r, a, b, s))
     return out
 
@@ -524,8 +524,8 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
 
 def test_a1_window_leaves_the_search_unchanged(monkeypatch):
     # the same _prior and _hn_key calls, in the same order and with the same
-    # memo size, as with the whole fiber range, on a seeded sample of the
-    # criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
+    # memo size, as with every rank and the whole fiber range, on a seeded
+    # sample of the criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
     rng = random.Random(44)
     slices = []
     for e in (0, 1):
@@ -558,6 +558,7 @@ def test_a1_window_leaves_the_search_unchanged(monkeypatch):
         return log, results
 
     windowed = run()
+    monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
     monkeypatch.setattr(
         existence, "_a1_window",
         lambda vkey, mp, mq, e, r1, cp, cq: existence._fiber_range(vkey[0], vkey[1], r1, cp, cq),
@@ -565,3 +566,44 @@ def test_a1_window_leaves_the_search_unchanged(monkeypatch):
     assert run() == windowed
     assert sum(x[0] == "hn" for x in windowed[0]) > 5000
     assert sum(dec is not None and len(dec) > 1 for dec in windowed[1]) > 100
+
+
+def test_first_ranks_drop_no_rank_with_a_first_factor():
+    # brute force in Fractions: for an r1 that _first_ranks drops, no
+    # (a1, b1) of the fiber range and mu window has pinned Delta_1 >= 0 and
+    # Delta(u) >= 0 when 2 r1 != r, or meets the pinning
+    # P(nu - nu1) = Delta + 1/2 when 2 r1 = r (integrality of w1 is not asked)
+    rng = random.Random(45)
+    dropped = total = 0
+    for e in range(6):
+        for m in (Q(1, 7), Q(1, 3), Q(1, 2), Q(1), Q(12, 7), Q(9, 4), Q(3), Q(7)):
+            mp, mq = m.numerator, m.denominator
+            cp, cq = fiber_window(mp, mq, e)
+            # on F_0 at m = 1, L(z0) = 0 and nu_1 = nu meets the bounds with
+            # equality: on (3, 0, 0, -4) Delta_1 = 0 at r1 = 1 and
+            # Delta(u) = 0 at r1 = 2, on (2, 0, 0, -2) the pinning holds
+            boundary = [(3, 0, 0, -4), (2, 0, 0, -2)] if (e, m) == (0, 1) else []
+            for key in _window_cases(rng, e, 6, rmax=12, coeff=8, dmax=3) + boundary:
+                r, a, b, _ = key
+                v = from_key(key)
+                nu, dv = v.nu(), v.delta(e)
+                ranks = existence._first_ranks(r, existence.delta2(key, e), mp, mq, e)
+                assert ranks == sorted(set(ranks)) and set(ranks) <= set(range(1, r))
+                total += r - 1
+                dropped += r - 1 - len(ranks)
+                for r1 in set(range(1, r)) - set(ranks):
+                    for a1 in existence._fiber_range(r, a, r1, cp, cq):
+                        b1_lo = math.ceil((r1 * (a * m + b) - a1 * m * r) / r)
+                        for b1 in range(b1_lo, b1_lo + r1):
+                            nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
+                            p = hilbert_P(nu - nu1, e)
+                            where = (key, e, m, r1, a1, b1)
+                            if 2 * r1 == r:
+                                assert p != dv + Q(1, 2), where
+                                continue
+                            d1 = (r1 - r * p + r * dv) / (2 * r1 - r)
+                            if d1 >= 0:
+                                w1 = ChernCharacter(r1, nu1.scale(r1), r1 * (intersect(nu1, nu1, e) / 2 - d1))
+                                assert w1.delta(e) == d1
+                                assert (v - w1).delta(e) < 0, where
+    assert 2 * dropped >= total, (dropped, total)
