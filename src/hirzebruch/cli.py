@@ -196,9 +196,9 @@ def cmd_kronecker(args) -> int:
     ell = args.ell
     a, b, c, d = (int(t) for t in args.abcd.split(","))
     p = kronecker.KroneckerParams(args.e, ell, a, b, c, d)
-    k_char, l_char, v_char = kronecker.kronecker_characters(p)
-    m_v = kronecker.wall_m_v(p)
-    eps = kronecker.wall_crossing_epsilon(p)
+    k_char, l_char, v_char = chars = kronecker.kronecker_characters(p)
+    m_v = kronecker.wall_m_v(p, chars)
+    eps = kronecker.wall_crossing_epsilon(p, chars)
     out = {
         "k": char_obj(k_char),
         "l": char_obj(l_char),

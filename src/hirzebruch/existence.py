@@ -392,6 +392,12 @@ def _key_gt(w: IKey, x: IKey, mp: int, mq: int, e: int) -> bool:
     return chi2((1, 0, 0, 0), w, e) * rx > chi2((1, 0, 0, 0), x, e) * rw
 
 
+def _characters(v: ChernCharacter, factors: Tuple[IKey, ...]) -> Tuple[ChernCharacter, ...]:
+    # a length-one filtration is (key of v,), and v is frozen and equal to
+    # from_key of its key with Fraction fields: hand back v itself
+    return (v,) if len(factors) == 1 else tuple(from_key(k) for k in factors)
+
+
 def _is_wall_key(key: IKey, mp: int, mq: int, e: int) -> bool:
     """`is_wall` on an integer key, at m = mp/mq in lowest terms."""
     r, a, b, _ = key
@@ -420,7 +426,7 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
     factors = _hn_key(key, m.numerator, m.denominator, e)
     if factors is None:
         return None
-    return HNDecomposition(tuple(from_key(k) for k in factors), m, e)
+    return HNDecomposition(_characters(v, factors), m, e)
 
 
 def is_wall(v: ChernCharacter, m: Rat, e: int) -> bool:
@@ -458,7 +464,7 @@ def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
     factors = _hn_key(key, mp, mq, e)
     if factors is None:
         return DecisionCertificate(NO_PRIORITARY, None, wall)
-    hn = HNDecomposition(tuple(from_key(k) for k in factors), m, e)
+    hn = HNDecomposition(_characters(v, factors), m, e)
     verdict = NONEMPTY if len(factors) == 1 else EMPTY
     return DecisionCertificate(verdict, hn, wall)
 

@@ -150,9 +150,10 @@ def kronecker_characters(p: KroneckerParams) -> Tuple[ChernCharacter, ChernChara
     return k_char, l_char, k_char + l_char
 
 
-def wall_m_v(p: KroneckerParams) -> Fraction:
-    """The unique m with mu_{H_m}(K) = mu_{H_m}(L); lies in (1 - e/2, k)."""
-    k_char, l_char, _ = kronecker_characters(p)
+def wall_m_v(p: KroneckerParams, chars=None) -> Fraction:
+    """The unique m with mu_{H_m}(K) = mu_{H_m}(L); lies in (1 - e/2, k).
+    `chars` is `kronecker_characters(p)` when the caller already has it."""
+    k_char, l_char, _ = chars or kronecker_characters(p)
     # both slopes are linear in m: solve a1 m + b1 = a2 m + b2 over the rationals
     a1 = Fraction(k_char.c1.a, k_char.r)
     b1 = Fraction(k_char.c1.b, k_char.r)
@@ -292,14 +293,14 @@ def params_for_slope(nu: DivisorClass, m: Rat, e: int, ell: int) -> KroneckerPar
     return p
 
 
-def wall_crossing_epsilon(p: KroneckerParams) -> Fraction:
+def wall_crossing_epsilon(p: KroneckerParams, chars=None) -> Fraction:
     """Largest eps = 10^-j (j <= MAX_EPS_EXPONENT) for which the engine
     confirms the generic H_{m_V + eps}-filtration (k, l); the chosen eps is
-    part of the reported result."""
+    part of the reported result.  `chars` as in `wall_m_v`."""
     from .existence import hn_generic
 
-    k_char, l_char, v_char = kronecker_characters(p)
-    m_v = wall_m_v(p)
+    k_char, l_char, v_char = chars = chars or kronecker_characters(p)
+    m_v = wall_m_v(p, chars)
     for j in range(1, MAX_EPS_EXPONENT + 1):
         eps = Fraction(1, 10 ** j)
         dec = hn_generic(v_char, m_v + eps, p.e)

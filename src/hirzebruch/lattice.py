@@ -19,6 +19,10 @@ All arithmetic is exact rational (`fractions.Fraction`); floats are never
 used, and serialization keeps rationals as lowest-terms "p/q" strings.  The
 integer kernels are `hilbert_P2` (2 L^2 P on slopes over L) and, on keys
 (r, a, b, 2 ch2) from `int_key` (`from_key` inverts it), `delta2` and `chi2`.
+`int_key` reads numerators and denominators and builds no `Fraction`;
+`from_key` builds each field's `Fraction` once.  The constructors accept
+only `int` (not `bool`) and `Fraction` coefficients, as `check_polarization`
+does for m, and keep a `Fraction` as it is.
 """
 
 from __future__ import annotations
@@ -46,14 +50,17 @@ def check_surface(e: int) -> int:
     return e
 
 
-def _exact_polarization(m: Rat) -> Fraction:
-    if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
-        raise ValueError("polarization parameter m must be an int or a Fraction, got %r" % (m,))
-    return Fraction(m)
+def _exact(x: Rat, what: str) -> Fraction:
+    # type(x) is Fraction skips Fraction(x), whose numbers.Rational check is slow
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError("%s must be an int or a Fraction, got %r" % (what, x))
+    return Fraction(x)
 
 
 def check_polarization(m: Rat) -> Fraction:
-    m = _exact_polarization(m)
+    m = _exact(m, "polarization parameter m")
     if m <= 0:
         raise ValueError("polarization parameter m must be positive, got %s" % (m,))
     return m
@@ -67,8 +74,10 @@ class DivisorClass:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", _exact(self.a, "divisor coefficient a"))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", _exact(self.b, "divisor coefficient b"))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -103,7 +112,7 @@ def canonical_divisor(e: int) -> DivisorClass:
 def polarization_divisor(m: Rat, e: int) -> DivisorClass:
     # H_m = E + (e + m)F for any exact m: the prioritary criterion also
     # twists by H_n with n <= 0, which is not ample
-    return DivisorClass(1, _exact_polarization(m) + e)
+    return DivisorClass(1, _exact(m, "polarization parameter m") + e)
 
 
 def fiber_window(p: int, q: int, e: int) -> Tuple[int, int]:
@@ -160,9 +169,10 @@ class ChernCharacter:
     ch2: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 0:
+        if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 0:
             raise ValueError("rank must be a non-negative integer, got %r" % (self.r,))
-        object.__setattr__(self, "ch2", Fraction(self.ch2))
+        if type(self.ch2) is not Fraction:
+            object.__setattr__(self, "ch2", _exact(self.ch2, "ch2"))
 
     def nu(self) -> DivisorClass:
         if self.r <= 0:
@@ -195,19 +205,20 @@ class ChernCharacter:
 
 def int_key(v: ChernCharacter) -> IKey:
     """The key (r, a, b, 2 ch2) of v; ValueError unless r >= 1 and a, b, 2 ch2 are integers."""
-    a, b, s = v.c1.a, v.c1.b, 2 * v.ch2
-    if v.r < 1 or a.denominator != 1 or b.denominator != 1 or s.denominator != 1:
+    a, b, ch2 = v.c1.a, v.c1.b, v.ch2
+    # 2 ch2 is an integer exactly when ch2's denominator is 1 or 2
+    if v.r < 1 or a.denominator != 1 or b.denominator != 1 or ch2.denominator > 2:
         raise ValueError("not a character of positive rank with integral c1 and 2 ch2: %r" % (v,))
-    return (v.r, a.numerator, b.numerator, s.numerator)
+    return (v.r, a.numerator, b.numerator, 2 * ch2.numerator // ch2.denominator)
 
 
 def from_key(key: IKey) -> ChernCharacter:
     r, a, b, s = key
-    return ChernCharacter(r, DivisorClass(a, b), Fraction(s, 2))
+    return ChernCharacter(r, DivisorClass(Fraction(a), Fraction(b)), Fraction(s, 2))
 
 
 def character(r: int, a: Rat, b: Rat, ch2: Rat) -> ChernCharacter:
-    return ChernCharacter(r, DivisorClass(a, b), Fraction(ch2))
+    return ChernCharacter(r, DivisorClass(a, b), ch2)
 
 
 def line_bundle(d: DivisorClass, e: int) -> ChernCharacter:

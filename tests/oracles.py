@@ -100,13 +100,15 @@ class DecompositionOracle:
 
     def _first_factors(self, vkey):
         """All (r1, a1, b1, s1) with slope in the closed quadrilateral around
-        nu(v) and Delta_1 in [0, B] on the integral lattice."""
+        nu(v), Delta_1 in [0, B] and Delta(v - w1) >= 0 on the integral
+        lattice."""
         e, mp, mq = self.e, self.mp, self.mq
         cp, cq, bp, bq = self.cp, self.cq, self.bp, self.bq
         r, a, b, s = vkey
         rq = r * cq
         out = []
         for r1 in range(1, r):
+            ru = r - r1
             # |a1/r1 - a/r| <= cp/cq: a1 in [r1 (a cq - cp r), r1 (a cq + cp r)] / (r cq)
             alo = -((-r1 * (a * cq - cp * r)) // rq)
             ahi = r1 * (a * cq + cp * r) // rq
@@ -124,7 +126,11 @@ class DecompositionOracle:
                     k = c1sq * (1 - r1)
                     tlo = -(k // (2 * r1))
                     thi = (2 * r1 * r1 * bp - k * bq) // (2 * r1 * bq)
-                    for t in range(tlo, thi + 1):
+                    # and u = v - w1 has 2 ru^2 Delta(u) = n - 2 ru t >= 0,
+                    # a filter `decompositions` applies anyway
+                    au, bu = a - a1, b - b1
+                    tu = (2 * au * bu - e * au * au - ru * (s - c1sq)) // (2 * ru)
+                    for t in range(tlo, min(thi, tu) + 1):
                         out.append((r1, a1, b1, c1sq - 2 * t))
         return out
 

@@ -29,7 +29,7 @@ from hirzebruch import (
     verdict,
 )
 from hirzebruch import dlp_below_rank, existence, intersect
-from hirzebruch.lattice import chi2, fiber_window, from_key, hilbert_P2
+from hirzebruch.lattice import chi2, fiber_window, from_key, hilbert_P2, int_key
 from hirzebruch.prioritary import BogomolovViolation
 from oracles import DecompositionOracle, key_of
 
@@ -45,6 +45,38 @@ def test_rank_one():
             assert moduli_nonempty(CH_O, m, e).verdict == "NONEMPTY"
     with pytest.raises(BogomolovViolation):
         hn_generic(character(1, 0, 0, 1), 1, 0)  # Delta = -1
+
+
+def test_hn_factors_are_the_characters_of_their_keys():
+    # a length-one filtration hands back v itself, which equals
+    # from_key(int_key(v)); longer ones are built from their keys.  Either
+    # way every field has the exact type Fraction
+    rng = random.Random(67)
+    lengths = set()
+    for e, m in ((0, Q(1, 3)), (1, Q(3, 2)), (0, Q(12, 7)), (1, 3)):
+        for _ in range(80):
+            v = random_integral_character(rng, e, rmax=6, coeff=4)
+            dec = hn_generic(v, m, e)
+            if dec is None:
+                continue
+            lengths.add(len(dec))
+            if len(dec) == 1:
+                assert dec.factors == (from_key(int_key(v)),)
+                assert moduli_nonempty(v, m, e).hn.factors == dec.factors
+            for f in dec.factors:
+                assert type(f.r) is int and all(type(x) is Q for x in (f.c1.a, f.c1.b, f.ch2))
+    assert {1, 2, 3} <= lengths
+    # longer filtrations are unchanged
+    cases = [
+        (0, Q(1, 3), character(4, 0, -1, -2), [(1, 0, 0, 0), (3, 0, -1, -2)]),
+        (0, Q(1, 3), character(6, -1, 2, -2), [(2, -2, 2, -2), (1, 1, 0, 0), (3, 0, 0, 0)]),
+        (0, Q(1, 3), character(5, -1, 3, -2),
+         [(1, 0, 1, 0), (2, -2, 2, -2), (1, 1, 0, 0), (1, 0, 0, 0)]),
+    ]
+    for e, m, v, factors in cases:
+        want = tuple(character(*f) for f in factors)
+        assert hn_generic(v, m, e).factors == want
+        assert moduli_nonempty(v, m, e).hn.factors == want
 
 
 def test_worked_hn_examples():

@@ -10,6 +10,7 @@ from conftest import random_integral_character
 from hirzebruch import (
     BogomolovViolation,
     CH_O,
+    ChernCharacter,
     DivisorClass,
     E,
     F,
@@ -49,7 +50,7 @@ from hirzebruch import (
 )
 from hirzebruch.cli import main
 from hirzebruch.dlp import strip_halfwidth
-from hirzebruch.lattice import chi2, delta2, fiber_window, from_key, int_key
+from hirzebruch.lattice import ZERO_DIV, check_polarization, chi2, delta2, fiber_window, from_key, int_key
 
 
 def test_intersection_form():
@@ -222,11 +223,20 @@ def test_kronecker_pair_key_order_past_wall():
 
 def test_integer_key_round_trip():
     rng = random.Random(41)
+    odd_negative = 0
     for _ in range(500):
         key = (rng.randint(1, 12), rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-60, 60))
+        odd_negative += key[3] < 0 and key[3] % 2 == 1
         v = from_key(key)
         assert (v.r, v.c1, 2 * v.ch2) == (key[0], DivisorClass(key[1], key[2]), key[3])
         assert int_key(v) == key and all(type(t) is int for t in int_key(v))
+        # every field is built as an exact Fraction, also through character()
+        for w in (v, from_key(int_key(v)), character(key[0], key[1], key[2], Q(key[3], 2))):
+            assert w == v and all(type(x) is Q for x in (w.c1.a, w.c1.b, w.ch2))
+    assert odd_negative >= 50
+    # an int coefficient becomes a Fraction, a Fraction is kept as it is
+    half = Q(1, 2)
+    assert character(2, 1, -3, half).ch2 is half
     for _ in range(300):
         e = rng.randint(0, 3)
         v = random_integral_character(rng, e)
@@ -235,12 +245,38 @@ def test_integer_key_round_trip():
     assert int_key(character(2, 1, 1, Q(1, 2))) == (2, 1, 1, 1)
 
 
-# rank 0, a half-integral E- or F-coefficient, and 2 ch2 = 1/3
+def test_non_rational_coefficients_are_refused_by_the_constructors():
+    # DivisorClass and ChernCharacter take only int and Fraction, as
+    # check_polarization does for m: a float, a string, a bool or a Decimal
+    # is refused by name, never rounded, parsed or read as 0 or 1
+    builds = (
+        lambda x: DivisorClass(x, 0),
+        lambda x: DivisorClass(0, x),
+        lambda x: ChernCharacter(x, ZERO_DIV, 0),
+        lambda x: ChernCharacter(1, ZERO_DIV, x),
+        lambda x: character(2, x, 0, 0),
+        lambda x: character(2, 0, x, 0),
+        lambda x: character(2, 0, 0, x),
+    )
+    for x in (0.5, 0.1, "1/3", True, False, Decimal("0.5"), None):
+        for build in builds:
+            with pytest.raises(ValueError) as info:
+                build(x)
+            assert repr(x) in str(info.value)
+    with pytest.raises(ValueError, match="0.5"):
+        DivisorClass(0.5, "1/3")
+
+
+# rank 0, a half-integral E- or F-coefficient, a third in b, and 2 ch2 =
+# 1/3, 2/3 or -5/2 (ch2 of denominator 6, 3 and 4)
 NO_KEY = (
     character(0, 1, 1, 0),
     character(2, Q(1, 2), 1, 0),
     character(2, 1, Q(1, 2), 0),
+    character(2, 1, Q(-1, 3), 0),
     character(3, 1, 1, Q(1, 6)),
+    character(2, 1, 1, Q(1, 3)),
+    character(3, 0, 0, Q(-5, 4)),
 )
 
 
@@ -317,8 +353,11 @@ def test_non_rational_polarizations_are_refused_everywhere():
             with pytest.raises(ValueError) as info:
                 call(m)
             assert repr(m) in str(info.value)
-    for m in (0, Q(-1, 2)):
-        for call in calls[-7:-1]:
+    for m in (0, Q(0), Q(-1, 2)):
+        for call in calls[-7:-1] + (check_polarization,):
             with pytest.raises(ValueError, match="must be positive"):
                 call(m)
+    # a positive Fraction is returned as it is, an int becomes one
+    m = Q(12, 7)
+    assert check_polarization(m) is m and type(check_polarization(3)) is Q
     assert polarization_divisor(-2, 1) == DivisorClass(1, -1)
