@@ -15,17 +15,18 @@ v = w_1 + ... + w_k with
 and moduli nonemptiness for v itself is equivalent to k = 1.  The search
 enumerates first factors w_1 = (r1, a1 E + b1 F, ch2_1) with
 
-  * r1 in [1, r-1] and slope inside the open quadrilateral
-      |(nu_1 - nu).F| < max(1, 2/(e+2m)),   mu(v) <= mu(w_1) < mu(v) + 1
-    (the first factor carries the maximal slope),
+  * r1 in [1, r-1] and slope inside the quadrilateral
+      |(nu_1 - nu).F| < max(1, 2/(e+2m)),   mu(v) <= mu(w_1) <= mu(v) + (r - r1)/r
+    (the first factor carries the maximal slope; past the right end
+    mu(w_1) - mu(u) > 1 for u = v - w_1, and the last factor of any tail
+    has mu <= mu(u), so (3) fails for every tail),
   * Delta_1 pinned by chi(w_1, v) = chi(w_1, w_1), i.e. the orthogonality
     relations summed over the tail, which solves to
       Delta_1 = (r1 - r P(nu - nu_1) + r Delta) / (2 r1 - r)   when 2 r1 != r;
     when 2 r1 = r the identity degenerates to P(nu - nu_1) = Delta + 1/2 and
     Delta_1 runs over its 1/r1-lattice where Delta_1 >= 0 and Delta(u) >= 0;
-    chi(w_1, u) = 0 then reads Delta_1 + Delta(u) = P(nu_u - nu_1), and P on
-    the strip mu(w_1) - mu(u) in [0, 2) never exceeds its maximum B on the
-    slope-difference quadrilateral, so Delta_1 <= B needs no separate cut,
+    chi(w_1, u) = 0 then reads Delta_1 + Delta(u) = P(nu_u - nu_1), so the
+    cut Delta(u) >= 0 also bounds Delta_1 from above,
 
 then recurses on u = v - w_1.  Filtration length never exceeds 4.
 
@@ -40,23 +41,27 @@ Delta(u) >= 0 (in the degenerate case the pinning identity fixes b1); the
 candidates are still visited in the order of the plain triple loop.
 
 Before any per-a1 work, `_first_ranks` drops each r1 whose Delta cut fails
-on the whole strip delta.H_m in [-1, 0], delta = nu - nu_1.  Write
-P(delta) = delta^2/2 + L(delta) + 1 with L = -K/2, and
-delta = c H_m/H_m^2 + t z0, where z0 = E - m F spans H_m^perp and
+on the whole strip delta.H_m in [-(r - r1)/r, 0] of the mu window,
+delta = nu - nu_1.  Write P(delta) = delta^2/2 + L(delta) + 1 with L = -K/2,
+and delta = c H_m/H_m^2 + t z0, where z0 = E - m F spans H_m^perp and
 z0^2 = -H_m^2.  When 2 r1 < r, Delta_1 >= 0 reads P(delta) >= Delta + r1/r;
 at 2 r1 = r the pinning asks P(delta) = Delta + 1/2; when 2 r1 > r,
 Delta(u) >= 0 reads Q(delta) = lam delta^2/2 + L(delta) + 1 >=
 (r - r1) Delta/r1 + r1/r with lam = r1/(r - r1) (lam = 1 gives P).  By the
 Hodge index theorem the maximum of Q over t is
 1 + [lam c^2/2 + c L(H_m) + L(z0)^2/(2 lam)]/H_m^2, convex in c, so its
-maximum on the strip is at c = -1 or c = 0, and an r1 whose maximum falls
-short has no first factor.  With hn = mq H_m^2, ln = 2 mq L(H_m) and
-zn = 2 mq L(z0) the test is in integers, and on 2 r1 <= r it grows with r1,
-so one bound per search.  Then, off the degenerate case, `_a1_window`
-bounds a1 for each r1 left: with b1 relaxed to its real window, one Delta
-cut is a quadratic in a1 at each end of the window that opens downwards, Delta(u) >= 0 when 2 r1 > r and
-Delta_1 >= 0 when 2 r1 < r (on the other side each opens upwards and bounds
-nothing); the a1 outside the hull of their nonnegativity intervals
+maximum on the strip is at an end.  At c = -(r - r1)/r the bracket falls
+short of its value at c = 0 by (r - r1)/r (L(H_m) - x/(2r)), x = r1 when
+2 r1 > r and r - r1 otherwise, and L(H_m) = m + e/2 + 1 > 1/2 > x/(2r): the
+maximum is at c = 0 on both sides, and an r1 whose maximum falls short has
+no first factor.  With hn = mq H_m^2, k = 4 mq hn and zn = 2 mq L(z0) the
+test reads k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2 in integers, one
+threshold on max(r1, r - r1) per search.  Then, off the degenerate case,
+`_a1_window` bounds a1 for each r1 left: with b1 relaxed to the real mu
+window, one Delta cut is a quadratic in a1 at each end of the window that
+opens downwards, Delta(u) >= 0 when 2 r1 > r and Delta_1 >= 0 when
+2 r1 < r (on the other side each opens upwards and bounds nothing); the a1
+outside the hull of their nonnegativity intervals
 (`math.isqrt` roots, widened by one) have no b1 to visit.  The
 generic prioritary index comes from `prioritary.prioritary_index_of_key`.
 Filtrations are memoized on (e, p, q, key) (Gieseker tie-breaks on walls
@@ -174,14 +179,22 @@ def _fiber_range(r: int, a: int, r1: int, cp: int, cq: int) -> range:
     return range((r1 * (a * cq - r * cp)) // rq + 1, -((-r1 * (a * cq + r * cp)) // rq))
 
 
+def _mu_window(num: int, den: int, r1: int, ru: int, mq: int) -> Tuple[int, int]:
+    # the b1 with mu(v) <= mu(w1) <= mu(v) + ru/r, i.e. num/den <= b1 <=
+    # (num + r1 ru mq)/den: past the right end mu(w1) - mu(u) > 1, and the
+    # last factor of any tail has mu <= mu(u), so (3) fails
+    return -((-num) // den), (num + r1 * ru * mq) // den + 1
+
+
 def _a1_window(vkey: IKey, mp: int, mq: int, e: int, r1: int, cp: int, cq: int) -> range:
     """The a1 of `_fiber_range` whose b1 window may hold a b1 passing the
     Delta cut of its side of 2 r1 = r: Delta(u) >= 0 when 2 r1 > r, Delta_1 >= 0
     when 2 r1 < r.  A superset in integers: b1 is relaxed to the real
-    y in [num/den, num/den + r1], the cut is linear in y, and at either end
-    den times it is a quadratic in a1; the a1 kept are the hull of the two
-    nonnegativity intervals, widened by one step around `isqrt`.  The whole
-    fiber range when 2 r1 = r or a quadratic does not open downwards."""
+    y in [num/den, (num + r1 (r - r1) mq)/den] of `_mu_window`, the cut is
+    linear in y, and at either end den times it is a quadratic in a1; the
+    a1 kept are the hull of the two nonnegativity intervals, widened by one
+    step around `isqrt`.  The whole fiber range when 2 r1 = r or a
+    quadratic does not open downwards."""
     r, a, b, s = vkey
     fr = _fiber_range(r, a, r1, cp, cq)
     t = 2 * r1 - r
@@ -205,7 +218,7 @@ def _a1_window(vkey: IKey, mp: int, mq: int, e: int, r1: int, cp: int, cq: int) 
         d1 = 2 * sd * (e * a - b) - ru * p1
         d2 = -e * r * r * r1
     lo, hi = fr.stop, fr.start        # the hull of nothing yet
-    for nj in (n0, n0 + r1 * den):    # den y = nj - r mp x at the two ends
+    for nj in (n0, n0 + r1 * ru * mq):  # den y = nj - r mp x at the two ends
         if t > 0:
             # den (gam y + dlt) >= 0
             qa = den * d2 - r * mp * g1
@@ -230,24 +243,15 @@ def _a1_window(vkey: IKey, mp: int, mq: int, e: int, r1: int, cp: int, cq: int) 
 
 def _first_ranks(r: int, n2v: int, mp: int, mq: int, e: int) -> list[int]:
     """The r1 in [1, r) whose Delta cut may hold somewhere on the strip
-    delta.H_m in [-1, 0], delta = nu - nu_1 (see the module docstring):
-    Delta_1 >= 0 (or the pinning) when 2 r1 <= r, Delta(u) >= 0 when
-    2 r1 > r; n2v = 2 r^2 Delta(v) and m = mp/mq."""
+    delta.H_m in [-(r - r1)/r, 0], delta = nu - nu_1 (see the module
+    docstring): Delta_1 >= 0 (or the pinning) when 2 r1 <= r, Delta(u) >= 0
+    when 2 r1 > r; n2v = 2 r^2 Delta(v) and m = mp/mq."""
     hn = 2 * mp + e * mq            # mq H^2
-    ln = hn + 2 * mq                # 2 mq L(H)
     zn = 2 * mq - hn                # 2 mq L(z0), z0 = E - m F
     k = 4 * mq * hn
-    rz = r * r * zn * zn
-    # 2 r1 <= r: k (n2v + 2 r r1 - 2 r^2) <= r^2 zn^2, increasing in r1
-    top = (rz - k * (n2v - 2 * r * r)) // (2 * r * k)
-    ranks = list(range(1, min(r // 2, top) + 1))
-    # 2 r1 > r: k ru^2 (n2v - 2 r r1) <= 4 r^2 r1 mq max(0, r1 mq - ln ru)
-    # + r^2 ru^2 zn^2, the maximum of Q at c = -1 or c = 0
-    for r1 in range(r // 2 + 1, r):
-        ru = r - r1
-        if k * ru * ru * (n2v - 2 * r * r1) <= 4 * r * r * r1 * mq * max(0, r1 * mq - ln * ru) + rz * ru * ru:
-            ranks.append(r1)
-    return ranks
+    # the maximum at c = 0 on both sides: k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2
+    need = -((r * r * zn * zn - k * n2v) // (2 * r * k))
+    return [r1 for r1 in range(1, r) if max(r1, r - r1) >= need]
 
 
 def _hn_key(key: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
@@ -284,11 +288,8 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
         ru = r - r1
         k1 = 2 * r * r1 ** 3 + r1 * r1 * n2v
         for a1 in _a1_window(vkey, mp, mq, e, r1, cp, cq):
-            # mu(v) <= mu(w1) < mu(v) + 1:
-            #   b1 in [ (r1 degv - a1 mp r) / (r mq), same + r1 )
-            num = r1 * degv - a1 * mp * r
-            b1_lo = -((-num) // den)          # ceil(num/den)
-            b1_hi_excl = b1_lo + r1
+            # mu(v) <= mu(w1) <= mu(v) + ru/r
+            b1_lo, b1_hi_excl = _mu_window(r1 * degv - a1 * mp * r, den, r1, ru, mq)
             dx = a * r1 - a1 * r
             ax = dx + rr1
             # 2 r r1^2 * (r1 - r P(nu - nu1) + r Delta) = pnum0 + 2 r ax b1
@@ -365,7 +366,8 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                     if not _key_gt(w1, tail[0], mp, mq, e):
                         continue      # condition (2)
                     last = tail[-1]
-                    # condition (3): mu(w1) - mu(last) <= 1
+                    # condition (3): mu(w1) - mu(last) <= 1, which the mu
+                    # window settles only for a tail of length one
                     if (a1 * mp + b1 * mq) * last[0] - (last[1] * mp + last[2] * mq) * r1 > r1 * last[0] * mq:
                         continue
                     if any(chi2(w1, f, e) != 0 for f in tail):

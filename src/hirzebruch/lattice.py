@@ -22,7 +22,8 @@ integer kernels are `hilbert_P2` (2 L^2 P on slopes over L) and, on keys
 `int_key` reads numerators and denominators and builds no `Fraction`;
 `from_key` builds each field's `Fraction` once.  The constructors accept
 only `int` (not `bool`) and `Fraction` coefficients, as `check_polarization`
-does for m, and keep a `Fraction` as it is.
+does for m, and keep a `Fraction` as it is; so do `DivisorClass.scale` for
+its factor and `from_rank_slope_disc` for Delta.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class DivisorClass:
         return DivisorClass(-self.a, -self.b)
 
     def scale(self, t: Rat) -> "DivisorClass":
-        t = Fraction(t)
+        t = _exact(t, "scale factor")
         return DivisorClass(t * self.a, t * self.b)
 
     def is_integral(self) -> bool:
@@ -287,14 +288,15 @@ def from_rank_slope_disc(r: int, nu: DivisorClass, delta: Rat, e: int) -> ChernC
     """Integral character with invariants (r, nu, Delta), or IntegralityError."""
     if not isinstance(r, int) or r <= 0:
         raise ValueError("rank must be a positive integer, got %r" % (r,))
+    delta = _exact(delta, "discriminant Delta")
     c1 = nu.scale(r)
     if not c1.is_integral():
         raise IntegralityError("r*nu = %r is not an integral divisor class" % (c1,))
-    ch2 = r * (Fraction(1, 2) * intersect(nu, nu, e) - Fraction(delta))
+    ch2 = r * (Fraction(1, 2) * intersect(nu, nu, e) - delta)
     v = ChernCharacter(r, c1, ch2)
     if v.second_chern(e).denominator != 1:
         raise IntegralityError(
-            "no integral character with r=%d, nu=(%s,%s), Delta=%s" % (r, nu.a, nu.b, Fraction(delta))
+            "no integral character with r=%d, nu=(%s,%s), Delta=%s" % (r, nu.a, nu.b, delta)
         )
     return v
 

@@ -519,10 +519,17 @@ def _window_cases(rng, e, n, rmax=7, coeff=5, dmax=2):
     return out
 
 
+def _spread_b1(r, a, b, m, r1, a1):
+    # the b1 with mu(v) <= mu(w1) <= mu(v) + (r - r1)/r, in Fractions: past
+    # the right end mu(w1) - mu(v - w1) > 1
+    lo = (r1 * (a * m + b) - a1 * m * r) / r
+    return range(math.ceil(lo), math.floor(lo + Q(r1 * (r - r1), r)) + 1)
+
+
 def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
-    # brute force in Fractions: an (r1, a1) of the fiber range with a b1 in
-    # [ceil(num/den), ceil(num/den) + r1) whose pinned Delta_1 and Delta(u)
-    # are both >= 0 lies in the window (integrality of w1 is not asked)
+    # brute force in Fractions: an (r1, a1) of the fiber range with a b1 of
+    # the spread window whose pinned Delta_1 and Delta(u) are both >= 0 lies
+    # in the window (integrality of w1 is not asked)
     rng = random.Random(43)
     kept = total = tight = 0
     for e in (0, 1, 2, 3):
@@ -542,8 +549,7 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
                     total += len(fr)
                     kept += len(win)
                     for a1 in fr:
-                        b1_lo = math.ceil((r1 * (a * m + b) - a1 * m * r) / r)
-                        for b1 in range(b1_lo, b1_lo + r1):
+                        for b1 in _spread_b1(r, a, b, m, r1, a1):
                             nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
                             d1 = (r1 - r * hilbert_P(nu - nu1, e) + r * dv) / (2 * r1 - r)
                             w1 = ChernCharacter(r1, nu1.scale(r1), r1 * (intersect(nu1, nu1, e) / 2 - d1))
@@ -600,9 +606,81 @@ def test_a1_window_leaves_the_search_unchanged(monkeypatch):
     assert sum(dec is not None and len(dec) > 1 for dec in windowed[1]) > 100
 
 
+def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
+    # the mu window stops exactly at the spread bound mu(w1) <= mu(v) +
+    # (r - r1)/r, so every candidate (w1, u) the search forms has
+    # mu(w1) - mu(u) <= 1; widening it back to mu(w1) < mu(v) + 1, with
+    # every rank and the whole fiber range, only adds candidates past that
+    # bound, and _hn_key calls, and changes no filtration on a seeded sample
+    # of the criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
+    rng = random.Random(46)
+    slices = []
+    for e in (0, 1):
+        for m in (Q(1, 3), Q(1), Q(3, 2), Q(12, 7), Q(3)):
+            chars = []
+            while len(chars) < 400:
+                v = random_integral_character(rng, e, rmax=6, coeff=6, extra=18)
+                if v.delta(e) <= 3:
+                    chars.append(v)
+            slices.append((e, m, chars))
+    for e, m, chars in slices:
+        mp, mq = m.numerator, m.denominator
+        cp, cq = fiber_window(mp, mq, e)
+        for v in chars[:20]:
+            r, a, b, _ = int_key(v)
+            for r1 in range(1, r):
+                for a1 in existence._fiber_range(r, a, r1, cp, cq):
+                    num = r1 * (a * mp + b * mq) - a1 * mp * r
+                    lo, hi = existence._mu_window(num, r * mq, r1, r - r1, mq)
+                    assert range(lo, hi) == _spread_b1(r, a, b, m, r1, a1), (v, e, m, r1, a1)
+    hn_key, search = existence._hn_key, existence._search
+    searching, calls, over = [], [], []
+
+    def logged_search(key, mp, mq, e):
+        searching.append(key)
+        try:
+            return search(key, mp, mq, e)
+        finally:
+            searching.pop()
+
+    def logged_hn_key(key, mp, mq, e):
+        calls.append(key)
+        if searching:
+            # key is the w1 or the u of a candidate of the search of v
+            w = tuple(x - y for x, y in zip(searching[-1], key))
+            gap = (w[1] * mp + w[2] * mq) * key[0] - (key[1] * mp + key[2] * mq) * w[0]
+            if abs(gap) > w[0] * key[0] * mq:
+                over.append(key)
+        return hn_key(key, mp, mq, e)
+
+    def run():
+        calls.clear()
+        over.clear()
+        results = []
+        for e, m, chars in slices:
+            existence.clear_cache()
+            results += [hn_generic(v, m, e) for v in chars]
+        return results, len(calls), len(over)
+
+    monkeypatch.setattr(existence, "_search", logged_search)
+    monkeypatch.setattr(existence, "_hn_key", logged_hn_key)
+    spread, spread_calls, spread_over = run()
+    assert spread_over == 0
+    monkeypatch.setattr(existence, "_mu_window", lambda num, den, r1, ru, mq: (-(-num // den), -(-num // den) + r1))
+    monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
+    monkeypatch.setattr(
+        existence, "_a1_window",
+        lambda vkey, mp, mq, e, r1, cp, cq: existence._fiber_range(vkey[0], vkey[1], r1, cp, cq),
+    )
+    wide, wide_calls, wide_over = run()
+    assert wide == spread
+    assert wide_calls > spread_calls and wide_over > 0, (wide_calls, spread_calls, wide_over)
+    assert sum(dec is not None and len(dec) > 1 for dec in spread) > 100
+
+
 def test_first_ranks_drop_no_rank_with_a_first_factor():
     # brute force in Fractions: for an r1 that _first_ranks drops, no
-    # (a1, b1) of the fiber range and mu window has pinned Delta_1 >= 0 and
+    # (a1, b1) of the fiber range and spread window has pinned Delta_1 >= 0 and
     # Delta(u) >= 0 when 2 r1 != r, or meets the pinning
     # P(nu - nu1) = Delta + 1/2 when 2 r1 = r (integrality of w1 is not asked)
     rng = random.Random(45)
@@ -625,8 +703,7 @@ def test_first_ranks_drop_no_rank_with_a_first_factor():
                 dropped += r - 1 - len(ranks)
                 for r1 in set(range(1, r)) - set(ranks):
                     for a1 in existence._fiber_range(r, a, r1, cp, cq):
-                        b1_lo = math.ceil((r1 * (a * m + b) - a1 * m * r) / r)
-                        for b1 in range(b1_lo, b1_lo + r1):
+                        for b1 in _spread_b1(r, a, b, m, r1, a1):
                             nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
                             p = hilbert_P(nu - nu1, e)
                             where = (key, e, m, r1, a1, b1)

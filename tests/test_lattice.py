@@ -247,9 +247,13 @@ def test_integer_key_round_trip():
 
 def test_non_rational_coefficients_are_refused_by_the_constructors():
     # DivisorClass and ChernCharacter take only int and Fraction, as
-    # check_polarization does for m: a float, a string, a bool or a Decimal
-    # is refused by name, never rounded, parsed or read as 0 or 1
+    # check_polarization does for m, and so do the factor of
+    # DivisorClass.scale and the Delta of from_rank_slope_disc: a float, a
+    # string, a bool or a Decimal is refused by name, never rounded, parsed
+    # or read as 0 or 1
     builds = (
+        lambda x: DivisorClass(1, 0).scale(x),
+        lambda x: from_rank_slope_disc(2, DivisorClass(Q(1, 2), 0), x, 0),
         lambda x: DivisorClass(x, 0),
         lambda x: DivisorClass(0, x),
         lambda x: ChernCharacter(x, ZERO_DIV, 0),
@@ -265,6 +269,8 @@ def test_non_rational_coefficients_are_refused_by_the_constructors():
             assert repr(x) in str(info.value)
     with pytest.raises(ValueError, match="0.5"):
         DivisorClass(0.5, "1/3")
+    assert DivisorClass(1, 0).scale(Q(1, 2)) == DivisorClass(Q(1, 2), 0)
+    assert from_rank_slope_disc(2, DivisorClass(Q(1, 2), 0), Q(1, 2), 0).delta(0) == Q(1, 2)
 
 
 # rank 0, a half-integral E- or F-coefficient, a third in b, and 2 ch2 =
