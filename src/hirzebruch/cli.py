@@ -194,7 +194,10 @@ def cmd_delta(args) -> int:
 
 def cmd_kronecker(args) -> int:
     ell = args.ell
-    a, b, c, d = (int(t) for t in args.abcd.split(","))
+    parts = args.abcd.split(",")
+    if len(parts) != 4:
+        raise InputError("abcd must be a,b,c,d (got %r)" % args.abcd)
+    a, b, c, d = (int(t) for t in parts)
     p = kronecker.KroneckerParams(args.e, ell, a, b, c, d)
     k_char, l_char, v_char = chars = kronecker.kronecker_characters(p)
     m_v = kronecker.wall_m_v(p, chars)

@@ -34,10 +34,12 @@ The inner loops run on plain integers.  Characters are keys (r, a, b, 2 ch2)
 from `lattice.int_key`, Delta is read from 2 r^2 Delta = 2ab - e a^2 - r s
 and chi from 2 chi (`lattice.delta2`, `lattice.chi2`), m enters as its
 reduced pair (p, q) and the fiber window as the integer pair
-`lattice.fiber_window(p, q, e)`.  For fixed (r1, a1) the
-pinned ch2_1 and Delta(u) are linear in b1, so the b1 loop visits only the
-arithmetic progression where ch2_1 is integral, cut to the half-line
-Delta(u) >= 0 (in the degenerate case the pinning identity fixes b1); the
+`lattice.fiber_window(p, q, e)`.  `_cuts` derives the Delta_1 and
+Delta(u) cuts once per r1, each as sg (c1 b1 + c0) >= 0, sg = sign(2 r1 - r),
+with c1 linear and c0 quadratic in a1.  For fixed (r1, a1) the pinned ch2_1
+is linear in b1 too, so the b1 loop visits only the arithmetic progression
+where ch2_1 is integral, cut to the half-lines of both cuts (in the
+degenerate case the pinning c1 b1 + c0 = 0 fixes b1); the
 candidates are still visited in the order of the plain triple loop.
 
 Before any per-a1 work, `_first_ranks` drops each r1 whose Delta cut fails
@@ -57,12 +59,12 @@ maximum is at c = 0 on both sides, and an r1 whose maximum falls short has
 no first factor.  With hn = mq H_m^2, k = 4 mq hn and zn = 2 mq L(z0) the
 test reads k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2 in integers, one
 threshold on max(r1, r - r1) per search.  Then, off the degenerate case,
-`_a1_window` bounds a1 for each r1 left: with b1 relaxed to the real mu
-window, one Delta cut is a quadratic in a1 at each end of the window that
-opens downwards, Delta(u) >= 0 when 2 r1 > r and Delta_1 >= 0 when
-2 r1 < r (on the other side each opens upwards and bounds nothing); the a1
-outside the hull of their nonnegativity intervals
-(`math.isqrt` roots, widened by one) have no b1 to visit.  The
+`_a1_window` bounds a1 for each r1 left from the same cuts: with b1
+relaxed to the real mu window, each cut at either end of the window is a
+quadratic in a1.  A cut that opens upwards bounds nothing; one that opens
+downwards (Delta(u) when 2 r1 > r, Delta_1 when 2 r1 < r) leaves no b1 to
+visit for the a1 outside the hull of its two nonnegativity intervals
+(`math.isqrt` roots, widened by one).  The
 generic prioritary index comes from `prioritary.prioritary_index_of_key`.
 Filtrations are memoized on (e, p, q, key) (Gieseker tie-breaks on walls
 are not twist-equivariant, so no twist sharing).  A broken invariant of the
@@ -186,59 +188,57 @@ def _mu_window(num: int, den: int, r1: int, ru: int, mq: int) -> Tuple[int, int]
     return -((-num) // den), (num + r1 * ru * mq) // den + 1
 
 
-def _a1_window(vkey: IKey, mp: int, mq: int, e: int, r1: int, cp: int, cq: int) -> range:
-    """The a1 of `_fiber_range` whose b1 window may hold a b1 passing the
-    Delta cut of its side of 2 r1 = r: Delta(u) >= 0 when 2 r1 > r, Delta_1 >= 0
-    when 2 r1 < r.  A superset in integers: b1 is relaxed to the real
-    y in [num/den, (num + r1 (r - r1) mq)/den] of `_mu_window`, the cut is
-    linear in y, and at either end den times it is a quadratic in a1; the
-    a1 kept are the hull of the two nonnegativity intervals, widened by one
-    step around `isqrt`.  The whole fiber range when 2 r1 = r or a
-    quadratic does not open downwards."""
+def _cuts(vkey: IKey, e: int, r1: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The Delta_1 and Delta(u) cuts on first factors w1 = (r1, a1, b1, s1)
+    with ch2_1 pinned, u = v - w1, as coefficients (u0, u1, v0, v1, v2) of
+    c1 = u0 + u1 a1 and c0 = v0 + v1 a1 + v2 a1^2, where c1 b1 + c0 is
+      2 r r1^2 (r1 - r P(nu - nu_1) + r Delta) = 2 r r1^2 (2 r1 - r) Delta_1,
+      2 r r1 (r - r1)^2 (2 r1 - r) Delta(u):
+    each cut reads sg (c1 b1 + c0) >= 0, sg = sign(2 r1 - r), and when
+    2 r1 = r the first is zero exactly on the pinning."""
     r, a, b, s = vkey
-    fr = _fiber_range(r, a, r1, cp, cq)
-    t = 2 * r1 - r
-    if t == 0:
-        return fr
-    den = r * mq
     ru = r - r1
-    # the loop's quantities as polynomials in x = a1:
-    #   num = n0 - r mp x,   ax = x0 - r x,   pnum0 = p0 + p1 x + e r^2 x^2
-    n0 = r1 * (a * mp + b * mq)
+    sd = r * r1 * (2 * r1 - r)
     x0 = r1 * (a + r)
     l0 = r1 * (2 * b + 2 * r - e * a)
     p0 = 2 * r * r1 ** 3 + r1 * r1 * delta2(vkey, e) - x0 * l0
     p1 = r * (l0 - e * x0)
-    if t > 0:
-        # gam = g0 + g1 x and dlt = d0 + d1 x + d2 x^2 (s1_den > 0, no flip)
-        sd = r * r1 * t
-        g0 = -2 * r * ru * x0 - 2 * sd * a
-        g1 = 2 * r * r * r1
-        d0 = sd * (2 * a * b - e * a * a - ru * s) - ru * p0
-        d1 = 2 * sd * (e * a - b) - ru * p1
-        d2 = -e * r * r * r1
-    lo, hi = fr.stop, fr.start        # the hull of nothing yet
-    for nj in (n0, n0 + r1 * ru * mq):  # den y = nj - r mp x at the two ends
-        if t > 0:
-            # den (gam y + dlt) >= 0
-            qa = den * d2 - r * mp * g1
-            qb = den * d1 + g1 * nj - r * mp * g0
-            qc = den * d0 + g0 * nj
-        else:
-            # -den (pnum0 + 2 r ax y) >= 0
-            qa = -den * e * r * r - 2 * r ** 3 * mp
-            qb = 2 * r * r * (nj + mp * x0) - den * p1
-            qc = -den * p0 - 2 * r * x0 * nj
+    # the Delta(u) cut expands (2 au bu - e au^2 - ru su) sd = 2 ru^2 sd Delta(u),
+    # (au, bu, su) = (a - a1, b - b1, s - s1), with the pinned
+    # s1 sd = (2 a1 b1 - e a1^2) r (2 r1 - r) - c1 b1 - c0 of the Delta_1 cut
+    return ((2 * r * x0, -2 * r * r, p0, p1, e * r * r),
+            (-2 * r * ru * x0 - 2 * sd * a, 2 * r * r * r1,
+             sd * (2 * a * b - e * a * a - ru * s) - ru * p0,
+             2 * sd * (e * a - b) - ru * p1, -e * r * r * r1))
+
+
+def _a1_window(cuts: Tuple[Tuple[int, ...], ...], sg: int, fr: range, ends: Tuple[int, int], rmp: int, den: int) -> range:
+    """The a1 of the fiber range fr whose mu window may hold a b1 passing
+    both `_cuts` (sign sg = sign(2 r1 - r) != 0).  A superset in integers:
+    b1 is relaxed to the real y of the mu window, den y = nj - rmp a1 with
+    nj in ends; each cut is linear in y, so it holds on the window only if
+    it holds at an end, where den times it is a quadratic in a1.  A cut
+    keeps the hull of its two nonnegativity intervals, widened by one step
+    around `isqrt`, or all of fr when its quadratic does not open
+    downwards."""
+    lo, hi = fr.start, fr.stop
+    for u0, u1, v0, v1, v2 in cuts:
+        qa = sg * (den * v2 - rmp * u1)
         if qa >= 0:
-            return fr
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0:
-            continue                  # negative for every a1
-        # nonnegative for (qb - sqrt(disc)) / w <= a1 <= (qb + sqrt(disc)) / w
-        sq, w = isqrt(disc) + 1, -2 * qa
-        jlo, jhi = (qb - sq) // w + 1, -(-(qb + sq) // w)
-        lo, hi = min(lo, jlo), max(hi, jhi)
-    return range(max(fr.start, lo), min(fr.stop, hi))
+            continue
+        clo, chi = hi, lo             # the hull of nothing yet
+        for nj in ends:
+            # sg den (c1 y + c0) = qa x^2 + qb x + qc
+            qb = sg * (den * v1 + u1 * nj - rmp * u0)
+            qc = sg * (den * v0 + u0 * nj)
+            disc = qb * qb - 4 * qa * qc
+            if disc < 0:
+                continue              # negative for every a1
+            # nonnegative for (qb - sqrt(disc)) / w <= a1 <= (qb + sqrt(disc)) / w
+            sq, w = isqrt(disc) + 1, -2 * qa
+            clo, chi = min(clo, (qb - sq) // w + 1), max(chi, -(-(qb + sq) // w))
+        lo, hi = max(lo, clo), min(hi, chi)
+    return range(lo, hi)
 
 
 def _first_ranks(r: int, n2v: int, mp: int, mq: int, e: int) -> list[int]:
@@ -282,38 +282,35 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
     den = r * mq
 
     for r1 in _first_ranks(r, n2v, mp, mq, e):
-        rr1 = r * r1
-        two_r1_minus_r = 2 * r1 - r
-        s1_den = r * r1 * two_r1_minus_r
+        t = 2 * r1 - r
+        sg = (t > 0) - (t < 0)
+        s1_den = r * r1 * t
         ru = r - r1
-        k1 = 2 * r * r1 ** 3 + r1 * r1 * n2v
-        for a1 in _a1_window(vkey, mp, mq, e, r1, cp, cq):
+        n1 = r1 * degv
+        cuts = _cuts(vkey, e, r1)
+        (u0, u1, v0, v1, v2), (g0, g1, h0, h1, h2) = cuts
+        fr = _fiber_range(r, a, r1, cp, cq)
+        for a1 in _a1_window(cuts, sg, fr, (n1, n1 + r1 * ru * mq), r * mp, den) if t else fr:
             # mu(v) <= mu(w1) <= mu(v) + ru/r
-            b1_lo, b1_hi_excl = _mu_window(r1 * degv - a1 * mp * r, den, r1, ru, mq)
-            dx = a * r1 - a1 * r
-            ax = dx + rr1
-            # 2 r r1^2 * (r1 - r P(nu - nu1) + r Delta) = pnum0 + 2 r ax b1
-            pnum0 = k1 - ax * (2 * b * r1 + 2 * rr1 - e * dx)
-            au = a - a1
-            if two_r1_minus_r != 0:
-                # s1 = s1_num / s1_den with s1_num = c1sq1 r (2 r1 - r) - pnum
-                # = beta b1 + alpha, and then 2 (r - r1)^2 Delta(u) s1_den =
-                # gam b1 + dlt: keep the b1 where Delta(u) >= 0 and s1 is an
-                # integer
-                beta = 2 * r * (a1 * two_r1_minus_r - ax)
-                alpha = -e * a1 * a1 * r * two_r1_minus_r - pnum0
-                gam = ru * beta - 2 * au * s1_den
-                dlt = (2 * au * b - e * au * au - ru * s) * s1_den + ru * alpha
-                if s1_den < 0:
-                    gam, dlt = -gam, -dlt
-                if gam > 0:
-                    b1_lo = max(b1_lo, -(dlt // gam))
-                elif gam < 0:
-                    b1_hi_excl = min(b1_hi_excl, dlt // -gam + 1)
-                elif dlt < 0:
-                    continue
+            b1_lo, b1_hi_excl = _mu_window(n1 - a1 * mp * r, den, r1, ru, mq)
+            # the cuts at a1: c1 b1 + c0 (Delta_1) and d1 b1 + d0 (Delta(u))
+            c1, c0 = u0 + u1 * a1, v0 + (v1 + v2 * a1) * a1
+            if t:
+                d1, d0 = g0 + g1 * a1, h0 + (h1 + h2 * a1) * a1
+                # each cut sg (k1 b1 + k0) >= 0 is a half-line of b1
+                for k1, k0 in ((sg * c1, sg * c0), (sg * d1, sg * d0)):
+                    if k1 > 0:
+                        b1_lo = max(b1_lo, -(k0 // k1))
+                    elif k1 < 0:
+                        b1_hi_excl = min(b1_hi_excl, k0 // -k1 + 1)
+                    elif k0 < 0:
+                        b1_hi_excl = b1_lo
                 if b1_lo >= b1_hi_excl:
                     continue
+                # s1 = (c1sq1 r t - c1 b1 - c0) / s1_den = (beta b1 + alpha) /
+                # s1_den: keep the b1 where s1 is an integer
+                beta = 2 * r * a1 * t - c1
+                alpha = -e * a1 * a1 * r * t - c0
                 g = gcd(beta, s1_den)
                 if alpha % g:
                     continue
@@ -321,37 +318,32 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                 b0 = (-alpha // g) * pow(beta // g, -1, step) % step
                 b1_range = range(b1_lo + (b0 - b1_lo) % step, b1_hi_excl, step)
             else:
-                # degenerate: P(nu - nu1) = Delta + 1/2 reads
-                # pnum0 + 2 r ax b1 = 0, which fixes b1 unless ax = 0
-                if ax != 0:
-                    b1, rem = divmod(-pnum0, 2 * r * ax)
+                # degenerate: the pinning c1 b1 + c0 = 0 fixes b1 unless c1 = 0
+                if c1:
+                    b1, rem = divmod(-c0, c1)
                     if rem:
                         continue
                     b1_lo, b1_hi_excl = max(b1_lo, b1), min(b1_hi_excl, b1 + 1)
-                elif pnum0 != 0:
+                elif c0:
                     continue
                 b1_range = range(b1_lo, b1_hi_excl)
             for b1 in b1_range:
                 c1sq1 = 2 * a1 * b1 - e * a1 * a1
-                if two_r1_minus_r != 0:
-                    # s1 = 2 ch2_1 = c1sq1/r1 - 2 r1 Delta_1
-                    pnum = pnum0 + 2 * r * ax * b1
-                    s1 = (c1sq1 * r * two_r1_minus_r - pnum) // s1_den
+                if t:
+                    s1 = (beta * b1 + alpha) // s1_den
                     if (c1sq1 - s1) % 2 != 0:
                         continue      # c2(w1) not an integer
-                    # Delta_1 >= 0: sign of pnum / (2 r r1^2 (2 r1 - r))
-                    if (pnum < 0) if two_r1_minus_r > 0 else (pnum > 0):
-                        continue
                     s1_list = [s1]
                 else:
+                    au = a - a1
                     n2u0 = 2 * au * (b - b1) - e * au * au - ru * (s - c1sq1)
-                    s1_list = [c1sq1 - 2 * t for t in _degenerate_c2_range(c1sq1, r1, n2u0)]
+                    s1_list = [c1sq1 - 2 * c2 for c2 in _degenerate_c2_range(c1sq1, r1, n2u0)]
                 for s1 in s1_list:
                     w1 = (r1, a1, b1, s1)
                     u = (r - r1, a - a1, b - b1, s - s1)
                     # Delta_1 >= 0 and Delta(u) >= 0 hold by construction on
-                    # both branches (the b1 cut and sign test, or the t
-                    # window); then the cheap prioritary gates
+                    # both branches (the b1 cuts, or the t window); then the
+                    # cheap prioritary gates
                     if not _prior(w1, n0 + 1, e):
                         continue      # necessary for (5)
                     if not _prior(u, n0, e):

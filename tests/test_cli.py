@@ -138,6 +138,10 @@ def test_exit_codes(capsys):
     # inadmissible Kronecker parameters violate a precondition
     code, _, err = run_cli(capsys, "kronecker", "--e", "0", "--ell", "3", "--abcd", "1,5,2,15")
     assert code == 3
+    # Kronecker parameters of the wrong length name the expected form
+    for abcd in ("1,1,2", "1,1,2,3,4"):
+        code, out, err = run_cli(capsys, "kronecker", "--e", "0", "--ell", "3", "--abcd", abcd)
+        assert code == 2 and out == "" and "a,b,c,d" in err and "unpack" not in err
     with pytest.raises(SystemExit) as exc:
         main(["exceptional", "--e", "0"])  # missing --max-rank
     assert exc.value.code == 2

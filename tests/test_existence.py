@@ -258,6 +258,24 @@ def test_delta_estimate_lower_above_upper_on_a_split_witness(table1):
     assert reduced_hilbert_key(w1, m, 1) == reduced_hilbert_key(w2, m, 1)
 
 
+def test_delta_estimate_lower_above_upper_only_on_a_wall(table0, table1):
+    # lower bounds stable sheaves, so a witness of discriminant upper < lower
+    # can only carry strictly semistable sheaves: its character lies on a
+    # wall.  All 100 slope classes with denominators <= 5 on F_0 and F_1,
+    # cutoff 16, at the anticanonical and three other polarizations
+    fracs = sorted({Q(p, q) for q in range(1, 6) for p in range(q)})
+    assert len(fracs) ** 2 == 100
+    above = 0
+    for e, table in ((0, table0), (1, table1)):
+        for m in (1 - Q(e, 2), Q(1, 3), Q(3), Q(12, 7)):
+            for x, y in itertools.product(fracs, repeat=2):
+                br = delta_estimate(DivisorClass(x, y), m, e, 16, table)
+                if br.upper is not None and br.lower > br.upper:
+                    above += 1
+                    assert moduli_nonempty(br.witness, m, e).wall, (e, m, x, y)
+    assert above >= 20, above
+
+
 def test_degenerate_branch_against_oracle(monkeypatch):
     # even ranks r with 2 r1 = r, where Delta_1 is not pinned and runs over
     # the window of _degenerate_c2_range, which only that branch calls
@@ -540,12 +558,13 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
                 v = ChernCharacter(r, DivisorClass(a, b), Q(s, 2))
                 nu, dv = v.nu(), v.delta(e)
                 for r1 in range(1, r):
-                    fr = existence._fiber_range(r, a, r1, cp, cq)
-                    win = existence._a1_window((r, a, b, s), mp, mq, e, r1, cp, cq)
-                    assert fr.start <= win.start and win.stop <= fr.stop or not win
                     if 2 * r1 == r:
-                        assert win == fr
-                        continue
+                        continue                # the search pins b1 there instead
+                    fr = existence._fiber_range(r, a, r1, cp, cq)
+                    n1 = r1 * (a * mp + b * mq)
+                    win = existence._a1_window(existence._cuts((r, a, b, s), e, r1), 1 if 2 * r1 > r else -1,
+                                               fr, (n1, n1 + r1 * (r - r1) * mq), r * mp, r * mq)
+                    assert fr.start <= win.start and win.stop <= fr.stop or not win
                     total += len(fr)
                     kept += len(win)
                     for a1 in fr:
@@ -560,11 +579,54 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
     assert tight > 0 and kept < total / 4, (tight, kept, total)
 
 
-def test_a1_window_leaves_the_search_unchanged(monkeypatch):
-    # the same _prior and _hn_key calls, in the same order and with the same
-    # memo size, as with every rank and the whole fiber range, on a seeded
-    # sample of the criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
-    rng = random.Random(44)
+def test_cuts_are_the_pinned_deltas():
+    # reference in Fractions: at x = a1 each cut c1 b1 + c0 of _cuts is
+    # 2 r r1^2 (r1 - r P(nu - nu1) + r Delta), i.e. 2 r r1^2 (2 r1 - r) Delta_1
+    # for the pinned Delta_1, and 2 r r1 (r - r1)^2 (2 r1 - r) Delta(v - w1);
+    # so sg (c1 b1 + c0) has the sign of Delta_1 and of Delta(u), and when
+    # 2 r1 = r its zeros are the pinning P(nu - nu1) = Delta + 1/2
+    rng = random.Random(47)
+    sides = {1: 0, -1: 0}
+    zeros = pinned = 0
+    for _ in range(4000):
+        e = rng.randint(0, 3)
+        (r, a, b, s), = _window_cases(rng, e, 1, rmax=9, coeff=8, dmax=3)
+        r1 = rng.randrange(1, r)
+        v = from_key((r, a, b, s))
+        nu, dv = v.nu(), v.delta(e)
+        cuts = existence._cuts((r, a, b, s), e, r1)
+        a1 = rng.randint(-2 * r1, 2 * r1)
+        b1s = [rng.randint(-3 * r1, 3 * r1)]
+        if 2 * r1 == r:
+            # P(nu - nu1) - Delta - 1/2 is affine in b1: add its root
+            f = [hilbert_P(nu - DivisorClass(Q(a1, r1), Q(y, r1)), e) - dv - Q(1, 2) for y in (0, 1)]
+            if f[1] != f[0] and (f[0] / (f[0] - f[1])).denominator == 1:
+                b1s.append(int(f[0] / (f[0] - f[1])))
+        (c1, c0), (d1, d0) = [(u0 + u1 * a1, v0 + v1 * a1 + v2 * a1 * a1) for u0, u1, v0, v1, v2 in cuts]
+        for b1 in b1s:
+            nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
+            p = hilbert_P(nu - nu1, e)
+            assert c1 * b1 + c0 == 2 * r * r1 * r1 * (r1 - r * p + r * dv), (r, a, b, s, e, r1, a1, b1)
+            if 2 * r1 == r:
+                assert (c1 * b1 + c0 == 0) == (p == dv + Q(1, 2))
+                pinned += p == dv + Q(1, 2)
+                continue
+            sg = 1 if 2 * r1 > r else -1
+            delta1 = (r1 - r * p + r * dv) / (2 * r1 - r)
+            w1 = ChernCharacter(r1, nu1.scale(r1), r1 * (intersect(nu1, nu1, e) / 2 - delta1))
+            delta_u = (v - w1).delta(e)
+            assert d1 * b1 + d0 == 2 * r * r1 * (r - r1) ** 2 * (2 * r1 - r) * delta_u, (r, a, b, s, e, r1, a1, b1)
+            for cut, delta in ((c1 * b1 + c0, delta1), (d1 * b1 + d0, delta_u)):
+                assert (sg * cut > 0) == (delta > 0) and (sg * cut < 0) == (delta < 0)
+                zeros += delta == 0
+            sides[sg] += 1
+    assert min(sides.values()) > 1000 and pinned > 50 and zeros > 0, (sides, pinned, zeros)
+
+
+def _corpus_slices(seed):
+    # ten (e, m, chars) slices of 400 seeded characters of the criterion-3
+    # corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
+    rng = random.Random(seed)
     slices = []
     for e in (0, 1):
         for m in (Q(1, 3), Q(1), Q(3, 2), Q(12, 7), Q(3)):
@@ -574,6 +636,14 @@ def test_a1_window_leaves_the_search_unchanged(monkeypatch):
                 if v.delta(e) <= 3:
                     chars.append(v)
             slices.append((e, m, chars))
+    return slices
+
+
+def test_a1_window_leaves_the_search_unchanged(monkeypatch):
+    # the same _prior and _hn_key calls, in the same order and with the same
+    # memo size, as with every rank and the whole fiber range, on a seeded
+    # sample of the criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
+    slices = _corpus_slices(44)
     prior, hn_key = existence._prior, existence._hn_key
 
     def run():
@@ -597,10 +667,7 @@ def test_a1_window_leaves_the_search_unchanged(monkeypatch):
 
     windowed = run()
     monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
-    monkeypatch.setattr(
-        existence, "_a1_window",
-        lambda vkey, mp, mq, e, r1, cp, cq: existence._fiber_range(vkey[0], vkey[1], r1, cp, cq),
-    )
+    monkeypatch.setattr(existence, "_a1_window", lambda cuts, sg, fr, ends, rmp, den: fr)
     assert run() == windowed
     assert sum(x[0] == "hn" for x in windowed[0]) > 5000
     assert sum(dec is not None and len(dec) > 1 for dec in windowed[1]) > 100
@@ -613,16 +680,7 @@ def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
     # every rank and the whole fiber range, only adds candidates past that
     # bound, and _hn_key calls, and changes no filtration on a seeded sample
     # of the criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
-    rng = random.Random(46)
-    slices = []
-    for e in (0, 1):
-        for m in (Q(1, 3), Q(1), Q(3, 2), Q(12, 7), Q(3)):
-            chars = []
-            while len(chars) < 400:
-                v = random_integral_character(rng, e, rmax=6, coeff=6, extra=18)
-                if v.delta(e) <= 3:
-                    chars.append(v)
-            slices.append((e, m, chars))
+    slices = _corpus_slices(46)
     for e, m, chars in slices:
         mp, mq = m.numerator, m.denominator
         cp, cq = fiber_window(mp, mq, e)
@@ -668,10 +726,7 @@ def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
     assert spread_over == 0
     monkeypatch.setattr(existence, "_mu_window", lambda num, den, r1, ru, mq: (-(-num // den), -(-num // den) + r1))
     monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
-    monkeypatch.setattr(
-        existence, "_a1_window",
-        lambda vkey, mp, mq, e, r1, cp, cq: existence._fiber_range(vkey[0], vkey[1], r1, cp, cq),
-    )
+    monkeypatch.setattr(existence, "_a1_window", lambda cuts, sg, fr, ends, rmp, den: fr)
     wide, wide_calls, wide_over = run()
     assert wide == spread
     assert wide_calls > spread_calls and wide_over > 0, (wide_calls, spread_calls, wide_over)
