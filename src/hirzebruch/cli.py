@@ -111,8 +111,8 @@ def _load_or_build_table(e: int, rmax: int, cache: str):
             sys.stderr.write("warning: %s; rebuilding\n" % err)
             base = None
     table = exc_mod.build_table(e, rmax, base=base)
-    # the file holds rows only, so it changes only when rows were added
-    if cache and (base is None or len(table.records) > len(base.records)):
+    # the header records max_rank, so the file changes only when it grows
+    if cache and (base is None or table.max_rank > base.max_rank):
         exc_mod.save_table(table, cache)
     return table
 

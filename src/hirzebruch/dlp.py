@@ -22,15 +22,20 @@ by `slope_classes`).  A class is integers (rank, a, b) with slope
 integer pairs (p, q), q >= 0, (1, 0) = +infinity (`orbit` converts a table
 row's ends); every contributor is O or exceptional, so
 Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
-twist scan runs per class on integers: scaled by L = lcm(den nu.a,
-den nu.b, rank), every offset d, its H_m-degree, P(+-d) and Delta(V) have
-one denominator.  On a column of offsets with fixed fiber part, each branch
-of DLP is affine in the other coordinate, so the column's best offset is
-the lattice point nearest the line d.H_m = 0 on either side or the one on
-it (`_scan` says why the far ends never win): O(#columns) integer steps
-per class.  Ties go to the smallest witness, as a walk over the whole box
-in ascending order keeping the last maximum would give, and classes are
-compared by cross-multiplying; the one `Fraction` is the returned value.
+twist scan runs per class on integers (`_best`, with nu = (x, y)/nu_den
+and m = mp/mq): scaled by L = lcm(nu_den, rank), every offset d, its
+H_m-degree, P(+-d) and Delta(V) have one denominator.  On a column of
+offsets with fixed fiber part, each branch of DLP is affine in the other
+coordinate, so the column's best offset is the lattice point nearest the
+line d.H_m = 0 on either side or the one on it (`_best` says why the far
+ends never win): O(#columns) integer steps per class.  Ties go to the
+smallest witness, as a walk over the whole box in ascending order keeping
+the last maximum would give, and classes are compared by cross-multiplying.
+The walk has two callers.  `_scan` takes the whole maximum; the one
+`Fraction` is the value it returns.  `exceeds_exceptional_delta`, the
+exceptionality test of the table build, stops the walk at the first class
+whose value beats the Delta of a rank-r exceptional, which for most
+candidates is O itself.
 The exceptional module walks the stability walls of I_V on the same
 classes with the same scaling and the same end pairs (`LINE_BUNDLES` gives
 the sentinels), so the orbit enumeration and the stability test live here.
@@ -50,6 +55,7 @@ from .lattice import (
     DivisorClass,
     Rat,
     check_polarization,
+    check_rank,
     fiber_window,
     hilbert_P,
     hilbert_P2,
@@ -167,14 +173,19 @@ def slope_classes(table, e: int, below_rank: int) -> List[SlopeClass]:
     return [c for c in table.classes if c.rank < below_rank]
 
 
-def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: int) -> DlpValue:
-    # Per slope class, scaled by L = lcm(den nu.a, den nu.b, rank): the
-    # offsets d = nu - (twist of the class) are (X, Y)/L with X = x0 and
-    # Y = y0 mod L, (x0, y0)/L = nu - (class slope), kept to |d.H_m| <= s
-    # and fiber part in [-X_w, X_w] (anything scoring above the
-    # always-positive base value lies in this box).  Within a class
-    # 2 L^2 Delta(V) = L^2 - (L / rank)^2 is fixed, so the best offset is the
-    # largest P, ties going to the largest (X, Y), i.e. the smallest witness.
+def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, mq: int, e: int,
+          stop: Optional[Tuple[int, int]] = None):
+    """DLP over the `classes` stable at m = mp/mq, at nu = (x, y)/nu_den, as
+    (num, dnm, witness, equal_slope) for the value num/dnm, num = None when
+    no twist reaches the box.  With `stop` = (p, q) the walk stops at the
+    first class whose value exceeds p/q."""
+    # Per slope class, scaled by L = lcm(nu_den, rank): the offsets
+    # d = nu - (twist of the class) are (X, Y)/L with X = x0 and Y = y0 mod L,
+    # (x0, y0)/L = nu - (class slope), kept to |d.H_m| <= s and fiber part
+    # in [-X_w, X_w] (anything scoring above the always-positive base value
+    # lies in this box).  Within a class 2 L^2 Delta(V) = L^2 - (L / rank)^2
+    # is fixed, so the best offset is the largest P, ties going to the
+    # largest (X, Y), i.e. the smallest witness.
     # On a column X the branches are affine in Y, split by t = X mp + Y mq:
     #   t < 0:  2 L^2 P(d)  = (X + L)(2Y + 2L - eX), slope 2(X + L),
     #   t > 0:  2 L^2 P(-d) = (L - X)(2L - 2Y + eX), slope -2(L - X),
@@ -184,26 +195,25 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
     # keeps P < 0, while the column with |X| < L has a point of P > 0 within
     # one lattice step of the line: those half-columns never hold the
     # maximum.  The <= 3 points are visited in ascending Y with `>=`, as a
-    # walk over the whole box would, which keeps the tie rule.
-    mp, mq = m.numerator, m.denominator
+    # walk over the whole box would, which keeps the tie rule.  Classes are
+    # compared by cross-multiplying, ties going to the smallest witness.
+    # The walk keeps the maximum itself: handing each class's best offset to
+    # a caller cost the DLP queries about 4%.
     xwp, xwq = fiber_window(mp, mq, e)
     # |t| <= L mq s, s = strip_halfwidth = (2 mp + (e + 2) mq) / (2 mq)
     hwq = mq * (2 * mp + (e + 2) * mq)
     mps, ysc = 2 * mp * mq, 2 * mq * mq
-    ap, aq = nu.a.numerator, nu.a.denominator
-    bp, bq = nu.b.numerator, nu.b.denominator
-    nu_den = lcm(aq, bq)
     best_num = best_den = None          # the best value is best_num / best_den
     best_wit: Optional[Tuple[int, int, int]] = None
     best_eq = False
-    for con in contributors:
+    for con in classes:
         if not con.stable_at(mp, mq):
             continue
         rank = con.rank
         L = lcm(nu_den, rank)
         k = L // rank
-        nx = ap * (L // aq)
-        ny = bp * (L // bq)
+        nx = x * (L // nu_den)
+        ny = y * (L // nu_den)
         x0 = nx - con.a * k
         y0 = ny - con.b * k
         xlim = xwp * L // xwq
@@ -246,8 +256,31 @@ def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: 
         if cmp > 0 or wit < best_wit:
             best_num, best_den, best_wit = num, den, wit
             best_eq = bx * mp + by * mq == 0 and (bx, by) != (0, 0)
-    best = None if best_num is None else Fraction(best_num, best_den)
-    return DlpValue(best, best_wit, best_eq)
+            # the first class above p/q raises the maximum, so it stops here
+            if stop is not None and num * stop[1] > stop[0] * den:
+                break
+    return best_num, best_den, best_wit, best_eq
+
+
+def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: int) -> DlpValue:
+    ap, aq = nu.a.numerator, nu.a.denominator
+    bp, bq = nu.b.numerator, nu.b.denominator
+    nu_den = lcm(aq, bq)
+    num, den, wit, eq = _best(contributors, ap * (nu_den // aq), bp * (nu_den // bq), nu_den,
+                              m.numerator, m.denominator, e)
+    return DlpValue(None if num is None else Fraction(num, den), wit, eq)
+
+
+def exceeds_exceptional_delta(classes: Iterable[SlopeClass], x: int, y: int, r: int,
+                              mp: int, mq: int, e: int) -> bool:
+    """Whether DLP over `classes` at nu = (x, y)/r and m = mp/mq exceeds the
+    Delta = (r^2 - 1)/(2 r^2) of a rank-r exceptional, i.e. whether a
+    potentially exceptional character with that slope fails to be one.
+    Answers at the first stable class whose value is larger, so a scan that
+    a line bundle decides reads one class."""
+    delta = (r * r - 1, 2 * r * r)
+    num, den, _, _ = _best(classes, x, y, r, mp, mq, e, delta)
+    return num is not None and num * delta[1] > delta[0] * den
 
 
 def dlp_line_bundles(nu: DivisorClass, m: Rat, e: int) -> DlpValue:
@@ -263,8 +296,7 @@ def dlp_below_rank(nu: DivisorClass, m: Rat, e: int, r: int, table=None) -> DlpV
     """
     _check_del_pezzo(e)
     m = check_polarization(m)
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("rank cutoff must be a positive integer")
+    check_rank(r, "rank cutoff")
     if r == 1:
         return DlpValue(None)
     return _scan(nu, slope_classes(table, e, r), m, e)

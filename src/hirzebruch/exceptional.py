@@ -7,7 +7,14 @@ even) and b determined mod r by
     2 a b = a^2 e + a e r - r^2 - 1  (mod 2r).
 
 A potentially exceptional character is exceptional iff
-Delta >= DLP^{<r}_{-K}(nu), decided by induction on the rank.  For an
+Delta >= DLP^{<r}_{-K}(nu), decided by induction on the rank.  Only the
+verdict is needed, so `_beaten` stops at the first class stable at 1 - e/2
+whose DLP value beats Delta = (r^2 - 1)/(2 r^2), by cross-multiplication
+(`dlp.exceeds_exceptional_delta`); for most candidates that is O itself.
+`build_table` tests each canonical (r, a, b) from its integers, nu = (a/r,
+b/r) with denominator r since gcd(a, r) = 1, against one class list that it
+seeds from its base and extends by the orbit of each new row; only the
+candidates that become rows are built as `ChernCharacter`s.  For an
 exceptional bundle V of rank >= 2 the stability interval
 
     I_V = { m > 0 : V is mu_{H_m}-stable }
@@ -38,15 +45,19 @@ its classes once, in row order (`ExceptionalTable.classes`).  A slope class
 is integers (rank, a, b) with its interval, and its Delta is
 `exceptional_delta(rank)`.  `_candidates` is the one enumeration of
 canonical pairs per rank, shared by `potential_characters` and
-`build_table`, and `is_exceptional` is the one exceptionality test, with
-chi(v, v) = 1 read from `lattice.chi2` on `lattice.int_key`.  `load_table`
-refuses rows that fail `_check_row`.
+`build_table`, and `_beaten` is the one exceptionality test, behind
+`is_exceptional` (which reads chi(v, v) = 1 from `lattice.chi2` on
+`lattice.int_key`) and `build_table`.  A cache starts with a header line
+holding e, max_rank, the rows per rank and the sha256 of the row lines;
+`load_table` refuses a cache whose header is missing or does not match its
+rows, and rows that fail `_check_row`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -58,6 +69,7 @@ from .lattice import (
     ChernCharacter,
     DivisorClass,
     InternalError,
+    check_rank,
     check_surface,
     chi2,
     delta2,
@@ -120,6 +132,13 @@ class ExceptionalTable:
         """O, then the slope classes of each row of rank >= 2, in row order."""
         return (dlp.LINE_BUNDLES,) + tuple(
             cls for rec in self.records if rec.r > 1 for cls in dlp.orbit(rec, self.e))
+
+    @classmethod
+    def _with_classes(cls, e: int, max_rank: int, records, classes) -> "ExceptionalTable":
+        """A table whose `classes` are given: those of `records`, in row order."""
+        table = cls(e, max_rank, tuple(records))
+        table.__dict__["classes"] = tuple(classes)     # the cached_property's slot
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +218,18 @@ def is_exceptional(v: ChernCharacter, e: int, table: Optional[ExceptionalTable] 
     key = int_key(v)
     if chi2(key, key, e) != 2:
         raise ValueError("character is not potentially exceptional (chi(v,v) != 1)")
-    if v.r == 1:
+    r, a, b, _ = key
+    if r == 1:
         return True
-    if table is None or table.max_rank < v.r - 1:
-        table = build_table(e, v.r - 1, base=table)
-    anch = 1 - Fraction(e, 2)
-    bound = dlp.dlp_below_rank(v.nu(), anch, e, v.r, table)
-    return bound.value is None or v.delta(e) >= bound.value
+    if table is None or table.max_rank < r - 1:
+        table = build_table(e, r - 1, base=table)
+    return not _beaten(dlp.slope_classes(table, e, r), r, a, b, e)
+
+
+def _beaten(classes, r: int, a: int, b: int, e: int) -> bool:
+    """Whether a class of `classes` beats Delta = 1/2 - 1/(2 r^2) at
+    nu = (a/r, b/r) and m = 1 - e/2 (chi(v, v) = 1 fixes that Delta)."""
+    return dlp.exceeds_exceptional_delta(classes, a, b, r, 2 - e, 2, e)     # m as a pair
 
 
 def _strip_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int,
@@ -293,28 +317,39 @@ def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> E
     check_surface(e)
     if e not in (0, 1):
         raise ValueError("tables exist for F_0 and F_1; reduce e >= 2 first")
-    if rmax < 1:
-        raise ValueError("rmax must be >= 1")
-    records: List[ExceptionalRecord] = []
-    done = 0
-    if base is not None:
-        if base.e != e:
-            raise ValueError("base table is for a different surface")
-        records = list(base.records)
-        done = base.max_rank
+    check_rank(rmax, "rmax")
+    if base is None:
+        base = ExceptionalTable(e, 0, ())
+    elif base.e != e:
+        raise ValueError("base table is for a different surface")
+    records = list(base.records)
+    done = base.max_rank
     if done < 1:
         records.append(ExceptionalRecord(1, 0, 0, Fraction(0), None))
         done = 1
+    records.sort(key=_row_order)
+    if done != base.max_rank or records != list(base.records):
+        base = ExceptionalTable(e, done, tuple(records))
+    if rmax <= done:
+        return base
+    # one class list, extended by the orbits of each rank's new rows
+    classes = list(base.classes)
     for r in range(done + 1, rmax + 1):
-        partial = ExceptionalTable(e, r - 1, tuple(records))
+        below, new = None, []           # below: the table of ranks < r
         for a, b in _candidates(r, e):
-            v = exceptional_character(r, a, b, e)
-            if not is_exceptional(v, e, partial):
+            if _beaten(classes, r, a, b, e):
                 continue
-            lo, hi, w0, w1 = stability_interval(v, e, partial)
-            records.append(ExceptionalRecord(r, a, b, lo, hi, w0, w1))
-    records.sort(key=lambda rec: (rec.r, rec.a, rec.b))
-    return ExceptionalTable(e, max(rmax, done), tuple(records))
+            if below is None:
+                below = ExceptionalTable._with_classes(e, r - 1, records, classes)
+            lo, hi, w0, w1 = stability_interval(exceptional_character(r, a, b, e), e, below)
+            new.append(ExceptionalRecord(r, a, b, lo, hi, w0, w1))
+        records += new
+        classes += [c for rec in new for c in dlp.orbit(rec, e)]
+    return ExceptionalTable._with_classes(e, rmax, records, classes)
+
+
+def _row_order(rec: ExceptionalRecord) -> Tuple[int, int, int]:
+    return rec.r, rec.a, rec.b
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +405,32 @@ def _check_row(rec: ExceptionalRecord, e: int) -> None:
                 raise ValueError("witness %r does not give endpoint %s of rank %d" % (wit, m, r))
 
 
+def _header(e: int, max_rank: int, ranks: List[int], rows: List[str]) -> str:
+    """The cache's first line: e, max_rank, the number of rows of each rank
+    from 1 to the larger of max_rank and the highest row, and the sha256 of
+    the row lines, each ended by a newline."""
+    import hashlib      # loads OpenSSL (3.6 MB of RSS, CPython 3.11 on Linux x86-64)
+
+    counts = Counter(ranks)
+    top = max([max_rank, *ranks])
+    digest = hashlib.sha256("".join(ln + "\n" for ln in rows).encode()).hexdigest()
+    obj = {"e": e, "max_rank": max_rank,
+           "rows_per_rank": [counts[r] for r in range(1, top + 1)], "sha256": digest}
+    return json.dumps(obj, separators=(", ", ": "))
+
+
 def save_table(table: ExceptionalTable, path: str) -> None:
-    """Write the cache to a temporary file beside `path` and move it into
-    place, so processes sharing the cache never read a partial table; on
-    failure the temporary file is removed and `path` is left as it was."""
+    """Write the cache, a header line and one line per row, to a temporary
+    file beside `path` and move it into place, so processes sharing the
+    cache never read a partial table; on failure the temporary file is
+    removed and `path` is left as it was."""
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         try:
+            rows = [record_to_json(rec, table.e) for rec in table.records]
+            head = _header(table.e, table.max_rank, [rec.r for rec in table.records], rows)
             with open(tmp, "w") as fh:
-                for rec in table.records:
-                    fh.write(record_to_json(rec, table.e) + "\n")
+                fh.write("".join(ln + "\n" for ln in [head] + rows))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -390,15 +441,25 @@ def save_table(table: ExceptionalTable, path: str) -> None:
 
 
 def load_table(path: str, e: int) -> ExceptionalTable:
-    """Load a cache; raises CacheError on unreadable or inconsistent content."""
+    """Load a cache; raises CacheError on unreadable or inconsistent content,
+    a missing header or rows that do not match it.  The table covers the
+    header's max_rank."""
     try:
         with open(path) as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     except OSError as exc:
         raise CacheError("cannot read cache %s: %s" % (path, exc))
+    try:
+        head = json.loads(lines[0])
+    except (IndexError, ValueError):
+        head = None
+    if not (isinstance(head, dict) and list(head) == ["e", "max_rank", "rows_per_rank", "sha256"]
+            and type(head["max_rank"]) is int and head["max_rank"] >= 1):
+        raise CacheError("cache %s has no header line" % path)
+    rows = lines[1:]
     records = []
     try:
-        for ln in lines:
+        for ln in rows:
             ee, rec = record_from_json(ln)
             if ee != e:
                 raise ValueError("row for e=%d in a cache opened for e=%d" % (ee, e))
@@ -408,8 +469,11 @@ def load_table(path: str, e: int) -> ExceptionalTable:
         raise CacheError("corrupt cache %s: %s" % (path, exc))
     if not records:
         raise CacheError("cache %s is empty" % path)
-    records.sort(key=lambda rec: (rec.r, rec.a, rec.b))
-    if len({(rec.r, rec.a, rec.b) for rec in records}) < len(records):
+    records.sort(key=_row_order)
+    if len({_row_order(rec) for rec in records}) < len(records):
         raise CacheError("cache %s repeats a row" % path)
-    covered = max(rec.r for rec in records)
-    return ExceptionalTable(e, covered, tuple(records))
+    want = json.loads(_header(e, head["max_rank"], [rec.r for rec in records], rows))
+    wrong = [k for k in want if head[k] != want[k]]
+    if wrong:
+        raise CacheError("cache %s does not match its header (%s)" % (path, ", ".join(wrong)))
+    return ExceptionalTable(e, head["max_rank"], tuple(records))

@@ -85,6 +85,7 @@ from .lattice import (
     InternalError,
     Rat,
     check_polarization,
+    check_rank,
     check_surface,
     chi2,
     delta2,
@@ -532,8 +533,7 @@ def delta_estimate(
     if e not in (0, 1):
         raise ValueError("delta_estimate runs on F_0/F_1; reduce e >= 2 first")
     m = check_polarization(m)
-    if rank_cutoff < 1:
-        raise ValueError("rank cutoff must be >= 1")
+    check_rank(rank_cutoff, "rank cutoff")
     da, db = nu.a.denominator, nu.b.denominator
     r0 = da * db // gcd(da, db)
     lower = Fraction(1, 2)

@@ -23,7 +23,8 @@ integer kernels are `hilbert_P2` (2 L^2 P on slopes over L) and, on keys
 `from_key` builds each field's `Fraction` once.  The constructors accept
 only `int` (not `bool`) and `Fraction` coefficients, as `check_polarization`
 does for m, and keep a `Fraction` as it is; so do `DivisorClass.scale` for
-its factor and `from_rank_slope_disc` for Delta.
+its factor and `from_rank_slope_disc` for Delta.  `check_rank` is the one
+test for a rank or rank cutoff: a positive `int`, never a `bool`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def _exact(x: Rat, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ValueError("%s must be an int or a Fraction, got %r" % (what, x))
     return Fraction(x)
+
+
+def check_rank(r: int, what: str = "rank") -> int:
+    """r itself if it is a positive `int`; a bool, float or other type raises
+    ValueError naming the value."""
+    if type(r) is not int or r < 1:
+        raise ValueError("%s must be a positive integer, got %r" % (what, r))
+    return r
 
 
 def check_polarization(m: Rat) -> Fraction:
@@ -286,8 +295,7 @@ def reduced_hilbert_key(v: ChernCharacter, m: Rat, e: int) -> Tuple[Fraction, Fr
 
 def from_rank_slope_disc(r: int, nu: DivisorClass, delta: Rat, e: int) -> ChernCharacter:
     """Integral character with invariants (r, nu, Delta), or IntegralityError."""
-    if not isinstance(r, int) or r <= 0:
-        raise ValueError("rank must be a positive integer, got %r" % (r,))
+    check_rank(r)
     delta = _exact(delta, "discriminant Delta")
     c1 = nu.scale(r)
     if not c1.is_integral():

@@ -185,7 +185,7 @@ def test_cache_extend_and_corrupt(tmp_path, capsys, monkeypatch):
     code, out2, _ = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", "20", "--cache", cache)
     assert len(out2.strip().splitlines()) == 15
     with open(cache) as fh:
-        assert len(fh.read().strip().splitlines()) == 15
+        assert len(fh.read().strip().splitlines()) == 16       # a header and 15 rows
     # corrupt cache is reported and rebuilt
     with open(cache, "w") as fh:
         fh.write("{ nonsense\n")
@@ -220,6 +220,40 @@ def test_cached_read_does_not_rewrite(tmp_path, capsys, monkeypatch):
         assert code == 0 and saves == []
     with open(cache, "rb") as fh:
         assert fh.read() == before
+
+
+def test_cache_that_misses_its_header_is_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "exc.jsonl"
+    args = ("exceptional", "--e", "0", "--max-rank", "19", "--cache", str(cache))
+    code, out1, _ = run_cli(capsys, *args)
+    lines = cache.read_text().splitlines()
+    # the two rank-11 rows deleted, then the header deleted
+    for kept in ([ln for ln in lines if '"r": 11,' not in ln], lines[1:]):
+        assert len(kept) < len(lines)
+        cache.write_text("\n".join(kept) + "\n")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0 and out == out1
+        assert err.startswith("warning: cache %s " % cache) and err.endswith("; rebuilding\n")
+        assert cache.read_text().splitlines() == lines
+
+
+def test_cached_rerun_at_the_same_rank_builds_nothing(tmp_path, capsys, monkeypatch):
+    # F_1 has no rank-21 row and F_0 no rank-18 row: the header's max_rank,
+    # not the highest row, says what the cache covers, so an extension that
+    # adds no row still rewrites the cache
+    from hirzebruch import exceptional
+
+    for e, rank in (("1", 21), ("0", 18)):
+        cache = str(tmp_path / ("exc%s.jsonl" % e))
+        for r in (rank - 1, rank):
+            args = ("exceptional", "--e", e, "--max-rank", str(r), "--cache", cache)
+            code, out1, _ = run_cli(capsys, *args)
+            assert code == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(exceptional, "_candidates", lambda *a: pytest.fail("built a rank"))
+            mp.setattr(exceptional, "save_table", lambda *a: pytest.fail("rewrote the cache"))
+            code, out2, err = run_cli(capsys, *args)
+        assert (code, out2, err) == (0, out1, "")
 
 
 def _fuzz_argv(rng):

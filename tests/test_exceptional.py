@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as Q
@@ -131,6 +132,77 @@ def test_incremental_build(table1):
     t_small = build_table(1, 6)
     t_ext = build_table(1, 20, base=t_small)
     assert as_rows(t_ext) == as_rows(table1)
+
+
+def test_first_beating_class_decides_as_the_full_scan(wide_tables):
+    # every candidate of rank <= 30: stopping at the first stable class that
+    # beats Delta answers as Delta(v) >= DLP^{<r}_{-K}(nu) over all classes.
+    # Every exceptional one ties (DLP = Delta), so a stop on `>=` fails here.
+    for table in wide_tables:
+        e = table.e
+        anch = 1 - Q(e, 2)
+        ties = 0
+        for r in range(2, 31):
+            classes = dlp.slope_classes(table, e, r)
+            for a, b in exceptional._candidates(r, e):
+                v = exceptional_character(r, a, b, e)
+                full = dlp.dlp_below_rank(v.nu(), anch, e, r, table).value
+                want = full is None or v.delta(e) >= full
+                assert (not exceptional._beaten(classes, r, a, b, e)) == want, (e, r, a, b)
+                assert is_exceptional(v, e, table) == want
+                assert want == (table.row(r, a, b) is not None)
+                ties += full == v.delta(e)
+        assert ties == sum(1 for rec in table.records if 1 < rec.r <= 30)
+
+
+# sha256 of the row lines of build_table(e, 60), as computed before the
+# early stop (44 rows on F_0, 49 on F_1)
+ROWS60 = {
+    0: (44, "1137c0d83b467f47abde2457ac8e834d0e68f19d71bc4dfa4d4fd9445f30f222"),
+    1: (49, "135c7c5aa382c1b55fe557e5b64498ba4746bb6756b6320286cb266b59a7e8c8"),
+}
+
+
+def test_rank_sixty_rows_are_unchanged():
+    for e, (count, digest) in ROWS60.items():
+        table = build_table(e, 60)
+        rows = "".join(record_to_json(rec, e) + "\n" for rec in table.records)
+        assert (len(table.records), hashlib.sha256(rows.encode()).hexdigest()) == (count, digest)
+
+
+def test_extension_equals_the_build_from_scratch():
+    # every base rank up to 12, the even F_0 ranks (no rows) included
+    for e in (0, 1):
+        whole = build_table(e, 40)
+        assert whole.classes == ExceptionalTable(e, 40, whole.records).classes
+        for k in range(1, 13):
+            ext = build_table(e, 40, base=build_table(e, k))
+            assert (ext.max_rank, ext.records, ext.classes) == (40, whole.records, whole.classes), (e, k)
+
+
+def test_build_makes_characters_and_orbits_of_new_rows_only(monkeypatch):
+    # a rejected candidate never becomes a ChernCharacter, and the class list
+    # grows by one orbit per new row
+    counts = {"character": 0, "orbit": 0}
+
+    def counted(fn, name):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(exceptional, "exceptional_character",
+                        counted(exceptional.exceptional_character, "character"))
+    monkeypatch.setattr(dlp, "orbit", counted(dlp.orbit, "orbit"))
+    for e, top in ((0, 39), (1, 40)):
+        counts.update(character=0, orbit=0)
+        table = build_table(e, top)
+        rows = len(table.records) - 1
+        assert counts == {"character": rows, "orbit": rows}
+        # an extension reads its base's classes and adds the new rows' orbits
+        counts.update(character=0, orbit=0)
+        added = len(build_table(e, top + 5, base=table).records) - len(table.records)
+        assert added > 0 and counts == {"character": added, "orbit": added}
 
 
 def test_row_lookup(table0, table1):
@@ -366,14 +438,16 @@ EDITS = {
 def test_load_refuses_edited_rows(tmp_path, table0, table1, name):
     e, rank, changes = EDITS[name]
     path = tmp_path / "cache.jsonl"
-    save_table((table0, table1)[e], str(path))
+    table = (table0, table1)[e]
+    save_table(table, str(path))
     lines = path.read_text().splitlines()
-    i = next(i for i, ln in enumerate(lines) if json.loads(ln)["r"] == rank)
+    i = next(i for i, ln in enumerate(lines) if json.loads(ln).get("r") == rank)
     obj = json.loads(lines[i])
     obj.update(changes)
     lines[i] = json.dumps(obj)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheError):
+    # with a header that matches the edited rows, the row check refuses them
+    reseal(path, lines, e, table.max_rank)
+    with pytest.raises(CacheError, match="corrupt cache"):
         load_table(str(path), e)
 
 
@@ -381,13 +455,63 @@ def test_load_refuses_appended_row(tmp_path):
     # (2, 0, 1) is no exceptional pair; trusted, it cuts (5, 2E + 2F) at 1/4.
     # A repeated row would be printed twice by `hirz exceptional`.
     small = build_table(1, 4)
-    for extra in (ExceptionalRecord(2, 0, 1, Q(0), None), small.records[-1]):
+    refusals = ("corrupt cache", "repeats a row")
+    for extra, refusal in zip((ExceptionalRecord(2, 0, 1, Q(0), None), small.records[-1]), refusals):
         path = tmp_path / "cache.jsonl"
         save_table(small, str(path))
-        with open(path, "a") as fh:
-            fh.write(record_to_json(extra, 1) + "\n")
-        with pytest.raises(CacheError):
+        reseal(path, path.read_text().splitlines() + [record_to_json(extra, 1)], 1, 4)
+        with pytest.raises(CacheError, match=refusal):
             load_table(str(path), 1)
+
+
+def reseal(path, lines, e, max_rank):
+    """Write `lines` (header first) back under a header that matches their rows."""
+    rows = lines[1:]
+    head = exceptional._header(e, max_rank, [json.loads(ln)["r"] for ln in rows], rows)
+    path.write_text("\n".join([head] + rows) + "\n")
+
+
+def test_cache_header_holds_the_rank_counts_and_the_row_hash(tmp_path, table0):
+    path = tmp_path / "cache.jsonl"
+    save_table(table0, str(path))
+    head, *rows = path.read_text().splitlines()
+    assert json.loads(head) == {
+        "e": 0, "max_rank": 19,
+        "rows_per_rank": [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 2, 0, 2],
+        "sha256": hashlib.sha256("".join(ln + "\n" for ln in rows).encode()).hexdigest(),
+    }
+    assert rows == [record_to_json(rec, 0) for rec in table0.records]
+    # the loaded table covers the header's max_rank, not its highest row
+    save_table(build_table(0, 18), str(path))
+    assert load_table(str(path), 0).max_rank == 18
+
+
+def test_load_refuses_rows_that_miss_the_header(tmp_path, table0):
+    path = tmp_path / "cache.jsonl"
+    save_table(table0, str(path))
+    head, *rows = path.read_text().splitlines()
+    obj = json.loads(head)
+    rank11 = [ln for ln in rows if json.loads(ln)["r"] == 11]
+    assert len(rank11) == 2
+    cases = [
+        # the two rank-11 rows of F_0 r <= 19 deleted: it used to load with
+        # 11 of 13 rows and max_rank 19
+        ([head] + [ln for ln in rows if ln not in rank11], "rows_per_rank, sha256"),
+        ([head] + rows[:2] + rows[3:4] + rows[2:3] + rows[4:], "sha256"),
+        ([json.dumps({**obj, "max_rank": 21})] + rows, "rows_per_rank"),
+        ([json.dumps({**obj, "e": 1})] + rows, "e"),
+    ]
+    for lines, wrong in cases:
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheError, match=r"does not match its header \(%s\)" % wrong):
+            load_table(str(path), 0)
+    broken = [rows, [json.dumps({**obj, "max_rank": True})] + rows,
+              [json.dumps({**obj, "max_rank": 0})] + rows, [head[:-1]] + rows,
+              [json.dumps({k: obj[k] for k in ("e", "max_rank", "sha256")})] + rows, []]
+    for lines in broken:
+        path.write_text("".join(ln + "\n" for ln in lines))
+        with pytest.raises(CacheError, match="no header line"):
+            load_table(str(path), 0)
 
 
 def test_failed_cache_write_keeps_old_file(tmp_path, table1, monkeypatch):

@@ -326,6 +326,27 @@ def test_fiber_window_is_the_integer_pair():
                 assert Q(num, den) == max(Q(1), Q(2) / (2 * Q(p, q) + e))
 
 
+def test_non_integer_ranks_are_refused_everywhere():
+    # a rank or rank cutoff is a positive int: build_table(0, True) used to
+    # give a table whose max_rank is True, build_table(0, 2.5) a bare
+    # TypeError and dlp_below_rank(nu, 1, 0, True) an empty DlpValue
+    nu = DivisorClass(Q(1, 5), Q(1, 3))
+    calls = (
+        lambda r: build_table(0, r),
+        lambda r: dlp_below_rank(nu, 1, 0, r),
+        lambda r: delta_estimate(nu, 1, 0, r),
+        lambda r: from_rank_slope_disc(r, DivisorClass(0, 0), 0, 0),
+    )
+    for r in (True, False, 2.5, 1.0, "3", Q(3), Decimal(3), None, 0, -1):
+        for call in calls:
+            with pytest.raises(ValueError, match="must be a positive integer") as info:
+                call(r)
+            assert repr(r) in str(info.value)
+    assert build_table(1, 2).max_rank == 2
+    assert dlp_below_rank(nu, 1, 0, 1).value is None
+    assert delta_estimate(nu, 1, 0, 1).lower == Q(1, 2)
+
+
 def test_non_rational_polarizations_are_refused_everywhere():
     # every entry point that takes m accepts only int and Fraction: a float,
     # a string, a bool or a Decimal is refused by name, never decided
