@@ -40,7 +40,7 @@ The exceptional module walks the stability walls of I_V on the same
 classes with the same scaling and the same end pairs (`LINE_BUNDLES` gives
 the sentinels), so the orbit enumeration and the stability test live here.
 
-Polarizations with e >= 2 are rejected here; reduce to F_0/F_1 first.
+e >= 2 is refused by the gate `lattice.check_del_pezzo`; reduce first.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ from .lattice import (
     ChernCharacter,
     DivisorClass,
     Rat,
+    check_count,
+    check_del_pezzo,
     check_polarization,
     check_rank,
     fiber_window,
@@ -80,14 +82,6 @@ class InsufficientTable(ValueError):
     """The exceptional table does not cover the requested ranks."""
 
 
-def _check_del_pezzo(e: int) -> None:
-    if e not in (0, 1):
-        raise ValueError(
-            "DLP functions are only computed on F_0 and F_1 (got e=%r); "
-            "translate e >= 2 queries through the reduction map first" % (e,)
-        )
-
-
 def strip_halfwidth(m: Rat, e: int) -> Fraction:
     """-(1/2) K . H_m = m + e/2 + 1."""
     return check_polarization(m) + Fraction(e, 2) + 1
@@ -95,7 +89,7 @@ def strip_halfwidth(m: Rat, e: int) -> Fraction:
 
 def dlp_single(v: ChernCharacter, nu: DivisorClass, m: Rat, e: int) -> Optional[Fraction]:
     """DLP_{H_m, v}(nu); None when nu is outside the strip of v."""
-    _check_del_pezzo(e)
+    check_del_pezzo(e)
     m = check_polarization(m)
     d = nu - v.nu()
     t = d.hm_degree(m)
@@ -294,7 +288,7 @@ def dlp_below_rank(nu: DivisorClass, m: Rat, e: int, r: int, table=None) -> DlpV
     `table` must cover ranks < r (only consulted when r > 2).  Returns an
     empty DlpValue when r <= 1.
     """
-    _check_del_pezzo(e)
+    check_del_pezzo(e)
     m = check_polarization(m)
     check_rank(r, "rank cutoff")
     if r == 1:
@@ -315,10 +309,9 @@ def dlp_grid(
     `square` is (eps0, eps1, phi0, phi1); `steps` subdivisions give steps+1
     samples per axis (steps = 0 samples the single corner).  Rows follow eps.
     """
-    _check_del_pezzo(e)
+    check_del_pezzo(e)
     m = check_polarization(m)
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    check_count(steps, "steps")
     e0, e1, p0, p1 = (Fraction(t) for t in square)
     if steps == 0:
         eps_vals, phi_vals = [e0], [p0]

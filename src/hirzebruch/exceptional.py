@@ -69,8 +69,8 @@ from .lattice import (
     ChernCharacter,
     DivisorClass,
     InternalError,
+    check_del_pezzo,
     check_rank,
-    check_surface,
     chi2,
     delta2,
     format_rational,
@@ -193,9 +193,7 @@ def _candidates(r: int, e: int) -> List[Tuple[int, int]]:
 
 def potential_characters(e: int, rmax: int) -> List[ChernCharacter]:
     """Canonical potentially exceptional characters of rank <= rmax."""
-    check_surface(e)
-    if e not in (0, 1):
-        raise ValueError("enumerate on F_0 or F_1 (reduce e >= 2 first), got e=%d" % e)
+    check_del_pezzo(e)
     out = [exceptional_character(1, 0, 0, e)]
     for r in range(2, rmax + 1):
         out += [exceptional_character(r, a, b, e) for a, b in _candidates(r, e)]
@@ -212,9 +210,7 @@ def is_exceptional(v: ChernCharacter, e: int, table: Optional[ExceptionalTable] 
     being anticanonically stable.  Raises ValueError unless v has positive
     rank, an integral c1 and 2 ch2, and chi(v,v) = 1.
     """
-    check_surface(e)
-    if e not in (0, 1):
-        raise ValueError("exceptionality is decided on F_0/F_1; reduce e >= 2 first")
+    check_del_pezzo(e)
     key = int_key(v)
     if chi2(key, key, e) != 2:
         raise ValueError("character is not potentially exceptional (chi(v,v) != 1)")
@@ -274,6 +270,7 @@ def stability_interval(
     walked.  A wall at 1 - e/2 (v is not exceptional, or the table is wrong)
     raises `lattice.InternalError`.
     """
+    check_del_pezzo(e)
     r = v.r
     if r < 2:
         raise ValueError("stability_interval wants rank >= 2 (line bundles are always stable)")
@@ -314,9 +311,7 @@ def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> E
     Deterministic; staged by rank since DLP^{<r} needs all lower ranks.  An
     existing table is extended rather than recomputed.
     """
-    check_surface(e)
-    if e not in (0, 1):
-        raise ValueError("tables exist for F_0 and F_1; reduce e >= 2 first")
+    check_del_pezzo(e)
     check_rank(rmax, "rmax")
     if base is None:
         base = ExceptionalTable(e, 0, ())
@@ -444,6 +439,7 @@ def load_table(path: str, e: int) -> ExceptionalTable:
     """Load a cache; raises CacheError on unreadable or inconsistent content,
     a missing header or rows that do not match it.  The table covers the
     header's max_rank."""
+    check_del_pezzo(e)
     try:
         with open(path) as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]

@@ -84,6 +84,8 @@ from .lattice import (
     IKey,
     InternalError,
     Rat,
+    check_count,
+    check_del_pezzo,
     check_polarization,
     check_rank,
     check_surface,
@@ -499,6 +501,7 @@ def exists_above(v: ChernCharacter, m: Rat, e: int, steps: int = 3) -> bool:
     """Monotone-closure harness: v and its next `steps` elementary
     modifications (Delta += 1/r) must all be NONEMPTY."""
     m, _ = _validate(v, m, e)
+    check_count(steps, "steps")
     w = v
     for _ in range(steps + 1):
         if moduli_nonempty(w, m, e).verdict != NONEMPTY:
@@ -529,9 +532,7 @@ def delta_estimate(
     nu = (1/2, 1/4), m = 1/2 on F_1 the bracket is (3/4, 1/2) with witness
     (4, 2E + F, -2) = O(E) + (3, E + F, -3/2).
     """
-    check_surface(e)
-    if e not in (0, 1):
-        raise ValueError("delta_estimate runs on F_0/F_1; reduce e >= 2 first")
+    check_del_pezzo(e)
     m = check_polarization(m)
     check_rank(rank_cutoff, "rank cutoff")
     da, db = nu.a.denominator, nu.b.denominator

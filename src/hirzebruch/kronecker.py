@@ -91,6 +91,11 @@ def _sign_biquadratic(g0, g1, h0, h1, A: int, B: int) -> int:
     return sG if sK > 0 else sH
 
 
+def _check_family(e: int, ell: int) -> None:
+    if not (type(e) is int and 0 <= e <= 1 and type(ell) is int and ell >= 3):
+        raise KroneckerDomainError("need ints e in {0, 1}, ell >= 3; got e=%r, ell=%r" % (e, ell))
+
+
 def in_psi_interval(q: Fraction, n: int) -> bool:
     """q in (psi_N^{-1}, psi_N), tested as q^2 - N q + 1 < 0."""
     return q * q - n * q + 1 < 0
@@ -106,10 +111,7 @@ class KroneckerParams:
     d: int
 
     def __post_init__(self):
-        if self.e not in (0, 1):
-            raise KroneckerDomainError("e must be 0 or 1")
-        if self.ell < 3:
-            raise KroneckerDomainError("ell must be at least 3")
+        _check_family(self.e, self.ell)
         if min(self.a, self.b, self.c, self.d) < 1:
             raise KroneckerDomainError("exponents a, b, c, d must be positive")
 
@@ -191,10 +193,7 @@ class TriangleR:
     ell: int
 
     def __post_init__(self):
-        if self.e not in (0, 1):
-            raise KroneckerDomainError("e must be 0 or 1")
-        if self.ell < 3:
-            raise KroneckerDomainError("ell must be at least 3")
+        _check_family(self.e, self.ell)
 
     @property
     def k(self) -> int:

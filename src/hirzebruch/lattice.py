@@ -23,8 +23,11 @@ integer kernels are `hilbert_P2` (2 L^2 P on slopes over L) and, on keys
 `from_key` builds each field's `Fraction` once.  The constructors accept
 only `int` (not `bool`) and `Fraction` coefficients, as `check_polarization`
 does for m, and keep a `Fraction` as it is; so do `DivisorClass.scale` for
-its factor and `from_rank_slope_disc` for Delta.  `check_rank` is the one
-test for a rank or rank cutoff: a positive `int`, never a `bool`.
+its factor and `from_rank_slope_disc` for Delta.  The input tests take no
+`bool` and raise ValueError naming the value: `check_surface` (e >= 0),
+`check_del_pezzo` (e in {0, 1} for tables and DLP; reduce e >= 2 with
+`reduction`), `check_rank` (r >= 1), `check_count` (a count n >= 0) and
+m > 0 in `check_polarization`.
 """
 
 from __future__ import annotations
@@ -47,9 +50,22 @@ class InternalError(RuntimeError):
 
 
 def check_surface(e: int) -> int:
-    if not isinstance(e, int) or e < 0:
+    if type(e) is not int or e < 0:
         raise ValueError("surface parameter e must be a non-negative integer, got %r" % (e,))
     return e
+
+
+def check_del_pezzo(e: int) -> int:
+    if check_surface(e) > 1:
+        raise ValueError("only F_0 and F_1 are served here, got e=%d; reduce e >= 2 to them "
+                         "through the reduction map (hirzebruch.reduction) first" % e)
+    return e
+
+
+def check_count(n: int, what: str) -> int:
+    if type(n) is not int or n < 0:
+        raise ValueError("%s must be a non-negative integer, got %r" % (what, n))
+    return n
 
 
 def _exact(x: Rat, what: str) -> Fraction:
@@ -208,8 +224,7 @@ class ChernCharacter:
         return ChernCharacter(self.r - other.r, self.c1 - other.c1, self.ch2 - other.ch2)
 
     def scale(self, n: int) -> "ChernCharacter":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("character scaling wants a non-negative integer")
+        check_count(n, "character scaling factor")
         return ChernCharacter(n * self.r, self.c1.scale(n), n * self.ch2)
 
 

@@ -148,7 +148,7 @@ def prioritary_nonempty(v: ChernCharacter, n: int, e: int) -> bool:
     chi(v(-L_0 - H_n)) <= 0); integral eps always passes, Delta < 0 fails.
     """
     check_surface(e)
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError("prioritary index must be an integer, got %r" % (n,))
     key = _multiple_key(v)
     if delta2(key, e) < 0:
@@ -201,14 +201,13 @@ def prioritary_index_of_key(key: IKey, e: int) -> Optional[int]:
 
 
 def prioritary_report(v: ChernCharacter, e: int) -> PrioritaryReport:
-    d = _require_delta(v, e)
-    l0, psi, degenerate = l0_and_psi(v, e)
+    l0, psi, degenerate = l0_and_psi(v, e)      # checks e and Delta >= 0
     return PrioritaryReport(
         l0=l0,
         psi=psi,
         rho_gen=generic_prioritary_index(v, e),
         degenerate_epsilon=degenerate,
-        zero_discriminant=(d == 0),
+        zero_discriminant=(v.delta(e) == 0),
         e=e,
         nu=v.nu(),
     )
@@ -243,7 +242,7 @@ def delta_p(nu: DivisorClass, n: int, e: int) -> Fraction:
     Invariant under twists and duals of nu; zero for integral eps.
     """
     check_surface(e)
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError("prioritary index must be an integer, got %r" % (n,))
     eps, phi = Fraction(nu.a), Fraction(nu.b)
     if eps.denominator == 1:
@@ -297,9 +296,7 @@ def general_cohomology(v: ChernCharacter, e: int) -> Tuple[int, int, int]:
         raise ValueError("general_cohomology needs positive rank")
     if not v.is_integral(e):
         raise IntegralityError("character %r is not integral" % (v,))
-    d = v.delta(e)
-    if d < 0:
-        raise BogomolovViolation("Delta = %s < 0" % (d,))
+    _require_delta(v, e)
     if v.r == 1:
         return _rank_one_cohomology(v, e)
     nu = v.nu()

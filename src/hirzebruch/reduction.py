@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .lattice import ChernCharacter, DivisorClass, Rat, check_polarization, check_surface
+from .lattice import ChernCharacter, DivisorClass, Rat, check_count, check_polarization, check_surface
 from .existence import DecisionCertificate, HNDecomposition, moduli_nonempty
 
 
@@ -57,7 +57,6 @@ def reduce_decision(v: ChernCharacter, e: int, m: Rat) -> Tuple[DecisionCertific
     The certificate's filtration factors are pulled back through pi^{-1} so
     they decompose v itself; verdicts transport exactly.
     """
-    m = check_polarization(m)
     w, e_red, m_red, trace = reduce_character(v, e, m)
     cert = moduli_nonempty(w, m_red, e_red)
     if cert.hn is None:
@@ -78,8 +77,7 @@ def interval_transport(
     Each step sends (m0, m1) to (0, m1 - 1); None encodes the empty interval
     (and None as right endpoint encodes +infinity).
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    check_count(steps, "steps")
     cur = interval
     for _ in range(steps):
         if cur is None:

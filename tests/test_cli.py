@@ -162,6 +162,16 @@ def test_exit_codes(capsys):
             code, out, err = run_cli(capsys, sub[0], "--e", "0", "--m", "1", *sub[1:],
                                      "--below-rank", cutoff)
             assert code == 2 and out == "" and "rank cutoff" in err
+    # DLP values and brackets are computed on F_0 and F_1 only, whether or
+    # not a table is built first: one message, pointing to the reduction
+    for rank in ("2", "3"):
+        for sub in (("dlp", "--nu", "1/2,1/3", "--below-rank", rank),
+                    ("delta", "--nu", "1/2,1/3", "--max-rank", str(int(rank) - 1)),
+                    ("grid", "--square", "0,1,0,1", "--steps", "2", "--below-rank", rank)):
+            code, out, err = run_cli(capsys, sub[0], "--e", "2", "--m", "1", *sub[1:])
+            assert (code, out) == (2, "")
+            assert err == ("invalid input: only F_0 and F_1 are served here, got e=2; reduce "
+                           "e >= 2 to them through the reduction map (hirzebruch.reduction) first\n")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -15,11 +15,15 @@ from hirzebruch import (
     E,
     F,
     IntegralityError,
+    KroneckerDomainError,
+    KroneckerParams,
+    TriangleR,
     build_table,
     canonical_divisor,
     character,
     delta_closed_form,
     delta_estimate,
+    delta_p,
     dlp_below_rank,
     dlp_grid,
     dlp_line_bundles,
@@ -27,30 +31,51 @@ from hirzebruch import (
     dual,
     euler_char,
     euler_pair,
+    exceptional_character,
     exists_above,
     format_rational,
     from_rank_slope_disc,
+    gaeta_exponents,
+    general_cohomology,
+    generic_prioritary_index,
     hilbert_P,
     hn_generic,
+    interval_transport,
     intersect,
     is_exceptional,
     is_wall,
+    l0_and_psi,
     line_bundle,
+    load_table,
     moduli_nonempty,
     mu,
     params_for_slope,
     parse_rational,
     polarization_divisor,
+    potential_characters,
+    prioritary_nonempty,
+    prioritary_report,
     reduce_character,
     reduce_decision,
     reduced_hilbert_key,
+    save_table,
     stability_interval,
     twist,
     verdict,
 )
 from hirzebruch.cli import main
 from hirzebruch.dlp import strip_halfwidth
-from hirzebruch.lattice import ZERO_DIV, check_polarization, chi2, delta2, fiber_window, from_key, int_key
+from hirzebruch.lattice import (
+    ZERO_DIV,
+    check_del_pezzo,
+    check_polarization,
+    check_surface,
+    chi2,
+    delta2,
+    fiber_window,
+    from_key,
+    int_key,
+)
 
 
 def test_intersection_form():
@@ -345,6 +370,102 @@ def test_non_integer_ranks_are_refused_everywhere():
     assert build_table(1, 2).max_rank == 2
     assert dlp_below_rank(nu, 1, 0, 1).value is None
     assert delta_estimate(nu, 1, 0, 1).lower == Q(1, 2)
+
+
+DEL_PEZZO = ("only F_0 and F_1 are served here, got e=%d; reduce e >= 2 to them "
+             "through the reduction map (hirzebruch.reduction) first")
+
+
+def test_non_integer_surfaces_are_refused_everywhere(tmp_path):
+    # e is a non-negative int: build_table(True, 5) used to give a table
+    # whose e is True, moduli_nonempty(v, 1, True) to answer as on F_1 and
+    # dlp_single(v, nu, 1, 1.0) to raise a bare TypeError.  The same holds
+    # for step counts and the prioritary index n.
+    v, nu = character(2, 1, 0, 0), DivisorClass(Q(1, 5), Q(1, 3))
+    table = build_table(0, 3)
+    cache = str(tmp_path / "f0.jsonl")
+    save_table(table, cache)
+    x = exceptional_character(3, 1, 1, 0)         # a row of the F_0 table
+    del_pezzo = (
+        lambda e: potential_characters(e, 3),
+        lambda e: is_exceptional(x, e, table),
+        lambda e: build_table(e, 3),
+        lambda e: stability_interval(x, e, table),
+        lambda e: load_table(cache, e),
+        lambda e: delta_estimate(nu, Q(1, 2), e, 4, table),
+        lambda e: dlp_single(CH_O, nu, 1, e),
+        lambda e: dlp_line_bundles(nu, 1, e),
+        lambda e: dlp_below_rank(nu, 1, e, 3, table),
+        lambda e: dlp_grid(e, 1, (0, 1, 0, 1), 1, 2),
+    )
+    any_surface = (
+        lambda e: hn_generic(v, 1, e),
+        lambda e: verdict(v, 1, e),
+        lambda e: moduli_nonempty(v, 1, e),
+        lambda e: is_wall(v, 1, e),
+        lambda e: exists_above(v, 1, e),
+        lambda e: reduce_character(v, e, 1),
+        lambda e: reduce_decision(v, e, 1),
+        lambda e: prioritary_nonempty(v, 1, e),
+        lambda e: generic_prioritary_index(v, e),
+        lambda e: l0_and_psi(v, e),
+        lambda e: gaeta_exponents(v, e),
+        lambda e: prioritary_report(v, e),
+        lambda e: general_cohomology(v, e),
+        lambda e: delta_p(nu, 1, e),
+    )
+    # the Kronecker construction keeps its own domain error (exit 3)
+    kronecker = (
+        lambda e: KroneckerParams(e, 3, 1, 1, 2, 13),
+        lambda e: TriangleR(e, 3),
+        lambda e: delta_closed_form(nu, Q(12, 7), e, 3),
+        lambda e: params_for_slope(nu, Q(12, 7), e, 3),
+    )
+    for e in (True, False, 1.0, 0.0, "1", Q(1), Decimal(1), None, -1):
+        for call in del_pezzo + any_surface + kronecker:
+            with pytest.raises(ValueError) as info:
+                call(e)
+            assert repr(e) in str(info.value)
+    # one wording for every F_0/F_1-only function; F_e itself is served
+    for e in (2, 3):
+        for call in del_pezzo:
+            with pytest.raises(ValueError) as info:
+                call(e)
+            assert str(info.value) == DEL_PEZZO % e
+        with pytest.raises(KroneckerDomainError, match="got e=%d" % e):
+            KroneckerParams(e, 3, 1, 1, 2, 13)
+        w = character(3, 2, 1, -1)
+        assert moduli_nonempty(w, 1, e).verdict == reduce_decision(w, e, 1)[0].verdict
+    assert check_del_pezzo(1) == 1 and check_surface(7) == 7
+    # step counts and character multiples: a non-negative int, 0 included
+    counts = (
+        lambda n: dlp_grid(0, 1, (0, 1, 0, 1), n, 2),
+        lambda n: exists_above(CH_O, Q(5, 3), 1, steps=n),
+        lambda n: interval_transport((Q(0), Q(3)), n),
+        lambda n: v.scale(n),
+    )
+    for n in (1.5, True, False, "1", Q(1), None, -1):
+        for call in counts:
+            with pytest.raises(ValueError, match="must be a non-negative integer") as info:
+                call(n)
+            assert repr(n) in str(info.value)
+    assert len(dlp_grid(0, 1, (0, 1, 0, 1), 0, 2)[2]) == 1
+    assert interval_transport((Q(0), Q(3)), 0) == (Q(0), Q(3)) and exists_above(CH_O, Q(5, 3), 1, 0)
+    assert v.scale(0) == character(0, 0, 0, 0) and v.scale(2) == v + v
+    # the prioritary index n is an int, not a bool; a negative n stays legal
+    for n in (True, False, 1.0, "1", Q(1), None):
+        for call in (lambda n: prioritary_nonempty(v, n, 0), lambda n: delta_p(nu, n, 0)):
+            with pytest.raises(ValueError, match="prioritary index must be an integer") as info:
+                call(n)
+            assert repr(n) in str(info.value)
+    assert prioritary_nonempty(v, -2, 0) and delta_p(nu, -1, 0) >= 0
+    # ell is an int >= 3, not a float
+    for ell in (3.5, 3.0, True, "3", Q(3), None, 2):
+        for call in (lambda ell: KroneckerParams(1, ell, 1, 1, 2, 13), lambda ell: TriangleR(1, ell)):
+            with pytest.raises(KroneckerDomainError, match="ell >= 3; got e=1, ell=") as info:
+                call(ell)
+            assert repr(ell) in str(info.value)
+    assert KroneckerParams(1, 3, 1, 1, 2, 13).k == 2 and TriangleR(0, 3).k == 3
 
 
 def test_non_rational_polarizations_are_refused_everywhere():
