@@ -282,6 +282,11 @@ def dlp_line_bundles(nu: DivisorClass, m: Rat, e: int) -> DlpValue:
     return dlp_below_rank(nu, m, e, 2)
 
 
+def _check_slope(nu: DivisorClass) -> None:
+    if not isinstance(nu, DivisorClass):
+        raise ValueError("slope nu must be a DivisorClass, got %r" % (nu,))
+
+
 def dlp_below_rank(nu: DivisorClass, m: Rat, e: int, r: int, table=None) -> DlpValue:
     """DLP^{<r}_{H_m}(nu) over mu_{H_m}-stable exceptionals of rank < r.
 
@@ -291,6 +296,7 @@ def dlp_below_rank(nu: DivisorClass, m: Rat, e: int, r: int, table=None) -> DlpV
     check_del_pezzo(e)
     m = check_polarization(m)
     check_rank(r, "rank cutoff")
+    _check_slope(nu)
     if r == 1:
         return DlpValue(None)
     return _scan(nu, slope_classes(table, e, r), m, e)

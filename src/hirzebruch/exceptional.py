@@ -69,6 +69,7 @@ from .lattice import (
     ChernCharacter,
     DivisorClass,
     InternalError,
+    check_count,
     check_del_pezzo,
     check_rank,
     chi2,
@@ -194,6 +195,7 @@ def _candidates(r: int, e: int) -> List[Tuple[int, int]]:
 def potential_characters(e: int, rmax: int) -> List[ChernCharacter]:
     """Canonical potentially exceptional characters of rank <= rmax."""
     check_del_pezzo(e)
+    check_count(rmax, "rmax")
     out = [exceptional_character(1, 0, 0, e)]
     for r in range(2, rmax + 1):
         out += [exceptional_character(r, a, b, e) for a, b in _candidates(r, e)]

@@ -521,10 +521,16 @@ def delta_estimate(
 
     Upper bound: for every rank that is a multiple of the minimal one making
     r nu integral, up to the cutoff, scan Delta >= 1/2 upward along that
-    rank's integral lattice until the first NONEMPTY verdict; take the best.
-    Lower bound: max(1/2, DLP^{<cutoff}_{H_m}(nu)).  e must be 0 or 1
-    (reduce first otherwise); the wall flag records slope ties seen while
-    scanning.
+    rank's integral lattice until the first NONEMPTY verdict, stopping at
+    the best Delta found so far; take the best.  The scan runs on integer
+    keys (r, a, b, 2 ch2): NONEMPTY is a length-one filtration from the
+    memoized search, Delta = (c1^2 - 2 r ch2)/(2 r^2) is compared by
+    cross-multiplying, and the witness and its `Fraction` Delta are built
+    once, on return.  Lower bound: max(1/2, DLP^{<cutoff}_{H_m}(nu)).
+    e must be 0 or 1 (reduce first otherwise) and nu a `DivisorClass`.  The
+    wall flag records a slope tie (`is_wall`) of some scanned character;
+    the test ignores Delta, so it runs once per rank, on the rank's first
+    scanned character, until a tie is seen.
 
     The lower bound is about stable sheaves, the witness only carries
     semistable ones, so lower > upper is possible when every semistable
@@ -535,6 +541,7 @@ def delta_estimate(
     check_del_pezzo(e)
     m = check_polarization(m)
     check_rank(rank_cutoff, "rank cutoff")
+    _dlp._check_slope(nu)
     da, db = nu.a.denominator, nu.b.denominator
     r0 = da * db // gcd(da, db)
     lower = Fraction(1, 2)
@@ -544,29 +551,35 @@ def delta_estimate(
         bound = _dlp.dlp_below_rank(nu, m, e, rank_cutoff, table)
         if bound.value is not None:
             lower = max(lower, bound.value)
-    upper: Optional[Fraction] = None
-    witness: Optional[ChernCharacter] = None
-    wall = False
+    mp, mq = m.numerator, m.denominator
     cap = lower + 8
+    best = None                     # (dn, r^2, key) of the best witness
+    wall = False
     for r in range(r0, rank_cutoff + 1, r0):
         a, b = int(r * nu.a), int(r * nu.b)
         c1sq = 2 * a * b - e * a * a
-        # Delta = (c1sq - r s) / (2 r^2) for s = 2 ch2 = c1sq - 2 c2: start at
-        # the largest s with c2 integral and Delta >= 1/2; s -= 2 adds 1/r
-        s = (c1sq - r * r) // r
+        rr = r * r
+        # Delta = dn / (2 r^2), dn = c1sq - r s for s = 2 ch2 = c1sq - 2 c2:
+        # start at the largest s with c2 integral and Delta >= 1/2; s -= 2
+        # adds 1/r.  The wall test ignores s: once per rank, at its first step
+        s = (c1sq - rr) // r
         s -= (s - c1sq) % 2
+        s0 = s
         while True:
-            d = Fraction(c1sq - r * s, 2 * r * r)
-            if upper is not None and d >= upper:
+            dn = c1sq - r * s
+            if best is not None and dn * best[1] >= best[0] * rr:
                 break
-            if d > cap:
+            if dn * cap.denominator > cap.numerator * 2 * rr:
                 raise InternalError("delta scan exceeded cap %s at rank %d" % (cap, r))
-            w = from_key((r, a, b, s))
-            cert = moduli_nonempty(w, m, e)
-            wall = wall or cert.wall
-            if cert.verdict == NONEMPTY:
-                if upper is None or d < upper:
-                    upper, witness = d, w
+            key = (r, a, b, s)
+            if s == s0:
+                wall = wall or _is_wall_key(key, mp, mq, e)
+            factors = _hn_key(key, mp, mq, e)
+            if factors is not None and len(factors) == 1:
+                best = (dn, rr, key)
                 break
             s -= 2
-    return DeltaBracket(nu, m, e, rank_cutoff, lower, upper, witness, wall)
+    if best is None:
+        return DeltaBracket(nu, m, e, rank_cutoff, lower, None, None, wall)
+    dn, rr, key = best
+    return DeltaBracket(nu, m, e, rank_cutoff, lower, Fraction(dn, 2 * rr), from_key(key), wall)

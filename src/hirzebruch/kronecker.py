@@ -112,8 +112,9 @@ class KroneckerParams:
 
     def __post_init__(self):
         _check_family(self.e, self.ell)
-        if min(self.a, self.b, self.c, self.d) < 1:
-            raise KroneckerDomainError("exponents a, b, c, d must be positive")
+        exps = (self.a, self.b, self.c, self.d)
+        if not all(type(x) is int and x >= 1 for x in exps):
+            raise KroneckerDomainError("exponents a, b, c, d must be positive ints, got %r" % (exps,))
 
     @property
     def k(self) -> int:

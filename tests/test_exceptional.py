@@ -90,6 +90,17 @@ def test_congruence_and_candidates():
             assert v.is_integral(e)
 
 
+def test_potential_characters_rmax_is_a_count():
+    # rmax = 0 keeps [O]; a bool, float or string is refused by name, where
+    # True used to answer as 1 and 2.5 to raise a bare TypeError
+    for e in (0, 1):
+        assert potential_characters(e, 0) == potential_characters(e, 1) == [exceptional_character(1, 0, 0, e)]
+        for rmax in (True, False, 2.5, 1.0, "3", Q(3), None, -1):
+            with pytest.raises(ValueError, match="rmax must be a non-negative integer") as info:
+                potential_characters(e, rmax)
+            assert repr(rmax) in str(info.value)
+
+
 def test_canonical_pair_ranges():
     for (r, a, b) in [(5, 3, 4), (5, 4, 3), (7, 6, 5), (11, 8, 1)]:
         for e in (0, 1):

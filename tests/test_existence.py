@@ -471,6 +471,91 @@ def test_delta_estimate_matches_fraction_scan(table0, table1):
     assert untested_walls > 0
 
 
+def _public_delta_scan(nu, m, e, rank_cutoff, table):
+    """`delta_estimate` by its former loop: each Delta step a `from_key`
+    character through the public `moduli_nonempty`, Delta a `Fraction`."""
+    lower = Q(1, 2)
+    if rank_cutoff > 1:
+        bound = dlp_below_rank(nu, m, e, rank_cutoff, table)
+        if bound.value is not None:
+            lower = max(lower, bound.value)
+    upper = witness = None
+    wall = False
+    r0 = math.lcm(nu.a.denominator, nu.b.denominator)
+    for r in range(r0, rank_cutoff + 1, r0):
+        a, b = int(r * nu.a), int(r * nu.b)
+        c1sq = 2 * a * b - e * a * a
+        s = (c1sq - r * r) // r
+        s -= (s - c1sq) % 2
+        while True:
+            d = Q(c1sq - r * s, 2 * r * r)
+            if upper is not None and d >= upper:
+                break
+            assert d <= lower + 8
+            w = from_key((r, a, b, s))
+            cert = moduli_nonempty(w, m, e)
+            wall = wall or cert.wall
+            if cert.verdict == "NONEMPTY":
+                if upper is None or d < upper:
+                    upper, witness = d, w
+                break
+            s -= 2
+    return lower, upper, witness, wall
+
+
+SLOPES_DEN5 = sorted({Q(p, q) for q in range(1, 6) for p in range(q)})
+
+
+def test_delta_estimate_matches_the_public_scan(table0, table1):
+    # the key scan (one wall test per rank, the verdict read from the
+    # filtration, Delta cross-multiplied) against the per-step public path,
+    # on all 100 slope classes with denominators <= 5 on F_0 and F_1
+    walls = found = split = 0
+    for e, table in ((0, table0), (1, table1)):
+        for m in (1 - Q(e, 2), Q(12, 7)):
+            for x, y in itertools.product(SLOPES_DEN5, repeat=2):
+                nu = DivisorClass(x, y)
+                br = delta_estimate(nu, m, e, 16, table)
+                assert (br.lower, br.upper, br.witness, br.wall) == _public_delta_scan(nu, m, e, 16, table)
+                assert (br.nu, br.m, br.e, br.rank_cutoff) == (nu, m, e, 16)
+                walls += br.wall
+                found += br.upper is not None
+                split += br.upper is not None and br.lower > br.upper
+    assert 0 < walls < found < 400 and split > 0, (walls, found, split)
+
+
+def test_delta_estimate_tests_walls_once_per_rank_and_builds_one_witness(monkeypatch, table1):
+    walls, keys = [], []
+    real_wall, real_from_key = existence._is_wall_key, existence.from_key
+
+    def counting_wall(key, mp, mq, e):
+        walls.append((key[0], real_wall(key, mp, mq, e)))
+        return walls[-1][1]
+
+    def counting_from_key(key):
+        keys.append(key)
+        return real_from_key(key)
+
+    monkeypatch.setattr(existence, "_is_wall_key", counting_wall)
+    monkeypatch.setattr(existence, "from_key", counting_from_key)
+    seen_wall = 0
+    for m in (Q(1, 2), Q(12, 7)):
+        for x, y in itertools.product(SLOPES_DEN5, repeat=2):
+            walls.clear()
+            keys.clear()
+            nu = DivisorClass(x, y)
+            br = delta_estimate(nu, m, 1, 16, table1)
+            ranks = [r for r, _ in walls]
+            r0 = math.lcm(x.denominator, y.denominator)
+            assert len(set(ranks)) == len(ranks) and all(r % r0 == 0 for r in ranks)
+            # the test stops at the first rank with a tie, which sets the flag
+            assert [w for _, w in walls[:-1]] == [False] * (len(walls) - 1)
+            assert br.wall == (bool(walls) and walls[-1][1])
+            assert keys == ([] if br.witness is None else [int_key(br.witness)])
+            seen_wall += br.wall
+    assert seen_wall > 0
+
+
 def test_memo_never_mixes_polarizations(monkeypatch):
     # one memo shared by interleaved decisions on F_0 and F_1 at polarizations
     # with a common numerator or denominator (1 twice: as int and as 2/2)

@@ -85,6 +85,17 @@ def test_inadmissible_rejected():
         kronecker_characters(p)
 
 
+def test_non_integer_exponents_are_refused():
+    # a float used to raise a bare TypeError from Fraction in is_admissible,
+    # and a bool to answer as 1
+    for exps in ((1.5, 1, 2, 13), (1, True, 2, 13), (True, True, 2, 13), (1, 1, 2.0, 13),
+                 (1, 1, 2, "13"), (1, 1, 2, Q(13)), (1, 1, None, 13), (0, 1, 2, 13), (1, 1, 2, -13)):
+        with pytest.raises(KroneckerDomainError, match="must be positive ints") as info:
+            KroneckerParams(1, 3, *exps)
+        assert repr(exps) in str(info.value)
+    assert KroneckerParams(1, 3, 1, 1, 2, 13) == P_F1 and P_F1.is_admissible()
+
+
 def test_psi_interval_against_sqrt_oracle():
     # q in (psi_N^{-1}, psi_N) iff q^2 - N q + 1 < 0, checked against exact
     # integer-square-root comparisons with psi_N = (N + sqrt(N^2-4))/2

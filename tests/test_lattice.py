@@ -372,6 +372,26 @@ def test_non_integer_ranks_are_refused_everywhere():
     assert delta_estimate(nu, 1, 0, 1).lower == Q(1, 2)
 
 
+def test_non_divisor_class_slopes_are_refused():
+    # a slope nu is a DivisorClass: a pair used to fail with an
+    # AttributeError on nu.a, whatever the rank cutoff
+    table = build_table(0, 4)
+    calls = (
+        lambda nu, r: delta_estimate(nu, 1, 0, r),
+        lambda nu, r: delta_estimate(nu, Q(1, 2), 0, r, table),
+        lambda nu, r: dlp_below_rank(nu, 1, 0, r, table),
+    )
+    for nu in ((Q(1, 2), 0), [0, 0], Q(1, 2), "E+F", None, E.a):
+        for r in (1, 2, 5):
+            for call in calls:
+                with pytest.raises(ValueError, match="slope nu must be a DivisorClass") as info:
+                    call(nu, r)
+                assert repr(nu) in str(info.value)
+    nu = DivisorClass(Q(1, 2), 0)
+    assert dlp_below_rank(nu, 1, 0, 1).value is None and dlp_below_rank(nu, 1, 0, 5, table).value == Q(1, 2)
+    assert delta_estimate(nu, 1, 0, 5, table).upper == Q(1, 2)
+
+
 DEL_PEZZO = ("only F_0 and F_1 are served here, got e=%d; reduce e >= 2 to them "
              "through the reduction map (hirzebruch.reduction) first")
 
