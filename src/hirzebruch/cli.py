@@ -117,6 +117,12 @@ def _load_or_build_table(e: int, rmax: int, cache: str):
     return table
 
 
+def _table_below(args, cutoff: int):
+    """The table of the ranks below a DLP rank cutoff, or None for a cutoff
+    <= 2: DLP^{<2} reads line bundles only."""
+    return _load_or_build_table(args.e, cutoff - 1, _cache_path(args)) if cutoff > 2 else None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -158,10 +164,7 @@ def cmd_hn(args) -> int:
 
 def cmd_dlp(args) -> int:
     nu = _parse_slope(args.nu)
-    table = None
-    if args.below_rank > 2:
-        table = _load_or_build_table(args.e, args.below_rank - 1, _cache_path(args))
-    val = dlp_mod.dlp_below_rank(nu, args.m, args.e, args.below_rank, table)
+    val = dlp_mod.dlp_below_rank(nu, args.m, args.e, args.below_rank, _table_below(args, args.below_rank))
     emit(
         {
             "value": format_rational(val.value, infinity="-inf"),
@@ -174,10 +177,7 @@ def cmd_dlp(args) -> int:
 
 def cmd_delta(args) -> int:
     nu = _parse_slope(args.nu)
-    table = None
-    if args.max_rank > 1:
-        table = _load_or_build_table(args.e, args.max_rank - 1, _cache_path(args))
-    br = existence.delta_estimate(nu, args.m, args.e, args.max_rank, table)
+    br = existence.delta_estimate(nu, args.m, args.e, args.max_rank, _table_below(args, args.max_rank))
     emit(
         {
             "nu": [format_rational(nu.a), format_rational(nu.b)],
@@ -230,11 +230,8 @@ def cmd_grid(args) -> int:
     parts = [parse_rational(t) for t in args.square.split(",")]
     if len(parts) != 4:
         raise InputError("square must be eps0,eps1,phi0,phi1")
-    table = None
-    if args.below_rank > 2:
-        table = _load_or_build_table(args.e, args.below_rank - 1, _cache_path(args))
     eps_vals, phi_vals, rows = dlp_mod.dlp_grid(
-        args.e, args.m, tuple(parts), args.steps, args.below_rank, table
+        args.e, args.m, tuple(parts), args.steps, args.below_rank, _table_below(args, args.below_rank)
     )
     if args.format == "csv":
         sys.stdout.write("eps,phi,delta\n")

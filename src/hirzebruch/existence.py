@@ -22,11 +22,8 @@ enumerates first factors w_1 = (r1, a1 E + b1 F, ch2_1) with
     has mu <= mu(u), so (3) fails for every tail),
   * Delta_1 pinned by chi(w_1, v) = chi(w_1, w_1), i.e. the orthogonality
     relations summed over the tail, which solves to
-      Delta_1 = (r1 - r P(nu - nu_1) + r Delta) / (2 r1 - r)   when 2 r1 != r;
-    when 2 r1 = r the identity degenerates to P(nu - nu_1) = Delta + 1/2 and
-    Delta_1 runs over its 1/r1-lattice where Delta_1 >= 0 and Delta(u) >= 0;
-    chi(w_1, u) = 0 then reads Delta_1 + Delta(u) = P(nu_u - nu_1), so the
-    cut Delta(u) >= 0 also bounds Delta_1 from above,
+      Delta_1 = (r1 - r P(nu - nu_1) + r Delta) / (2 r1 - r)
+    (when 2 r1 = r, see below),
 
 then recurses on u = v - w_1.  Filtration length never exceeds 4.
 
@@ -38,9 +35,17 @@ reduced pair (p, q) and the fiber window as the integer pair
 Delta(u) cuts once per r1, each as sg (c1 b1 + c0) >= 0, sg = sign(2 r1 - r),
 with c1 linear and c0 quadratic in a1.  For fixed (r1, a1) the pinned ch2_1
 is linear in b1 too, so the b1 loop visits only the arithmetic progression
-where ch2_1 is integral, cut to the half-lines of both cuts (in the
-degenerate case the pinning c1 b1 + c0 = 0 fixes b1); the
+where ch2_1 is integral, cut to the half-lines of both cuts; the
 candidates are still visited in the order of the plain triple loop.
+
+When 2 r1 = r the pinning degenerates to P(nu - nu_1) = Delta + 1/2, which
+is where the two cuts meet: the Delta(u) cut is then -r1 times the Delta_1
+cut, so for either sign sg the two half-lines leave exactly the b1 with
+c1 b1 + c0 = 0, and the a1 window and the b1 loop run unchanged.  Only
+ch2_1 is not pinned there: Delta_1 runs over its 1/r1-lattice where
+Delta_1 >= 0 and Delta(u) >= 0 (`_degenerate_c2_range`); chi(w_1, u) = 0
+reads Delta_1 + Delta(u) = P(nu_u - nu_1), so the cut Delta(u) >= 0 also
+bounds Delta_1 from above.
 
 Before any per-a1 work, `_first_ranks` drops each r1 whose Delta cut fails
 on the whole strip delta.H_m in [-(r - r1)/r, 0] of the mu window,
@@ -58,12 +63,12 @@ short of its value at c = 0 by (r - r1)/r (L(H_m) - x/(2r)), x = r1 when
 maximum is at c = 0 on both sides, and an r1 whose maximum falls short has
 no first factor.  With hn = mq H_m^2, k = 4 mq hn and zn = 2 mq L(z0) the
 test reads k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2 in integers, one
-threshold on max(r1, r - r1) per search.  Then, off the degenerate case,
-`_a1_window` bounds a1 for each r1 left from the same cuts: with b1
-relaxed to the real mu window, each cut at either end of the window is a
-quadratic in a1.  A cut that opens upwards bounds nothing; one that opens
-downwards (Delta(u) when 2 r1 > r, Delta_1 when 2 r1 < r) leaves no b1 to
-visit for the a1 outside the hull of its two nonnegativity intervals
+threshold on max(r1, r - r1) per search.  Then `_a1_window` bounds a1
+for each r1 left from the same cuts: with b1 relaxed to the real mu
+window, each cut at either end of the window is a quadratic in a1.  A cut
+that opens upwards bounds nothing; one that opens downwards (Delta(u) when
+2 r1 > r, Delta_1 when 2 r1 < r, one of the two when 2 r1 = r) leaves no
+b1 to visit for the a1 outside the hull of its two nonnegativity intervals
 (`math.isqrt` roots, widened by one).  The
 generic prioritary index comes from `prioritary.prioritary_index_of_key`.
 Filtrations are memoized on (e, p, q, key) (Gieseker tie-breaks on walls
@@ -197,8 +202,9 @@ def _cuts(vkey: IKey, e: int, r1: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     c1 = u0 + u1 a1 and c0 = v0 + v1 a1 + v2 a1^2, where c1 b1 + c0 is
       2 r r1^2 (r1 - r P(nu - nu_1) + r Delta) = 2 r r1^2 (2 r1 - r) Delta_1,
       2 r r1 (r - r1)^2 (2 r1 - r) Delta(u):
-    each cut reads sg (c1 b1 + c0) >= 0, sg = sign(2 r1 - r), and when
-    2 r1 = r the first is zero exactly on the pinning."""
+    each cut reads sg (c1 b1 + c0) >= 0, sg = sign(2 r1 - r).  When
+    2 r1 = r the first is zero exactly on the pinning and the second is
+    -r1 times the first, so for either sg both hold only on the pinning."""
     r, a, b, s = vkey
     ru = r - r1
     sd = r * r1 * (2 * r1 - r)
@@ -217,7 +223,8 @@ def _cuts(vkey: IKey, e: int, r1: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]
 
 def _a1_window(cuts: Tuple[Tuple[int, ...], ...], sg: int, fr: range, ends: Tuple[int, int], rmp: int, den: int) -> range:
     """The a1 of the fiber range fr whose mu window may hold a b1 passing
-    both `_cuts` (sign sg = sign(2 r1 - r) != 0).  A superset in integers:
+    both `_cuts` (sign sg = sign(2 r1 - r), and sg = +-1 when 2 r1 = r,
+    where they meet in the pinning).  A superset in integers:
     b1 is relaxed to the real y of the mu window, den y = nj - rmp a1 with
     nj in ends; each cut is linear in y, so it holds on the window only if
     it holds at an end, where den times it is a quadratic in a1.  A cut
@@ -286,30 +293,31 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
 
     for r1 in _first_ranks(r, n2v, mp, mq, e):
         t = 2 * r1 - r
-        sg = (t > 0) - (t < 0)
+        sg = -1 if t < 0 else 1         # at t = 0 either sign: the cuts meet in the pinning
         s1_den = r * r1 * t
         ru = r - r1
         n1 = r1 * degv
         cuts = _cuts(vkey, e, r1)
         (u0, u1, v0, v1, v2), (g0, g1, h0, h1, h2) = cuts
         fr = _fiber_range(r, a, r1, cp, cq)
-        for a1 in _a1_window(cuts, sg, fr, (n1, n1 + r1 * ru * mq), r * mp, den) if t else fr:
+        for a1 in _a1_window(cuts, sg, fr, (n1, n1 + r1 * ru * mq), r * mp, den):
             # mu(v) <= mu(w1) <= mu(v) + ru/r
             b1_lo, b1_hi_excl = _mu_window(n1 - a1 * mp * r, den, r1, ru, mq)
             # the cuts at a1: c1 b1 + c0 (Delta_1) and d1 b1 + d0 (Delta(u))
             c1, c0 = u0 + u1 * a1, v0 + (v1 + v2 * a1) * a1
+            d1, d0 = g0 + g1 * a1, h0 + (h1 + h2 * a1) * a1
+            # each cut sg (k1 b1 + k0) >= 0 is a half-line of b1
+            for k1, k0 in ((sg * c1, sg * c0), (sg * d1, sg * d0)):
+                if k1 > 0:
+                    b1_lo = max(b1_lo, -(k0 // k1))
+                elif k1 < 0:
+                    b1_hi_excl = min(b1_hi_excl, k0 // -k1 + 1)
+                elif k0 < 0:
+                    b1_hi_excl = b1_lo
+            if b1_lo >= b1_hi_excl:
+                continue
+            step = 1                    # at t = 0: at most the pinned b1 is left
             if t:
-                d1, d0 = g0 + g1 * a1, h0 + (h1 + h2 * a1) * a1
-                # each cut sg (k1 b1 + k0) >= 0 is a half-line of b1
-                for k1, k0 in ((sg * c1, sg * c0), (sg * d1, sg * d0)):
-                    if k1 > 0:
-                        b1_lo = max(b1_lo, -(k0 // k1))
-                    elif k1 < 0:
-                        b1_hi_excl = min(b1_hi_excl, k0 // -k1 + 1)
-                    elif k0 < 0:
-                        b1_hi_excl = b1_lo
-                if b1_lo >= b1_hi_excl:
-                    continue
                 # s1 = (c1sq1 r t - c1 b1 - c0) / s1_den = (beta b1 + alpha) /
                 # s1_den: keep the b1 where s1 is an integer
                 beta = 2 * r * a1 * t - c1
@@ -319,18 +327,8 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                     continue
                 step = abs(s1_den) // g
                 b0 = (-alpha // g) * pow(beta // g, -1, step) % step
-                b1_range = range(b1_lo + (b0 - b1_lo) % step, b1_hi_excl, step)
-            else:
-                # degenerate: the pinning c1 b1 + c0 = 0 fixes b1 unless c1 = 0
-                if c1:
-                    b1, rem = divmod(-c0, c1)
-                    if rem:
-                        continue
-                    b1_lo, b1_hi_excl = max(b1_lo, b1), min(b1_hi_excl, b1 + 1)
-                elif c0:
-                    continue
-                b1_range = range(b1_lo, b1_hi_excl)
-            for b1 in b1_range:
+                b1_lo += (b0 - b1_lo) % step
+            for b1 in range(b1_lo, b1_hi_excl, step):
                 c1sq1 = 2 * a1 * b1 - e * a1 * a1
                 if t:
                     s1 = (beta * b1 + alpha) // s1_den
@@ -344,8 +342,8 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                 for s1 in s1_list:
                     w1 = (r1, a1, b1, s1)
                     u = (r - r1, a - a1, b - b1, s - s1)
-                    # Delta_1 >= 0 and Delta(u) >= 0 hold by construction on
-                    # both branches (the b1 cuts, or the t window); then the
+                    # Delta_1 >= 0 and Delta(u) >= 0 hold by construction
+                    # (the b1 cuts, or the t window at 2 r1 = r); then the
                     # cheap prioritary gates
                     if not _prior(w1, n0 + 1, e):
                         continue      # necessary for (5)
@@ -355,9 +353,8 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                     # it has a filtration; (5) asks for length one
                     if len(_hn_key(w1, mp, mq, e)) != 1:
                         continue      # condition (5)
+                    # not None: u passed _prior(u, n0, e), _search's only None exit
                     tail = _hn_key(u, mp, mq, e)
-                    if tail is None:
-                        continue
                     if not _key_gt(w1, tail[0], mp, mq, e):
                         continue      # condition (2)
                     last = tail[-1]
@@ -546,8 +543,8 @@ def delta_estimate(
     r0 = da * db // gcd(da, db)
     lower = Fraction(1, 2)
     if rank_cutoff > 1:
-        if table is None:
-            table = build_table(e, max(rank_cutoff - 1, 1))
+        if table is None and rank_cutoff > 2:   # DLP^{<2} reads line bundles only
+            table = build_table(e, rank_cutoff - 1)
         bound = _dlp.dlp_below_rank(nu, m, e, rank_cutoff, table)
         if bound.value is not None:
             lower = max(lower, bound.value)

@@ -231,14 +231,11 @@ class TriangleR:
         return t1 < 0 and t2 < 0 and side == ref
 
 
-def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
-    """Sharp Bogomolov value delta_m(nu) for nu in R when the slope -m line
-    through nu crosses both open construction segments.
-
-    Raises KroneckerDomainError when the geometric preconditions fail.
-    """
-    tri = TriangleR(e, ell)
-    k = tri.k
+def _crossings(nu: DivisorClass, m: Rat, e: int, ell: int):
+    """(k, m, x0, y0, x1, x2): k, the checked m, nu = (x0, y0) and where the
+    slope -m line through nu meets the K-side y = -k x + 1 (at x = x1) and
+    the L-side y = ell x (at x = x2); refuses x1 = 1 and x2 <= 0."""
+    k = TriangleR(e, ell).k
     m = check_polarization(m)
     x0, y0 = Fraction(nu.a), Fraction(nu.b)
     if m == k:
@@ -247,11 +244,21 @@ def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
     x2 = (y0 + m * x0) / (m + ell)
     if x1 == 1:
         raise KroneckerDomainError("degenerate intersection with the K-segment")
+    if x2 <= 0:
+        raise KroneckerDomainError("line misses the open cokernel segment")
+    return k, m, x0, y0, x1, x2
+
+
+def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
+    """Sharp Bogomolov value delta_m(nu) for nu in R when the slope -m line
+    through nu crosses both open construction segments.
+
+    Raises KroneckerDomainError when the geometric preconditions fail.
+    """
+    k, m, x0, y0, x1, x2 = _crossings(nu, m, e, ell)
     q1 = x1 / (1 - x1)
     if not in_psi_interval(q1, 2 * (k - 1) + e):
         raise KroneckerDomainError("line misses the open extension segment")
-    if x2 <= 0:
-        raise KroneckerDomainError("line misses the open cokernel segment")
     q2 = (1 + x2) / x2
     if not (q2 > 2 * ell - e + 1 and in_psi_interval(q2, 2 * (ell + 1) - e)):
         raise KroneckerDomainError("line misses the open cokernel segment")
@@ -272,15 +279,11 @@ def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
 
 
 def params_for_slope(nu: DivisorClass, m: Rat, e: int, ell: int) -> KroneckerParams:
-    """Smallest positive-integer parameters realizing the wall m at slope nu."""
-    tri = TriangleR(e, ell)
-    k = tri.k
-    m = check_polarization(m)
-    x0, y0 = Fraction(nu.a), Fraction(nu.b)
-    if m == k:
-        raise KroneckerDomainError("the slope -m line is parallel to the K-side")
-    ba = -(y0 + m * x0 - 1) / (y0 + m * x0 + k - m - 1)
-    dc = (y0 + m * x0 + m + ell) / (y0 + m * x0)
+    """Smallest positive-integer parameters realizing the wall m at slope nu:
+    b/a and d/c are the crossing quotients of `delta_closed_form`."""
+    _, _, _, _, x1, x2 = _crossings(nu, m, e, ell)
+    ba = x1 / (1 - x1)
+    dc = (1 + x2) / x2
     p = KroneckerParams(
         e,
         ell,

@@ -166,7 +166,7 @@ def test_exit_codes(capsys):
     # not a table is built first: one message, pointing to the reduction
     for rank in ("2", "3"):
         for sub in (("dlp", "--nu", "1/2,1/3", "--below-rank", rank),
-                    ("delta", "--nu", "1/2,1/3", "--max-rank", str(int(rank) - 1)),
+                    ("delta", "--nu", "1/2,1/3", "--max-rank", rank),
                     ("grid", "--square", "0,1,0,1", "--steps", "2", "--below-rank", rank)):
             code, out, err = run_cli(capsys, sub[0], "--e", "2", "--m", "1", *sub[1:])
             assert (code, out) == (2, "")
@@ -264,6 +264,24 @@ def test_cached_rerun_at_the_same_rank_builds_nothing(tmp_path, capsys, monkeypa
             mp.setattr(exceptional, "save_table", lambda *a: pytest.fail("rewrote the cache"))
             code, out2, err = run_cli(capsys, *args)
         assert (code, out2, err) == (0, out1, "")
+
+
+def test_cutoffs_below_three_build_and_cache_no_table(tmp_path, capsys, monkeypatch):
+    # DLP^{<2} reads line bundles only, so a cutoff <= 2 neither builds
+    # nor writes a table, and the answer stays the same
+    from hirzebruch import exceptional, existence
+
+    code, out, _ = run_cli(capsys, "delta", "--e", "0", "--nu", "1/2,1/2", "--m", "1", "--max-rank", "2")
+    assert code == 0 and '"lower": "3/4"' in out and '"upper": "3/4"' in out
+    cache = tmp_path / "c.jsonl"
+    for mod in (exceptional, existence):
+        monkeypatch.setattr(mod, "build_table", lambda *a, **k: pytest.fail("built a table"))
+    for sub in (("delta", "--nu", "1/2,1/2", "--max-rank", "2"),
+                ("dlp", "--nu", "1/2,1/2", "--below-rank", "2"),
+                ("grid", "--square", "0,1,0,1", "--steps", "1", "--below-rank", "2")):
+        code, got, err = run_cli(capsys, sub[0], "--e", "0", "--m", "1", *sub[1:], "--cache", str(cache))
+        assert (code, err) == (0, "") and (sub[0] != "delta" or got == out)
+    assert not cache.exists()
 
 
 def _fuzz_argv(rng):

@@ -306,6 +306,36 @@ def test_degenerate_branch_against_oracle(monkeypatch):
             assert found == [tuple(key_of(f) for f in dec.factors)]
 
 
+def test_degenerate_first_factors_lie_on_the_pinning(monkeypatch):
+    # at 2 r1 = r the b1 half-lines of the two cuts meet in the pinning
+    # P(nu - nu1) = Delta + 1/2, i.e. chi(w1, v - w1) = 0: every w1 of that
+    # rank that reaches the first prioritary gate (_prior(w1, ceil(m) + 1))
+    # lies on it, on a seeded sample of the criterion-3 corpus
+    prior, search = existence._prior, existence._search
+    stack, formed = [], []
+
+    def logged_search(key, mp, mq, e):
+        stack.append((key, -(-mp // mq) + 1))
+        try:
+            return search(key, mp, mq, e)
+        finally:
+            stack.pop()
+
+    def logged_prior(key, n, e):
+        if stack and 2 * key[0] == stack[-1][0][0] and n == stack[-1][1]:
+            v = stack[-1][0]
+            formed.append(chi2(key, tuple(x - y for x, y in zip(v, key)), e))
+        return prior(key, n, e)
+
+    monkeypatch.setattr(existence, "_search", logged_search)
+    monkeypatch.setattr(existence, "_prior", logged_prior)
+    for e, m, chars in _corpus_slices(48):
+        existence.clear_cache()
+        for v in chars[:150]:
+            hn_generic(v, m, e)
+    assert len(formed) > 100 and not any(formed), (len(formed), sum(map(bool, formed)))
+
+
 def _quad_b_bound(m, e):
     """B, the max of P over the closed slope-difference quadrilateral
     {x in [-1, cF], x m + y in [-1, 0]}: reached on its top edge y = -x m,
@@ -631,10 +661,11 @@ def _spread_b1(r, a, b, m, r1, a1):
 
 def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
     # brute force in Fractions: an (r1, a1) of the fiber range with a b1 of
-    # the spread window whose pinned Delta_1 and Delta(u) are both >= 0 lies
-    # in the window (integrality of w1 is not asked)
+    # the spread window whose pinned Delta_1 and Delta(u) are both >= 0, or
+    # on the pinning P(nu - nu1) = Delta + 1/2 when 2 r1 = r, lies in the
+    # window (integrality of w1 is not asked)
     rng = random.Random(43)
-    kept = total = tight = 0
+    kept = total = tight = pinned = 0
     for e in (0, 1, 2, 3):
         for m in (Q(1, 3), Q(1, 2), Q(1), Q(12, 7), Q(3)):
             mp, mq = m.numerator, m.denominator
@@ -643,11 +674,10 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
                 v = ChernCharacter(r, DivisorClass(a, b), Q(s, 2))
                 nu, dv = v.nu(), v.delta(e)
                 for r1 in range(1, r):
-                    if 2 * r1 == r:
-                        continue                # the search pins b1 there instead
                     fr = existence._fiber_range(r, a, r1, cp, cq)
                     n1 = r1 * (a * mp + b * mq)
-                    win = existence._a1_window(existence._cuts((r, a, b, s), e, r1), 1 if 2 * r1 > r else -1,
+                    # the sign the search uses, also at 2 r1 = r
+                    win = existence._a1_window(existence._cuts((r, a, b, s), e, r1), -1 if 2 * r1 < r else 1,
                                                fr, (n1, n1 + r1 * (r - r1) * mq), r * mp, r * mq)
                     assert fr.start <= win.start and win.stop <= fr.stop or not win
                     total += len(fr)
@@ -655,13 +685,19 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
                     for a1 in fr:
                         for b1 in _spread_b1(r, a, b, m, r1, a1):
                             nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
+                            if 2 * r1 == r:
+                                # the pinning P(nu - nu1) = Delta + 1/2
+                                if hilbert_P(nu - nu1, e) == dv + Q(1, 2):
+                                    assert a1 in win, ((r, a, b, s), e, m, r1, a1, b1)
+                                    pinned += 1
+                                continue
                             d1 = (r1 - r * hilbert_P(nu - nu1, e) + r * dv) / (2 * r1 - r)
                             w1 = ChernCharacter(r1, nu1.scale(r1), r1 * (intersect(nu1, nu1, e) / 2 - d1))
                             assert w1.delta(e) == d1
                             if d1 >= 0 and (v - w1).delta(e) >= 0:
                                 assert a1 in win, ((r, a, b, s), e, m, r1, a1, b1)
                                 tight += 1
-    assert tight > 0 and kept < total / 4, (tight, kept, total)
+    assert tight > 0 and pinned > 0 and kept < total / 4, (tight, pinned, kept, total)
 
 
 def test_cuts_are_the_pinned_deltas():
@@ -669,7 +705,8 @@ def test_cuts_are_the_pinned_deltas():
     # 2 r r1^2 (r1 - r P(nu - nu1) + r Delta), i.e. 2 r r1^2 (2 r1 - r) Delta_1
     # for the pinned Delta_1, and 2 r r1 (r - r1)^2 (2 r1 - r) Delta(v - w1);
     # so sg (c1 b1 + c0) has the sign of Delta_1 and of Delta(u), and when
-    # 2 r1 = r its zeros are the pinning P(nu - nu1) = Delta + 1/2
+    # 2 r1 = r the first cut's zeros are the pinning P(nu - nu1) = Delta + 1/2
+    # and the second cut is -r1 times the first
     rng = random.Random(47)
     sides = {1: 0, -1: 0}
     zeros = pinned = 0
@@ -695,6 +732,9 @@ def test_cuts_are_the_pinned_deltas():
             if 2 * r1 == r:
                 assert (c1 * b1 + c0 == 0) == (p == dv + Q(1, 2))
                 pinned += p == dv + Q(1, 2)
+                # the Delta(u) cut is -r1 times the Delta_1 cut: for either
+                # sign the two half-lines meet exactly in the pinning
+                assert cuts[1] == tuple(-r1 * x for x in cuts[0]), (r, a, b, s, e, r1)
                 continue
             sg = 1 if 2 * r1 > r else -1
             delta1 = (r1 - r * p + r * dv) / (2 * r1 - r)

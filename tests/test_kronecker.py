@@ -157,6 +157,18 @@ def test_params_for_slope_roundtrip():
     assert (p.a, p.b, p.c, p.d) == (1, 1, 2, 13)
 
 
+def test_params_for_slope_refuses_undefined_crossing_quotients():
+    # the slope -m line meets the K-side at x1 = 1 or the L-side at x2 = 0
+    # (both for the first slope, x2 = 0 for the second, x1 = 1 for the
+    # third): b/a = x1/(1 - x1) or d/c = (1 + x2)/x2 has a zero denominator
+    for nu, m in ((DivisorClass(Q(-1, 5), Q(1, 5)), 1), (DivisorClass(Q(1, 5), Q(-1, 10)), Q(1, 2)),
+                  (DivisorClass(Q(1, 5), Q(1, 5)), Q(3, 2))):
+        with pytest.raises(KroneckerDomainError):
+            params_for_slope(nu, m, 1, 3)
+        with pytest.raises(KroneckerDomainError):
+            delta_closed_form(nu, m, 1, 3)
+
+
 def test_triangle_membership():
     tri = TriangleR(0, 3)
     assert tri.contains(DivisorClass(Q(1, 5), Q(1, 3)))
