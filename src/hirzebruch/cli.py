@@ -62,14 +62,6 @@ def char_obj(v: ChernCharacter) -> dict:
     }
 
 
-def char_from_obj(obj: dict) -> ChernCharacter:
-    return ChernCharacter(
-        int(obj["r"]),
-        DivisorClass(obj["c1"][0], obj["c1"][1]),
-        parse_rational(obj["ch2"]),
-    )
-
-
 def hn_obj(dec) -> dict:
     return {
         "e": dec.e,

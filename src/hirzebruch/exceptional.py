@@ -11,11 +11,13 @@ Delta >= DLP^{<r}_{-K}(nu), decided by induction on the rank.  Only the
 verdict is needed, so `_beaten` stops at the first class stable at 1 - e/2
 whose DLP value beats Delta = (r^2 - 1)/(2 r^2), by cross-multiplication
 (`dlp.exceeds_exceptional_delta`); for most candidates that is O itself.
-`build_table` tests each canonical (r, a, b) from its integers, nu = (a/r,
-b/r) with denominator r since gcd(a, r) = 1, against one class list that it
-seeds from its base and extends by the orbit of each new row; only the
-candidates that become rows are built as `ChernCharacter`s.  For an
-exceptional bundle V of rank >= 2 the stability interval
+`build_table` grows one table a rank at a time: it tests each canonical
+(r, a, b) from its integers, nu = (a/r, b/r) with denominator r since
+gcd(a, r) = 1, against the classes of the table so far, and one growth step
+(`ExceptionalTable._extended`) appends the rank's rows and adds only their
+orbits to the classes; only the candidates that become rows are built as
+`ChernCharacter`s.  For an exceptional bundle V of rank >= 2 the stability
+interval
 
     I_V = { m > 0 : V is mu_{H_m}-stable }
 
@@ -134,11 +136,13 @@ class ExceptionalTable:
         return (dlp.LINE_BUNDLES,) + tuple(
             cls for rec in self.records if rec.r > 1 for cls in dlp.orbit(rec, self.e))
 
-    @classmethod
-    def _with_classes(cls, e: int, max_rank: int, records, classes) -> "ExceptionalTable":
-        """A table whose `classes` are given: those of `records`, in row order."""
-        table = cls(e, max_rank, tuple(records))
-        table.__dict__["classes"] = tuple(classes)     # the cached_property's slot
+    def _extended(self, max_rank: int, rows) -> "ExceptionalTable":
+        """This table with `rows` appended and max_rank raised; its classes
+        are this table's plus the orbit of each new row of rank >= 2."""
+        rows = tuple(rows)
+        table = ExceptionalTable(self.e, max_rank, self.records + rows)
+        table.__dict__["classes"] = self.classes + tuple(     # the cached_property's slot
+            cls for rec in rows if rec.r > 1 for cls in dlp.orbit(rec, self.e))
         return table
 
 
@@ -319,30 +323,19 @@ def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> E
         base = ExceptionalTable(e, 0, ())
     elif base.e != e:
         raise ValueError("base table is for a different surface")
-    records = list(base.records)
-    done = base.max_rank
-    if done < 1:
-        records.append(ExceptionalRecord(1, 0, 0, Fraction(0), None))
-        done = 1
-    records.sort(key=_row_order)
-    if done != base.max_rank or records != list(base.records):
-        base = ExceptionalTable(e, done, tuple(records))
-    if rmax <= done:
-        return base
-    # one class list, extended by the orbits of each rank's new rows
-    classes = list(base.classes)
-    for r in range(done + 1, rmax + 1):
-        below, new = None, []           # below: the table of ranks < r
+    table = base if base.max_rank >= 1 else base._extended(
+        1, [ExceptionalRecord(1, 0, 0, Fraction(0), None)])
+    rows = tuple(sorted(table.records, key=_row_order))
+    if rows != table.records:
+        table = ExceptionalTable(e, table.max_rank, rows)
+    for r in range(table.max_rank + 1, rmax + 1):
+        new = []
         for a, b in _candidates(r, e):
-            if _beaten(classes, r, a, b, e):
-                continue
-            if below is None:
-                below = ExceptionalTable._with_classes(e, r - 1, records, classes)
-            lo, hi, w0, w1 = stability_interval(exceptional_character(r, a, b, e), e, below)
-            new.append(ExceptionalRecord(r, a, b, lo, hi, w0, w1))
-        records += new
-        classes += [c for rec in new for c in dlp.orbit(rec, e)]
-    return ExceptionalTable._with_classes(e, rmax, records, classes)
+            if not _beaten(table.classes, r, a, b, e):
+                lo, hi, w0, w1 = stability_interval(exceptional_character(r, a, b, e), e, table)
+                new.append(ExceptionalRecord(r, a, b, lo, hi, w0, w1))
+        table = table._extended(r, new)
+    return table
 
 
 def _row_order(rec: ExceptionalRecord) -> Tuple[int, int, int]:

@@ -1,7 +1,8 @@
 """Orthogonal Kronecker pairs and the closed-form sharp Bogomolov value.
 
 Fix e in {0, 1} and an integer ell >= 3, and put k = ell - e,
-N = 2(k-1) + e, M = 2(ell+1) - e.  From the exceptional collection
+N = 2(k-1) + e, M = 2(ell+1) - e (defined once, by `_family`, which also
+refuses any other e or ell).  From the exceptional collection
 O(-E-ell F), O, O(F), O(E-(ell-1-e)F) build
 
     0 -> O(E-(k-1)F)^b -> K -> O(F)^a -> 0        (extension)
@@ -11,9 +12,12 @@ with positive integers a, b, c, d subject to
 
     psi_N^{-1} < b/a < psi_N,   2 ell - e + 1 < d/c < psi_M,
 
-where psi_N = (N + sqrt(N^2-4))/2.  Then chi(K, L) = 0, and at the unique
-wall m_V in (1 - e/2, k) where the H_m-slopes of K and L agree, the sum
-character v = k + l has generic H_{m_V + eps}-filtration exactly (k, l).
+where psi_N = (N + sqrt(N^2-4))/2 (tested once, by `_missed_segment`, for
+both `KroneckerParams.is_admissible` and the crossing quotients that
+`delta_closed_form` and `params_for_slope` read off a slope).  Then
+chi(K, L) = 0, and at the unique wall m_V in (1 - e/2, k) where the
+H_m-slopes of K and L agree, the sum character v = k + l has generic
+H_{m_V + eps}-filtration exactly (k, l).
 
 On the triangle R spanned by the slope segments of the two families, the
 sharp threshold for mu_{H_m}-stable sheaves of slope nu = (x0, y0) is the
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .lattice import (
     ChernCharacter,
@@ -91,14 +95,28 @@ def _sign_biquadratic(g0, g1, h0, h1, A: int, B: int) -> int:
     return sG if sK > 0 else sH
 
 
-def _check_family(e: int, ell: int) -> None:
+def _family(e: int, ell: int) -> Tuple[int, int, int]:
+    """(k, N, M) of the family (e, ell); refuses all but ints e in {0, 1}, ell >= 3."""
     if not (type(e) is int and 0 <= e <= 1 and type(ell) is int and ell >= 3):
         raise KroneckerDomainError("need ints e in {0, 1}, ell >= 3; got e=%r, ell=%r" % (e, ell))
+    k = ell - e
+    return k, 2 * (k - 1) + e, 2 * (ell + 1) - e
 
 
 def in_psi_interval(q: Fraction, n: int) -> bool:
     """q in (psi_N^{-1}, psi_N), tested as q^2 - N q + 1 < 0."""
     return q * q - n * q + 1 < 0
+
+
+def _missed_segment(e: int, ell: int, ba: Fraction, dc: Fraction) -> Optional[str]:
+    """None when psi_N^{-1} < b/a < psi_N and 2 ell - e + 1 < d/c < psi_M,
+    else the segment whose quotient leaves its window, extension first."""
+    _, n, mm = _family(e, ell)
+    if not in_psi_interval(ba, n):
+        return "extension"
+    if not (dc > 2 * ell - e + 1 and in_psi_interval(dc, mm)):
+        return "cokernel"
+    return None
 
 
 @dataclass(frozen=True)
@@ -111,31 +129,17 @@ class KroneckerParams:
     d: int
 
     def __post_init__(self):
-        _check_family(self.e, self.ell)
+        _family(self.e, self.ell)
         exps = (self.a, self.b, self.c, self.d)
         if not all(type(x) is int and x >= 1 for x in exps):
             raise KroneckerDomainError("exponents a, b, c, d must be positive ints, got %r" % (exps,))
 
     @property
     def k(self) -> int:
-        return self.ell - self.e
-
-    @property
-    def n_arrows(self) -> int:
-        return 2 * (self.k - 1) + self.e
-
-    @property
-    def m_arrows(self) -> int:
-        return 2 * (self.ell + 1) - self.e
+        return _family(self.e, self.ell)[0]
 
     def is_admissible(self) -> bool:
-        ba = Fraction(self.b, self.a)
-        dc = Fraction(self.d, self.c)
-        return (
-            in_psi_interval(ba, self.n_arrows)
-            and dc > 2 * self.ell - self.e + 1
-            and in_psi_interval(dc, self.m_arrows)
-        )
+        return _missed_segment(self.e, self.ell, Fraction(self.b, self.a), Fraction(self.d, self.c)) is None
 
     def require_admissible(self) -> None:
         if not self.is_admissible():
@@ -194,18 +198,18 @@ class TriangleR:
     ell: int
 
     def __post_init__(self):
-        _check_family(self.e, self.ell)
+        _family(self.e, self.ell)
 
     @property
     def k(self) -> int:
-        return self.ell - self.e
+        return _family(self.e, self.ell)[0]
 
     def _side_p2p3_sign(self, x0: Fraction, y0: Fraction) -> int:
         # Orientation sign of nu against the line P2 P3, cleared of the
         # denominators (1+u)(w-1) > 0 where u = psi_N, w = psi_M:
         #   D = A + B u + C w + D uw  with the coefficients below.
-        k, ell = self.k, self.ell
-        n, mm = 2 * (k - 1) + self.e, 2 * (ell + 1) - self.e
+        k, n, mm = _family(self.e, self.ell)
+        ell = self.ell
         ca = y0 - (ell + 1) * x0 - 1
         cb = 2 * y0 + (k - 1) * (1 + x0) + ell * (1 - x0)
         cc = x0
@@ -232,10 +236,12 @@ class TriangleR:
 
 
 def _crossings(nu: DivisorClass, m: Rat, e: int, ell: int):
-    """(k, m, x0, y0, x1, x2): k, the checked m, nu = (x0, y0) and where the
-    slope -m line through nu meets the K-side y = -k x + 1 (at x = x1) and
-    the L-side y = ell x (at x = x2); refuses x1 = 1 and x2 <= 0."""
-    k = TriangleR(e, ell).k
+    """(k, m, x0, y0, x1, x2, b/a, d/c): k, the checked m, nu = (x0, y0),
+    where the slope -m line through nu meets the K-side y = -k x + 1 (at
+    x = x1) and the L-side y = ell x (at x = x2), and the crossing quotients
+    b/a = x1/(1 - x1) and d/c = (1 + x2)/x2; refuses x1 = 1, x2 <= 0 and a
+    line that misses an open construction segment."""
+    k, _, _ = _family(e, ell)
     m = check_polarization(m)
     x0, y0 = Fraction(nu.a), Fraction(nu.b)
     if m == k:
@@ -246,7 +252,11 @@ def _crossings(nu: DivisorClass, m: Rat, e: int, ell: int):
         raise KroneckerDomainError("degenerate intersection with the K-segment")
     if x2 <= 0:
         raise KroneckerDomainError("line misses the open cokernel segment")
-    return k, m, x0, y0, x1, x2
+    ba, dc = x1 / (1 - x1), (1 + x2) / x2
+    missed = _missed_segment(e, ell, ba, dc)
+    if missed:
+        raise KroneckerDomainError("line misses the open %s segment" % missed)
+    return k, m, x0, y0, x1, x2, ba, dc
 
 
 def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
@@ -255,13 +265,7 @@ def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
 
     Raises KroneckerDomainError when the geometric preconditions fail.
     """
-    k, m, x0, y0, x1, x2 = _crossings(nu, m, e, ell)
-    q1 = x1 / (1 - x1)
-    if not in_psi_interval(q1, 2 * (k - 1) + e):
-        raise KroneckerDomainError("line misses the open extension segment")
-    q2 = (1 + x2) / x2
-    if not (q2 > 2 * ell - e + 1 and in_psi_interval(q2, 2 * (ell + 1) - e)):
-        raise KroneckerDomainError("line misses the open cokernel segment")
+    k, m, x0, y0, x1, x2, _, _ = _crossings(nu, m, e, ell)
     if x1 == x2:
         raise KroneckerDomainError("degenerate crossing")
     lam = (x0 - x2) / (x1 - x2)
@@ -280,20 +284,10 @@ def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
 
 def params_for_slope(nu: DivisorClass, m: Rat, e: int, ell: int) -> KroneckerParams:
     """Smallest positive-integer parameters realizing the wall m at slope nu:
-    b/a and d/c are the crossing quotients of `delta_closed_form`."""
-    _, _, _, _, x1, x2 = _crossings(nu, m, e, ell)
-    ba = x1 / (1 - x1)
-    dc = (1 + x2) / x2
-    p = KroneckerParams(
-        e,
-        ell,
-        a=ba.denominator,
-        b=ba.numerator,
-        c=dc.denominator,
-        d=dc.numerator,
-    )
-    p.require_admissible()
-    return p
+    b/a and d/c are the crossing quotients of `delta_closed_form`, and a
+    line that misses a segment is refused as there."""
+    *_, ba, dc = _crossings(nu, m, e, ell)
+    return KroneckerParams(e, ell, ba.denominator, ba.numerator, dc.denominator, dc.numerator)
 
 
 def wall_crossing_epsilon(p: KroneckerParams, chars=None) -> Fraction:

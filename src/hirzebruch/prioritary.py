@@ -96,20 +96,6 @@ def l0_and_psi(v: ChernCharacter, e: int):
     return DivisorClass(ceil_frac(eps), ceil_frac(psi)), psi, False
 
 
-def bracket_points(v: ChernCharacter, e: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """Lattice points (a0,b0) = L_0 and (a1,b1) = -L_0(Serre dual of v).
-
-    (a0,b0) sits just below the left hyperbola branch of chi(v(-L_{a,b})) = 0
-    and (a1,b1) just above the right one; the prioritary bound reads
-    n <= b1 - b0 - e - 1.
-    """
-    l0, _, degenerate = l0_and_psi(v, e)
-    if degenerate:
-        raise ValueError("bracket points need non-integral eps")
-    l0d, _, _ = l0_and_psi(serre_dual(v, e), e)
-    return (int(l0.a), int(l0.b)), (int(-l0d.a), int(-l0d.b))
-
-
 def gaeta_exponents(v: ChernCharacter, e: int) -> GaetaExponents:
     """Euler-characteristic exponents of the L_0-resolution of a general sheaf.
 

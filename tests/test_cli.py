@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hirzebruch.cli import char_from_obj, char_obj, main
+from hirzebruch.cli import char_obj, main
 from hirzebruch import kronecker_characters, KroneckerParams
 
 
@@ -38,9 +38,8 @@ def test_exists_kronecker_empty(capsys):
     obj = json.loads(out)
     assert code == 0 and obj["verdict"] == "EMPTY"
     assert len(obj["hn"]["factors"]) == 2
-    # round-trip of the factor characters is bit-exact
+    # the printed factors are the Kronecker characters, bit for bit
     k, l, v = kronecker_characters(KroneckerParams(0, 3, 1, 1, 2, 15))
-    assert [char_from_obj(f) for f in obj["hn"]["factors"]] == [k, l]
     assert [char_obj(f) for f in (k, l)] == obj["hn"]["factors"]
 
 
@@ -70,7 +69,7 @@ def test_delta_bracket(capsys):
                            "--max-rank", "13")
     obj = json.loads(out)
     assert code == 0 and obj["upper"] == "98/169" and obj["lower"] == "523/1014"
-    assert char_from_obj(obj["witness"]).r == 13
+    assert obj["witness"]["r"] == 13
 
 
 def test_hn_command(capsys):

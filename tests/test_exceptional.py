@@ -182,13 +182,20 @@ def test_rank_sixty_rows_are_unchanged():
 
 
 def test_extension_equals_the_build_from_scratch():
-    # every base rank up to 12, the even F_0 ranks (no rows) included
+    # every base rank up to 12, the even F_0 ranks (no rows) included, the
+    # empty base (no rank-1 row) and a base whose rows are reversed
     for e in (0, 1):
         whole = build_table(e, 40)
         assert whole.classes == ExceptionalTable(e, 40, whole.records).classes
-        for k in range(1, 13):
-            ext = build_table(e, 40, base=build_table(e, k))
-            assert (ext.max_rank, ext.records, ext.classes) == (40, whole.records, whole.classes), (e, k)
+        bases = [build_table(e, k) for k in range(1, 13)]
+        reversed_base = ExceptionalTable(e, 12, bases[-1].records[::-1])
+        for base in bases + [ExceptionalTable(e, 0, ()), reversed_base]:
+            ext = build_table(e, 40, base=base)
+            assert (ext.max_rank, ext.records, ext.classes) == (40, whole.records, whole.classes), (e, base)
+        # a base that already covers rmax comes back normalized
+        assert build_table(e, 1, base=ExceptionalTable(e, 0, ())).records == bases[0].records
+        small = build_table(e, 5, base=reversed_base)
+        assert (small.max_rank, small.records, small.classes) == (12, bases[-1].records, bases[-1].classes)
 
 
 def test_build_makes_characters_and_orbits_of_new_rows_only(monkeypatch):

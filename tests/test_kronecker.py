@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -96,6 +97,58 @@ def test_non_integer_exponents_are_refused():
     assert KroneckerParams(1, 3, 1, 1, 2, 13) == P_F1 and P_F1.is_admissible()
 
 
+def test_is_admissible_is_the_three_condition_window():
+    # the one quotient-pair test behind is_admissible, against the formula
+    # that _random_admissible writes inline; d/c is drawn around the cokernel
+    # window so that each of the three conditions is the one that fails
+    rng = random.Random(45)
+    seen = Counter()
+    for _ in range(3000):
+        e, ell = rng.randint(0, 1), rng.randint(3, 6)
+        k = ell - e
+        n, mm = 2 * (k - 1) + e, 2 * (ell + 1) - e
+        a, b, c = rng.randint(1, 6), rng.randint(1, 6 * n), rng.randint(1, 4)
+        d = rng.randint((2 * ell - e) * c, (mm + 1) * c)
+        ext = in_psi_interval(Q(b, a), n)
+        low, high = Q(d, c) > 2 * ell - e + 1, in_psi_interval(Q(d, c), mm)
+        assert KroneckerParams(e, ell, a, b, c, d).is_admissible() == (ext and low and high)
+        seen[ext, low, high] += 1
+    assert all(seen[key] >= 100 for key in ((True, True, True), (False, True, True),
+                                            (True, False, True), (True, True, False))), seen
+
+
+def test_params_for_slope_refuses_only_where_the_closed_form_does():
+    # delta_closed_form and params_for_slope read one crossing test: where
+    # the parameters are refused the closed form is too, and where the closed
+    # form has a value the parameters are admissible
+    rng = random.Random(46)
+    seen = Counter()
+    for _ in range(2000):
+        if rng.random() < 0.3:
+            # slopes of the construction, near its wall
+            p = _random_admissible(rng)
+            e, ell = p.e, p.ell
+            nu, m = kronecker_characters(p)[2].nu(), wall_m_v(p) * Q(rng.randint(80, 120), 100)
+        else:
+            e, ell = rng.randint(0, 1), rng.randint(3, 5)
+            x0, y0 = Q(rng.randint(-3, 12), rng.randint(1, 24)), Q(rng.randint(-6, 20), rng.randint(1, 24))
+            nu = DivisorClass(x0, y0)
+            m = Q(rng.randint(1, 60), rng.randint(1, 12))
+        try:
+            value = delta_closed_form(nu, m, e, ell)
+        except KroneckerDomainError:
+            value = None
+        try:
+            p = params_for_slope(nu, m, e, ell)
+        except KroneckerDomainError:
+            assert value is None, (nu, m, e, ell)
+            seen["both refuse"] += 1
+            continue
+        assert p.is_admissible() and (p.e, p.ell) == (e, ell)
+        seen["only params" if value is None else "both"] += 1
+    assert min(seen["both refuse"], seen["only params"], seen["both"]) >= 5, seen
+
+
 def test_psi_interval_against_sqrt_oracle():
     # q in (psi_N^{-1}, psi_N) iff q^2 - N q + 1 < 0, checked against exact
     # integer-square-root comparisons with psi_N = (N + sqrt(N^2-4))/2
@@ -148,6 +201,14 @@ def test_delta_closed_form_domain_errors():
         delta_closed_form(DivisorClass(Q(9, 10), Q(1, 3)), Q(25, 9), 0, 3)
     with pytest.raises(KroneckerDomainError):
         delta_closed_form(DivisorClass(Q(1, 5), Q(1, 3)), Q(1, 10), 0, 3)
+    # both functions name the missed segment: the extension one by b/a, the
+    # cokernel one by d/c or, before either quotient, by x2 <= 0
+    for x0, y0, m, segment in ((Q(9, 10), Q(1, 3), Q(25, 9), "extension"), (Q(1, 5), Q(1, 3), 5, "extension"),
+                               (Q(1, 5), Q(1, 3), Q(1, 10), "cokernel"), (Q(1, 5), Q(-1, 3), 1, "cokernel"),
+                               (Q(1, 5), -1, 1, "cokernel")):     # b/a = 9 misses too
+        for fn in (delta_closed_form, params_for_slope):
+            with pytest.raises(KroneckerDomainError, match="^line misses the open %s segment$" % segment):
+                fn(DivisorClass(x0, y0), m, 0, 3)
 
 
 def test_params_for_slope_roundtrip():

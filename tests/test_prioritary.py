@@ -24,10 +24,11 @@ from hirzebruch import (
     polarization_divisor,
     prioritary_nonempty,
     prioritary_report,
+    serre_dual,
     twist,
 )
 from hirzebruch import prioritary
-from hirzebruch.prioritary import BogomolovViolation, bracket_points, prioritary_index_of_key
+from hirzebruch.prioritary import BogomolovViolation, prioritary_index_of_key
 
 EX4 = from_rank_slope_disc(120, DivisorClass(Q(1, 2), Q(1, 3)), Q(11, 10), 1)
 
@@ -37,7 +38,11 @@ def test_worked_example_psi_l0():
     assert psi == Q(-97, 60)
     assert (l0.a, l0.b) == (1, -1)
     assert not degenerate
-    assert bracket_points(EX4, 1) == ((1, -1), (2, 5))
+    # the bracket points L_0 = (1, -1) and -L_0(serre dual) = (2, 5) give the
+    # prioritary bound n <= 5 - (-1) - e - 1 = 4
+    l0d, _, _ = l0_and_psi(serre_dual(EX4, 1), 1)
+    assert (-l0d.a, -l0d.b) == (2, 5)
+    assert -l0d.b - l0.b - 1 - 1 == 4 == generic_prioritary_index(EX4, 1)
 
 
 def test_worked_example_prioritary_range():
