@@ -52,7 +52,10 @@ canonical pairs per rank, shared by `potential_characters` and
 `lattice.int_key`) and `build_table`.  A cache starts with a header line
 holding e, max_rank, the rows per rank and the sha256 of the row lines;
 `load_table` refuses a cache whose header is missing or does not match its
-rows, and rows that fail `_check_row`.
+rows, and rows that fail `_check_row`.  A table of rank >= 1 holds exactly
+one rank-1 row, (1, 0, 0), and one of rank 0 no row: `_check_rank_one`
+refuses a missing or repeated rank-1 row in a `build_table` base (ValueError)
+and in a loaded cache (CacheError).
 """
 
 from __future__ import annotations
@@ -323,11 +326,11 @@ def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> E
         base = ExceptionalTable(e, 0, ())
     elif base.e != e:
         raise ValueError("base table is for a different surface")
-    table = base if base.max_rank >= 1 else base._extended(
-        1, [ExceptionalRecord(1, 0, 0, Fraction(0), None)])
-    rows = tuple(sorted(table.records, key=_row_order))
-    if rows != table.records:
-        table = ExceptionalTable(e, table.max_rank, rows)
+    rows = tuple(sorted(base.records, key=_row_order))
+    _check_rank_one(rows, base.max_rank)
+    table = base if rows == base.records else ExceptionalTable(e, base.max_rank, rows)
+    if table.max_rank == 0:
+        table = table._extended(1, [ExceptionalRecord(1, 0, 0, Fraction(0), None)])
     for r in range(table.max_rank + 1, rmax + 1):
         new = []
         for a, b in _candidates(r, e):
@@ -340,6 +343,17 @@ def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> E
 
 def _row_order(rec: ExceptionalRecord) -> Tuple[int, int, int]:
     return rec.r, rec.a, rec.b
+
+
+def _check_rank_one(rows, max_rank: int) -> None:
+    """Raise ValueError unless the sorted `rows` of a table of rank
+    <= max_rank are none for max_rank 0 and otherwise start with the one
+    rank-1 row, (1, 0, 0)."""
+    if max_rank == 0:
+        if rows:
+            raise ValueError("a table of rank <= 0 has rows")
+    elif not rows or _row_order(rows[0]) != (1, 0, 0) or rows[1:2] and rows[1].r == 1:
+        raise ValueError("a table of rank <= %d needs exactly one rank-1 row, (1, 0, 0)" % max_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +470,10 @@ def load_table(path: str, e: int) -> ExceptionalTable:
                 raise ValueError("row for e=%d in a cache opened for e=%d" % (ee, e))
             _check_row(rec, e)
             records.append(rec)
+        records.sort(key=_row_order)
+        _check_rank_one(records, head["max_rank"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CacheError("corrupt cache %s: %s" % (path, exc))
-    if not records:
-        raise CacheError("cache %s is empty" % path)
-    records.sort(key=_row_order)
     if len({_row_order(rec) for rec in records}) < len(records):
         raise CacheError("cache %s repeats a row" % path)
     want = json.loads(_header(e, head["max_rank"], [rec.r for rec in records], rows))

@@ -3,9 +3,11 @@
 These deliberately avoid the library's search shortcuts: the decomposition
 oracle enumerates *all* candidate tuples over the closed slope quadrilateral
 without the Delta-pinning identity, and the DLP oracle enumerates a
-generously enlarged twist box.  Shared integer conventions: a character is
-(r, a, b, s) with s = 2 ch2, so everything below is plain integer
-arithmetic except for a few explicit Fractions.
+generously enlarged twist box.  The decomposition oracle memoizes the
+full list of tuples of length 1 to 4 once per character; no filter reads
+the length, so a shorter bound would only cut that list.  Shared integer
+conventions: a character is (r, a, b, s) with s = 2 ch2, so everything
+below is plain integer arithmetic except for a few explicit Fractions.
 """
 
 from fractions import Fraction
@@ -32,11 +34,6 @@ def chi2(v, w, e):
     kdot = (e - 2) * ga - 2 * gb
     pair = av * bw + aw * bv - e * av * aw
     return 2 * rv * rw - kdot + (rv * sw + rw * sv) - 2 * pair
-
-
-def delta2(key, e):
-    r, a, b, s = key
-    return Fraction(2 * a * b - e * a * a - r * s, r * r)
 
 
 def delta2_num(key, e):
@@ -77,7 +74,12 @@ def quad_b_bound(m, e):
 
 class DecompositionOracle:
     """Exhaustive enumeration of tuples satisfying the five filtration
-    conditions, lengths up to 4, per (e, m)."""
+    conditions, lengths up to 4, per (e, m).
+
+    `memo` maps a character to all its valid tuples, in enumeration order.
+    A tuple is a first factor w1 followed by a tail from the memo entry of
+    the rest; a tail of length 4 is skipped, as w1 and it would make 5
+    factors, and that is the only length rule."""
 
     def __init__(self, e, m):
         self.e = e
@@ -134,10 +136,9 @@ class DecompositionOracle:
                         out.append((r1, a1, b1, c1sq - 2 * t))
         return out
 
-    def decompositions(self, vkey, maxlen=4):
-        """All valid tuples of length in [1, maxlen] summing to vkey."""
-        k = (vkey, maxlen)
-        got = self.memo.get(k)
+    def decompositions(self, vkey):
+        """All valid tuples of length 1 to 4 summing to vkey, memoized on vkey."""
+        got = self.memo.get(vkey)
         if got is not None:
             return got
         e = self.e
@@ -146,39 +147,40 @@ class DecompositionOracle:
         out = []
         if delta2_num(vkey, e) >= 0 and self.verdict_nonempty(vkey):
             out.append((vkey,))
-        if maxlen >= 2:
-            r, a, b, s = vkey
-            # the filters below inline delta2_num and the verdict memo lookup
-            for w1 in self._first_factors(vkey):
-                r1, a1, b1, s1 = w1
-                if 2 * a1 * b1 - e * a1 * a1 - r1 * s1 < 0:
+        r, a, b, s = vkey
+        # the filters below inline delta2_num and the verdict memo lookup
+        for w1 in self._first_factors(vkey):
+            r1, a1, b1, s1 = w1
+            if 2 * a1 * b1 - e * a1 * a1 - r1 * s1 < 0:
+                continue
+            ru, au, bu, su = r - r1, a - a1, b - b1, s - s1
+            if ru < 1 or 2 * au * bu - e * au * au - ru * su < 0:
+                continue
+            ok = vmemo.get(w1)
+            if ok is None:
+                ok = self.verdict_nonempty(w1)
+            if not ok:
+                continue
+            u = (ru, au, bu, su)
+            tails = memo.get(u)
+            if tails is None:
+                tails = self.decompositions(u)
+            for tail in tails:
+                if len(tail) == 4:      # w1 and this tail would make 5 factors
                     continue
-                ru, au, bu, su = r - r1, a - a1, b - b1, s - s1
-                if ru < 1 or 2 * au * bu - e * au * au - ru * su < 0:
+                if not key_gt(w1, tail[0], mp, mq, e):
                     continue
-                ok = vmemo.get(w1)
-                if ok is None:
-                    ok = self.verdict_nonempty(w1)
-                if not ok:
+                if not mu_gap_le_one(w1, tail[-1], mp, mq):
                     continue
-                u = (ru, au, bu, su)
-                tails = memo.get((u, maxlen - 1))
-                if tails is None:
-                    tails = self.decompositions(u, maxlen - 1)
-                for tail in tails:
-                    if not key_gt(w1, tail[0], mp, mq, e):
-                        continue
-                    if not mu_gap_le_one(w1, tail[-1], mp, mq):
-                        continue
-                    if any(chi2(w1, f, e) != 0 for f in tail):
-                        continue
-                    out.append((w1,) + tail)
-        memo[k] = out
+                if any(chi2(w1, f, e) != 0 for f in tail):
+                    continue
+                out.append((w1,) + tail)
+        memo[vkey] = out
         return out
 
     def nontrivial(self, vkey):
         """All valid tuples of length >= 2 (the uniqueness theorem says <= 1)."""
-        return [d for d in self.decompositions(vkey, 4) if len(d) >= 2]
+        return [d for d in self.decompositions(vkey) if len(d) >= 2]
 
 
 def fraction_slope_classes(table, e, below_rank):

@@ -128,7 +128,7 @@ def test_criterion_3_oracle_equivalence(table0, table1):
                 found = oracle.nontrivial(key)
                 assert len(found) <= 1, "uniqueness fails at %r" % (key,)
                 if dec is None:
-                    assert not oracle.decompositions(key, 4), key
+                    assert not oracle.decompositions(key), key
                 elif len(dec.factors) == 1:
                     assert found == [], key
                 else:

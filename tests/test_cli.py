@@ -5,7 +5,8 @@ import random
 import pytest
 
 from hirzebruch.cli import char_obj, main
-from hirzebruch import kronecker_characters, KroneckerParams
+from hirzebruch import build_table, kronecker_characters, KroneckerParams, save_table
+from hirzebruch.exceptional import ExceptionalTable
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +245,15 @@ def test_cache_that_misses_its_header_is_rebuilt(tmp_path, capsys):
         assert code == 0 and out == out1
         assert err.startswith("warning: cache %s " % cache) and err.endswith("; rebuilding\n")
         assert cache.read_text().splitlines() == lines
+    # a cache without its rank-1 row under a matching header used to load
+    # and print 2 of F_0's 3 rows of rank <= 5
+    args = ("exceptional", "--e", "0", "--max-rank", "5", "--cache", str(cache))
+    code, out1, _ = run_cli(capsys, *args[:-2])        # a fresh build, no cache
+    save_table(ExceptionalTable(0, 5, build_table(0, 5).records[1:]), str(cache))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and out == out1 and len(out.splitlines()) == 3
+    assert err == ("warning: corrupt cache %s: a table of rank <= 5 needs exactly one rank-1 "
+                   "row, (1, 0, 0); rebuilding\n" % cache)
 
 
 def test_cached_rerun_at_the_same_rank_builds_nothing(tmp_path, capsys, monkeypatch):

@@ -196,6 +196,12 @@ def test_extension_equals_the_build_from_scratch():
         assert build_table(e, 1, base=ExceptionalTable(e, 0, ())).records == bases[0].records
         small = build_table(e, 5, base=reversed_base)
         assert (small.max_rank, small.records, small.classes) == (12, bases[-1].records, bases[-1].classes)
+        # a base whose rank-1 row is repeated (a rank-0 table with that row)
+        # or missing used to come out with two (1, 0, 0) rows or none
+        for base in (ExceptionalTable(e, 0, bases[0].records), ExceptionalTable(e, 2, ()),
+                     ExceptionalTable(e, 12, bases[-1].records[1:])):
+            with pytest.raises(ValueError, match="rank <= %d" % base.max_rank):
+                build_table(e, 40, base=base)
 
 
 def test_build_makes_characters_and_orbits_of_new_rows_only(monkeypatch):
@@ -523,6 +529,11 @@ def test_load_refuses_rows_that_miss_the_header(tmp_path, table0):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CacheError, match=r"does not match its header \(%s\)" % wrong):
             load_table(str(path), 0)
+    # the rank-1 row deleted under a header that matches the rest: it used
+    # to load with 12 of 13 rows
+    reseal(path, [head] + rows[1:], 0, 19)
+    with pytest.raises(CacheError, match="corrupt cache .* exactly one rank-1 row"):
+        load_table(str(path), 0)
     broken = [rows, [json.dumps({**obj, "max_rank": True})] + rows,
               [json.dumps({**obj, "max_rank": 0})] + rows, [head[:-1]] + rows,
               [json.dumps({k: obj[k] for k in ("e", "max_rank", "sha256")})] + rows, []]

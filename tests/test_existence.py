@@ -121,7 +121,7 @@ def test_uniqueness_against_oracle_sample():
             found = oracle.nontrivial(key)
             assert len(found) <= 1
             if dec is None:
-                assert not oracle.decompositions(key, 4)
+                assert not oracle.decompositions(key)
             elif len(dec.factors) == 1:
                 assert found == []
             else:
