@@ -62,18 +62,23 @@ short of its value at c = 0 by (r - r1)/r (L(H_m) - x/(2r)), x = r1 when
 2 r1 > r and r - r1 otherwise, and L(H_m) = m + e/2 + 1 > 1/2 > x/(2r): the
 maximum is at c = 0 on both sides, and an r1 whose maximum falls short has
 no first factor.  With hn = mq H_m^2, k = 4 mq hn and zn = 2 mq L(z0) the
-test reads k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2 in integers, one
-threshold on max(r1, r - r1) per search.  Then `_a1_window` bounds a1
-for each r1 left from the same cuts: with b1 relaxed to the real mu
-window, each cut at either end of the window is a quadratic in a1.  A cut
-that opens upwards bounds nothing; one that opens downwards (Delta(u) when
-2 r1 > r, Delta_1 when 2 r1 < r, one of the two when 2 r1 = r) leaves no
-b1 to visit for the a1 outside the hull of its two nonnegativity intervals
-(`math.isqrt` roots, widened by one).  The
-generic prioritary index comes from `prioritary.prioritary_index_of_key`.
-Filtrations are memoized on (e, p, q, key) (Gieseker tie-breaks on walls
-are not twist-equivariant, so no twist sharing).  A broken invariant of the
-search raises `InternalError`.
+test reads k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2 in integers, that
+is max(r1, r - r1) >= need for one threshold need per search, so the ranks
+kept are two runs, [1, r - need] and [need, r - 1]: all of [1, r) when
+2 need <= r + 1, none when need >= r.  With no rank left the search goes
+straight to its closing check, before the fiber window and the degree of v
+are computed.  Then `_a1_window` bounds a1 for each r1 left from the same
+cuts: with b1 relaxed to the real mu window, each cut at either end of the
+window is a quadratic in a1.  A cut that opens upwards bounds nothing; one
+that opens downwards (Delta(u) when 2 r1 > r, Delta_1 when 2 r1 < r, one
+of the two when 2 r1 = r) leaves no b1 to visit for the a1 outside the
+hull of its two nonnegativity intervals (`math.isqrt` roots, widened by
+one).  Per a1 the search reads both cuts times sg, as b1 half-lines, on
+integer locals.  The generic prioritary index comes from
+`prioritary.prioritary_index_of_key`.  Filtrations are memoized on
+(e, p, q, key) (Gieseker tie-breaks on walls are not twist-equivariant, so
+no twist sharing).  A broken invariant of the search raises
+`InternalError`.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .lattice import (
     ChernCharacter,
@@ -207,18 +212,19 @@ def _cuts(vkey: IKey, e: int, r1: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     -r1 times the first, so for either sg both hold only on the pinning."""
     r, a, b, s = vkey
     ru = r - r1
+    rr = r * r
+    c1sq = 2 * a * b - e * a * a
     sd = r * r1 * (2 * r1 - r)
     x0 = r1 * (a + r)
     l0 = r1 * (2 * b + 2 * r - e * a)
-    p0 = 2 * r * r1 ** 3 + r1 * r1 * delta2(vkey, e) - x0 * l0
+    p0 = r1 * r1 * (2 * r * r1 + c1sq - r * s) - x0 * l0
     p1 = r * (l0 - e * x0)
     # the Delta(u) cut expands (2 au bu - e au^2 - ru su) sd = 2 ru^2 sd Delta(u),
     # (au, bu, su) = (a - a1, b - b1, s - s1), with the pinned
     # s1 sd = (2 a1 b1 - e a1^2) r (2 r1 - r) - c1 b1 - c0 of the Delta_1 cut
-    return ((2 * r * x0, -2 * r * r, p0, p1, e * r * r),
-            (-2 * r * ru * x0 - 2 * sd * a, 2 * r * r * r1,
-             sd * (2 * a * b - e * a * a - ru * s) - ru * p0,
-             2 * sd * (e * a - b) - ru * p1, -e * r * r * r1))
+    return ((2 * r * x0, -2 * rr, p0, p1, e * rr),
+            (-2 * (r * ru * x0 + sd * a), 2 * rr * r1, sd * (c1sq - ru * s) - ru * p0,
+             2 * sd * (e * a - b) - ru * p1, -e * rr * r1))
 
 
 def _a1_window(cuts: Tuple[Tuple[int, ...], ...], sg: int, fr: range, ends: Tuple[int, int], rmp: int, den: int) -> range:
@@ -237,6 +243,7 @@ def _a1_window(cuts: Tuple[Tuple[int, ...], ...], sg: int, fr: range, ends: Tupl
         if qa >= 0:
             continue
         clo, chi = hi, lo             # the hull of nothing yet
+        w = -2 * qa
         for nj in ends:
             # sg den (c1 y + c0) = qa x^2 + qb x + qc
             qb = sg * (den * v1 + u1 * nj - rmp * u0)
@@ -245,23 +252,39 @@ def _a1_window(cuts: Tuple[Tuple[int, ...], ...], sg: int, fr: range, ends: Tupl
             if disc < 0:
                 continue              # negative for every a1
             # nonnegative for (qb - sqrt(disc)) / w <= a1 <= (qb + sqrt(disc)) / w
-            sq, w = isqrt(disc) + 1, -2 * qa
-            clo, chi = min(clo, (qb - sq) // w + 1), max(chi, -(-(qb + sq) // w))
-        lo, hi = max(lo, clo), min(hi, chi)
+            sq = isqrt(disc) + 1
+            x = (qb - sq) // w + 1
+            if x < clo:
+                clo = x
+            x = -(-(qb + sq) // w)
+            if x > chi:
+                chi = x
+        if clo > lo:
+            lo = clo
+        if chi < hi:
+            hi = chi
+        if lo >= hi:
+            break
     return range(lo, hi)
 
 
-def _first_ranks(r: int, n2v: int, mp: int, mq: int, e: int) -> list[int]:
+def _first_ranks(r: int, n2v: int, mp: int, mq: int, e: int) -> Sequence[int]:
     """The r1 in [1, r) whose Delta cut may hold somewhere on the strip
     delta.H_m in [-(r - r1)/r, 0], delta = nu - nu_1 (see the module
     docstring): Delta_1 >= 0 (or the pinning) when 2 r1 <= r, Delta(u) >= 0
-    when 2 r1 > r; n2v = 2 r^2 Delta(v) and m = mp/mq."""
+    when 2 r1 > r; n2v = 2 r^2 Delta(v) and m = mp/mq.  The test is
+    max(r1, r - r1) >= need, so the ranks kept are two runs, ascending:
+    all of [1, r) when 2 need <= r + 1 (the smallest max(r1, r - r1) is
+    ceil(r/2)), otherwise [1, r - need] and [need, r - 1], both empty when
+    need >= r, and then `_search` skips to its closing check."""
     hn = 2 * mp + e * mq            # mq H^2
     zn = 2 * mq - hn                # 2 mq L(z0), z0 = E - m F
     k = 4 * mq * hn
     # the maximum at c = 0 on both sides: k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2
     need = -((r * r * zn * zn - k * n2v) // (2 * r * k))
-    return [r1 for r1 in range(1, r) if max(r1, r - r1) >= need]
+    if 2 * need <= r + 1:
+        return range(1, r)
+    return [*range(1, r - need + 1), *range(need, r)]
 
 
 def _hn_key(key: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
@@ -269,9 +292,10 @@ def _hn_key(key: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
     # not twist-equivariant, so the filtration genuinely belongs to the
     # character itself, not to a twist-normalized representative.
     ck = (e, mp, mq, key)
-    if ck not in _HN:
-        _HN[ck] = _search(key, mp, mq, e)
-    return _HN[ck]
+    factors = _HN.get(ck, False)    # a filtration is a tuple or None
+    if factors is False:
+        factors = _HN[ck] = _search(key, mp, mq, e)
+    return factors
 
 
 def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
@@ -284,64 +308,91 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
         return None
     if r == 1:
         return (vkey,)
+    ranks = _first_ranks(r, delta2(vkey, e), mp, mq, e)
+    if not ranks:
+        return _unsplit(vkey, n0, mp, mq, e)
 
-    n2v = delta2(vkey, e)           # 2 r^2 Delta(v)
     cp, cq = fiber_window(mp, mq, e)
     # H_m-degree of v times (r mq): mu(v) = degv / den
     degv = a * mp + b * mq
     den = r * mq
+    rmp = r * mp
 
-    for r1 in _first_ranks(r, n2v, mp, mq, e):
+    for r1 in ranks:
         t = 2 * r1 - r
-        sg = -1 if t < 0 else 1         # at t = 0 either sign: the cuts meet in the pinning
-        s1_den = r * r1 * t
         ru = r - r1
         n1 = r1 * degv
         cuts = _cuts(vkey, e, r1)
         (u0, u1, v0, v1, v2), (g0, g1, h0, h1, h2) = cuts
-        fr = _fiber_range(r, a, r1, cp, cq)
-        for a1 in _a1_window(cuts, sg, fr, (n1, n1 + r1 * ru * mq), r * mp, den):
+        # each cut reads sg (c1 b1 + c0) >= 0, sg = sign(t); at t = 0 either
+        # sign, the cuts meeting in the pinning.  k and j below are the cuts
+        # times sg, so the congruence runs on |t| and s1_den > 0
+        if t < 0:
+            sg, tt = -1, -t
+            u0, u1, v0, v1, v2, g0, g1, h0, h1, h2 = -u0, -u1, -v0, -v1, -v2, -g0, -g1, -h0, -h1, -h2
+        else:
+            sg, tt = 1, t
+        s1_den = r * r1 * tt
+        rtt = r * tt
+        for a1 in _a1_window(cuts, sg, _fiber_range(r, a, r1, cp, cq), (n1, n1 + r1 * ru * mq), rmp, den):
             # mu(v) <= mu(w1) <= mu(v) + ru/r
-            b1_lo, b1_hi_excl = _mu_window(n1 - a1 * mp * r, den, r1, ru, mq)
-            # the cuts at a1: c1 b1 + c0 (Delta_1) and d1 b1 + d0 (Delta(u))
-            c1, c0 = u0 + u1 * a1, v0 + (v1 + v2 * a1) * a1
-            d1, d0 = g0 + g1 * a1, h0 + (h1 + h2 * a1) * a1
-            # each cut sg (k1 b1 + k0) >= 0 is a half-line of b1
-            for k1, k0 in ((sg * c1, sg * c0), (sg * d1, sg * d0)):
-                if k1 > 0:
-                    b1_lo = max(b1_lo, -(k0 // k1))
-                elif k1 < 0:
-                    b1_hi_excl = min(b1_hi_excl, k0 // -k1 + 1)
-                elif k0 < 0:
-                    b1_hi_excl = b1_lo
-            if b1_lo >= b1_hi_excl:
+            lo, hi = _mu_window(n1 - a1 * rmp, den, r1, ru, mq)
+            # each cut k1 b1 + k0 >= 0 (Delta_1), j1 b1 + j0 >= 0 (Delta(u))
+            # is a half-line of b1
+            k1, k0 = u0 + u1 * a1, v0 + (v1 + v2 * a1) * a1
+            if k1 > 0:
+                x = -(k0 // k1)
+                if x > lo:
+                    lo = x
+            elif k1 < 0:
+                x = k0 // -k1 + 1
+                if x < hi:
+                    hi = x
+            elif k0 < 0:
                 continue
+            if lo >= hi:
+                continue
+            j1, j0 = g0 + g1 * a1, h0 + (h1 + h2 * a1) * a1
+            if j1 > 0:
+                x = -(j0 // j1)
+                if x > lo:
+                    lo = x
+            elif j1 < 0:
+                x = j0 // -j1 + 1
+                if x < hi:
+                    hi = x
+            elif j0 < 0:
+                continue
+            if lo >= hi:
+                continue
+            ea1 = e * a1 * a1
             step = 1                    # at t = 0: at most the pinned b1 is left
             if t:
-                # s1 = (c1sq1 r t - c1 b1 - c0) / s1_den = (beta b1 + alpha) /
-                # s1_den: keep the b1 where s1 is an integer
-                beta = 2 * r * a1 * t - c1
-                alpha = -e * a1 * a1 * r * t - c0
+                # s1 = (c1sq1 r t - c1 b1 - c0) / (r r1 t) = (c1sq1 r |t| -
+                # k1 b1 - k0) / s1_den = (beta b1 + alpha) / s1_den: keep the
+                # b1 where s1 is an integer
+                beta = 2 * rtt * a1 - k1
+                alpha = -ea1 * rtt - k0
                 g = gcd(beta, s1_den)
                 if alpha % g:
                     continue
-                step = abs(s1_den) // g
+                step = s1_den // g
                 b0 = (-alpha // g) * pow(beta // g, -1, step) % step
-                b1_lo += (b0 - b1_lo) % step
-            for b1 in range(b1_lo, b1_hi_excl, step):
-                c1sq1 = 2 * a1 * b1 - e * a1 * a1
+                lo += (b0 - lo) % step
+            for b1 in range(lo, hi, step):
+                c1sq1 = 2 * a1 * b1 - ea1
                 if t:
                     s1 = (beta * b1 + alpha) // s1_den
                     if (c1sq1 - s1) % 2 != 0:
                         continue      # c2(w1) not an integer
-                    s1_list = [s1]
+                    s1_list = (s1,)
                 else:
                     au = a - a1
                     n2u0 = 2 * au * (b - b1) - e * au * au - ru * (s - c1sq1)
                     s1_list = [c1sq1 - 2 * c2 for c2 in _degenerate_c2_range(c1sq1, r1, n2u0)]
                 for s1 in s1_list:
                     w1 = (r1, a1, b1, s1)
-                    u = (r - r1, a - a1, b - b1, s - s1)
+                    u = (ru, a - a1, b - b1, s - s1)
                     # Delta_1 >= 0 and Delta(u) >= 0 hold by construction
                     # (the b1 cuts, or the t window at 2 r1 = r); then the
                     # cheap prioritary gates
@@ -365,6 +416,12 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                     if any(chi2(w1, f, e) != 0 for f in tail):
                         continue      # condition (4)
                     return (w1,) + tail
+    return _unsplit(vkey, n0, mp, mq, e)
+
+
+def _unsplit(vkey: IKey, n0: int, mp: int, mq: int, e: int) -> Tuple[IKey]:
+    # no first factor: v is its own filtration, and then it must be
+    # H_{ceil m + 1}-prioritary
     if not _prior(vkey, n0 + 1, e):
         raise InternalError(
             "inconsistent state: no decomposition found for %r at m=%d/%d but the "

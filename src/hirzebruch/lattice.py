@@ -87,7 +87,8 @@ def check_rank(r: int, what: str = "rank") -> int:
 
 def check_polarization(m: Rat) -> Fraction:
     m = _exact(m, "polarization parameter m")
-    if m <= 0:
+    # the sign of a Fraction is its numerator's; Fraction.__le__ is slow
+    if m.numerator <= 0:
         raise ValueError("polarization parameter m must be positive, got %s" % (m,))
     return m
 

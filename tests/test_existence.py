@@ -878,7 +878,7 @@ def test_first_ranks_drop_no_rank_with_a_first_factor():
                 v = from_key(key)
                 nu, dv = v.nu(), v.delta(e)
                 ranks = existence._first_ranks(r, existence.delta2(key, e), mp, mq, e)
-                assert ranks == sorted(set(ranks)) and set(ranks) <= set(range(1, r))
+                assert list(ranks) == sorted(set(ranks)) and set(ranks) <= set(range(1, r))
                 total += r - 1
                 dropped += r - 1 - len(ranks)
                 for r1 in set(range(1, r)) - set(ranks):
@@ -896,3 +896,62 @@ def test_first_ranks_drop_no_rank_with_a_first_factor():
                                 assert w1.delta(e) == d1
                                 assert (v - w1).delta(e) < 0, where
     assert 2 * dropped >= total, (dropped, total)
+
+
+def test_first_ranks_is_the_filter_that_defines_it():
+    # the closed form against the integer test it solves, k (n2v - 2 r
+    # max(r1, r - r1)) <= r^2 zn^2, i.e. max(r1, r - r1) >= need; n2v runs
+    # over both sides of every need from -1 to r + 1, so need <= 0, need >= r,
+    # 2 need = r + 1 and 2 need = r + 2 are all met
+    shapes = set()
+    for e in range(4):
+        for m in (Q(1, 7), Q(1, 3), Q(1, 2), Q(1), Q(12, 7), Q(3), Q(7)):
+            mp, mq = m.numerator, m.denominator
+            hn = 2 * mp + e * mq
+            zn, k = 2 * mq - hn, 4 * mq * hn
+            for r in range(1, 41):
+                for need in range(-1, r + 2):
+                    # the least n2v whose need is `need`, and the n2v below it
+                    n2v = (r * r * zn * zn + 2 * r * k * (need - 1)) // k + 1
+                    for n in (n2v - 1, n2v):
+                        ranks = existence._first_ranks(r, n, mp, mq, e)
+                        want = [r1 for r1 in range(1, r) if k * (n - 2 * r * max(r1, r - r1)) <= r * r * zn * zn]
+                        assert list(ranks) == want, (r, n, e, m)
+                        assert bool(ranks) == bool(want)
+                        gaps = sum(1 for x, y in zip(want, want[1:]) if y != x + 1)
+                        shapes.add("none" if not want else "all" if len(want) == r - 1 else gaps)
+    assert shapes == {"none", "all", 1}, shapes
+
+
+def test_high_rank_filtrations(monkeypatch):
+    # pinned filtrations and memo sizes of searches no low-rank test reaches:
+    # at rank 300 the a1 window keeps hundreds of a1 values on some ranks, and
+    # on the other three _first_ranks keeps two separate runs of ranks at the top
+    cases = [
+        ((300, 1, 3, 0), Q(1), 0, [(4, 1, 3, 0), (296, 0, 0, 0)], 10),
+        ((300, 1, 0, -480), Q(1, 2), 0, [(241, 1, 0, -480), (59, 0, 0, 0)], 157),
+        ((300, -1, 2, -600), Q(3), 0, [(1, 0, 0, 0), (299, -1, 2, -600)], 3),
+        ((300, 2, 1, -480), Q(1, 7), 1, [(242, 2, 1, -480), (58, 0, 0, 0)], 11),
+    ]
+    assert from_key(cases[0][0]) == character(300, 1, 3, 0)
+    widths, window = [], existence._a1_window
+
+    def logged_window(*args):
+        win = window(*args)
+        widths.append(len(win))
+        return win
+
+    monkeypatch.setattr(existence, "_a1_window", logged_window)
+    for key, m, e, factors, memo in cases:
+        r = key[0]
+        ranks = list(existence._first_ranks(r, existence.delta2(key, e), m.numerator, m.denominator, e))
+        gaps = sum(1 for x, y in zip(ranks, ranks[1:]) if y != x + 1)
+        assert gaps == (0 if key == cases[0][0] else 1), (key, ranks)
+        existence.clear_cache()
+        widths.clear()
+        dec = hn_generic(from_key(key), m, e)
+        assert [int_key(f) for f in dec.factors] == factors, key
+        assert len(existence._HN) == memo, key
+        validate_hn(dec, from_key(key), check_moduli=False)
+        if key == cases[0][0]:
+            assert max(widths) >= 200, max(widths)
