@@ -38,7 +38,8 @@ whose value beats the Delta of a rank-r exceptional, which for most
 candidates is O itself.
 The exceptional module walks the stability walls of I_V on the same
 classes with the same scaling and the same end pairs (`LINE_BUNDLES` gives
-the sentinels), so the orbit enumeration and the stability test live here.
+the sentinels), so the orbit enumeration and the stability test live here;
+`exceptional.canonical_pair` reads the same images of a slope (`_images`).
 
 e >= 2 is refused by the gate `lattice.check_del_pezzo`; reduce first.
 """
@@ -127,19 +128,25 @@ class SlopeClass(NamedTuple):
 LINE_BUNDLES = SlopeClass(1, 0, 0, (0, 1), (1, 0))
 
 
+def _images(a: int, b: int, e: int) -> List[Tuple[int, int, bool]]:
+    """The images of c1 = aE + bF under the dual and, on F_0, the fiber
+    swap, in the order of `orbit`, each with whether it swaps the fibers."""
+    images = [(a, b, False), (-a, -b, False)]
+    if e == 0:
+        images += [(b, a, True), (-b, -a, True)]
+    return images
+
+
 def orbit(rec, e: int) -> List[SlopeClass]:
     """Slope classes of the twist/dual (and, on F_0, fiber-swap) orbit of a
     table row, deduplicated modulo Z^2 together with their intervals."""
     r = rec.r
     lo = (rec.lo.numerator, rec.lo.denominator)
     hi = (1, 0) if rec.hi is None else (rec.hi.numerator, rec.hi.denominator)
-    variants = [(rec.a, rec.b, lo, hi), (-rec.a, -rec.b, lo, hi)]
-    if e == 0:
-        # the fiber swap sends H_m to a multiple of H_{1/m}: (1/hi, 1/lo)
-        slo, shi = hi[::-1], lo[::-1]
-        variants += [(rec.b, rec.a, slo, shi), (-rec.b, -rec.a, slo, shi)]
     out, seen = [], set()
-    for a, b, vlo, vhi in variants:
+    for a, b, swapped in _images(rec.a, rec.b, e):
+        # the fiber swap sends H_m to a multiple of H_{1/m}: (1/hi, 1/lo)
+        vlo, vhi = (hi[::-1], lo[::-1]) if swapped else (lo, hi)
         key = (a % r, b % r, vlo, vhi)
         if key not in seen:
             seen.add(key)
@@ -171,7 +178,7 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
           stop: Optional[Tuple[int, int]] = None):
     """DLP over the `classes` stable at m = mp/mq, at nu = (x, y)/nu_den, as
     (num, dnm, witness, equal_slope) for the value num/dnm, num = None when
-    no twist reaches the box.  With `stop` = (p, q) the walk stops at the
+    no class is stable there.  With `stop` = (p, q) the walk stops at the
     first class whose value exceeds p/q."""
     # Per slope class, scaled by L = lcm(nu_den, rank): the offsets
     # d = nu - (twist of the class) are (X, Y)/L with X = x0 and Y = y0 mod L,
@@ -188,8 +195,11 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
     # turns (below the line at X < -L, above it at X > L) the strip bound
     # keeps P < 0, while the column with |X| < L has a point of P > 0 within
     # one lattice step of the line: those half-columns never hold the
-    # maximum.  The <= 3 points are visited in ascending Y with `>=`, as a
-    # walk over the whole box would, which keeps the tie rule.  Classes are
+    # maximum.  Every class has a column and every column a candidate: the
+    # box is >= 2L wide (fiber window >= 1) and L (2m + e + 2) > 2L high, so
+    # a column has >= 2 lattice points, one of them off the line.
+    # The <= 3 points are visited in ascending Y with `>=`, as a walk over
+    # the whole box would, which keeps the tie rule.  Classes are
     # compared by cross-multiplying, ties going to the smallest witness.
     # The walk keeps the maximum itself: handing each class's best offset to
     # a caller cost the DLP queries about 4%.
@@ -218,8 +228,6 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
             y_hi = (hw - X * mps) // ysc
             y_lo += (y0 - y_lo) % L             # first and last lattice Y
             y_hi -= (y_hi - y0) % L
-            if y_lo > y_hi:
-                continue
             tx = X * mp
             below = (-tx - 1) // mq             # last Y with t < 0
             if y_lo <= below:
@@ -240,8 +248,6 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
                 p = hilbert_P2(-X, -Y, L, e)
                 if top is None or p >= top:
                     top, bx, by = p, X, Y
-        if top is None:
-            continue
         num, den = top - L * L + k * k, 2 * L * L
         cmp = 1 if best_num is None else num * best_den - best_num * den
         if cmp < 0:

@@ -175,12 +175,8 @@ def canonical_pair(r: int, a: int, b: int, e: int) -> Tuple[int, int]:
     b %= r
     if r == 1:
         return (0, 0)
-    cands = [(a, b), ((-a) % r, (-b) % r)]
-    if e == 0:
-        cands += [(b, a), ((-b) % r, (-a) % r)]
-        ok = [c for c in cands if 2 * c[0] < r and c[0] <= c[1]]
-    else:
-        ok = [c for c in cands if 2 * c[0] <= r]
+    images = [(x % r, y % r) for x, y, _ in dlp._images(a, b, e)]
+    ok = [c for c in images if (2 * c[0] < r and c[0] <= c[1] if e == 0 else 2 * c[0] <= r)]
     if not ok:
         raise InternalError("no canonical representative for (%d, %d, %d)" % (r, a, b))
     return min(ok)

@@ -27,20 +27,29 @@ enumerates first factors w_1 = (r1, a1 E + b1 F, ch2_1) with
 
 then recurses on u = v - w_1.  Filtration length never exceeds 4.
 
+The search tests (1), (2), (3) and (5); (4) follows from them.  The tail
+u = f_2 + ... + f_k is the filtration of u, so it satisfies (4) among its own
+factors, and the pinning is chi(w_1, u) = 0, the sum of the chi(w_1, f_j).
+By (5) each f_j carries semistable sheaves F_j, and so does w_1 (W_1).
+By (2), p(w_1) > p(f_j), so Hom(W_1, F_j) = 0.  By (3) the slope gap is at
+most 1 < -K.H_m = 2m + e + 2, so Ext^2(W_1, F_j) = Hom(F_j, W_1(K))^* = 0.
+Then every chi(w_1, f_j) <= 0, and a zero sum forces each one to 0.
+`validate_hn` still checks (4) on its own.
+
 The inner loops run on plain integers.  Characters are keys (r, a, b, 2 ch2)
 from `lattice.int_key`, Delta is read from 2 r^2 Delta = 2ab - e a^2 - r s
 and chi from 2 chi (`lattice.delta2`, `lattice.chi2`), m enters as its
 reduced pair (p, q) and the fiber window as the integer pair
 `lattice.fiber_window(p, q, e)`.  `_cuts` derives the Delta_1 and
-Delta(u) cuts once per r1, each as sg (c1 b1 + c0) >= 0, sg = sign(2 r1 - r),
-with c1 linear and c0 quadratic in a1.  For fixed (r1, a1) the pinned ch2_1
+Delta(u) cuts once per r1, signed by sign(2 r1 - r) so that each reads
+c1 b1 + c0 >= 0, with c1 linear and c0 quadratic in a1.  For fixed (r1, a1) the pinned ch2_1
 is linear in b1 too, so the b1 loop visits only the arithmetic progression
 where ch2_1 is integral, cut to the half-lines of both cuts; the
 candidates are still visited in the order of the plain triple loop.
 
 When 2 r1 = r the pinning degenerates to P(nu - nu_1) = Delta + 1/2, which
-is where the two cuts meet: the Delta(u) cut is then -r1 times the Delta_1
-cut, so for either sign sg the two half-lines leave exactly the b1 with
+is where the two cuts meet: they stay unsigned, the Delta(u) cut is then
+-r1 times the Delta_1 cut, so the two half-lines leave exactly the b1 with
 c1 b1 + c0 = 0, and the a1 window and the b1 loop run unchanged.  Only
 ch2_1 is not pinned there: Delta_1 runs over its 1/r1-lattice where
 Delta_1 >= 0 and Delta(u) >= 0 (`_degenerate_c2_range`); chi(w_1, u) = 0
@@ -73,8 +82,8 @@ window is a quadratic in a1.  A cut that opens upwards bounds nothing; one
 that opens downwards (Delta(u) when 2 r1 > r, Delta_1 when 2 r1 < r, one
 of the two when 2 r1 = r) leaves no b1 to visit for the a1 outside the
 hull of its two nonnegativity intervals (`math.isqrt` roots, widened by
-one).  Per a1 the search reads both cuts times sg, as b1 half-lines, on
-integer locals.  The generic prioritary index comes from
+one).  Per a1 the search reads both cuts as b1 half-lines, on integer
+locals.  The generic prioritary index comes from
 `prioritary.prioritary_index_of_key`.  Filtrations are memoized on
 (e, p, q, key) (Gieseker tie-breaks on walls are not twist-equivariant, so
 no twist sharing).  A broken invariant of the search raises
@@ -205,49 +214,49 @@ def _cuts(vkey: IKey, e: int, r1: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     """The Delta_1 and Delta(u) cuts on first factors w1 = (r1, a1, b1, s1)
     with ch2_1 pinned, u = v - w1, as coefficients (u0, u1, v0, v1, v2) of
     c1 = u0 + u1 a1 and c0 = v0 + v1 a1 + v2 a1^2, where c1 b1 + c0 is
-      2 r r1^2 (r1 - r P(nu - nu_1) + r Delta) = 2 r r1^2 (2 r1 - r) Delta_1,
-      2 r r1 (r - r1)^2 (2 r1 - r) Delta(u):
-    each cut reads sg (c1 b1 + c0) >= 0, sg = sign(2 r1 - r).  When
-    2 r1 = r the first is zero exactly on the pinning and the second is
-    -r1 times the first, so for either sg both hold only on the pinning."""
+      sg 2 r r1^2 (r1 - r P(nu - nu_1) + r Delta) = 2 r r1^2 |2 r1 - r| Delta_1,
+      2 r r1 (r - r1)^2 |2 r1 - r| Delta(u),
+    sg = sign(2 r1 - r): each cut reads c1 b1 + c0 >= 0.  When 2 r1 = r the
+    cuts are not signed: the first is zero exactly on the pinning and the
+    second is -r1 times the first, so both hold only on the pinning."""
     r, a, b, s = vkey
     ru = r - r1
-    rr = r * r
+    sg = -1 if 2 * r1 < r else 1    # each cut times sign(2 r1 - r), or 1
+    rs, rr = sg * r, sg * r * r
     c1sq = 2 * a * b - e * a * a
-    sd = r * r1 * (2 * r1 - r)
+    sd = r * r1 * abs(2 * r1 - r)
     x0 = r1 * (a + r)
     l0 = r1 * (2 * b + 2 * r - e * a)
-    p0 = r1 * r1 * (2 * r * r1 + c1sq - r * s) - x0 * l0
-    p1 = r * (l0 - e * x0)
+    p0 = sg * (r1 * r1 * (2 * r * r1 + c1sq - r * s) - x0 * l0)
+    p1 = rs * (l0 - e * x0)
     # the Delta(u) cut expands (2 au bu - e au^2 - ru su) sd = 2 ru^2 sd Delta(u),
     # (au, bu, su) = (a - a1, b - b1, s - s1), with the pinned
-    # s1 sd = (2 a1 b1 - e a1^2) r (2 r1 - r) - c1 b1 - c0 of the Delta_1 cut
-    return ((2 * r * x0, -2 * rr, p0, p1, e * rr),
-            (-2 * (r * ru * x0 + sd * a), 2 * rr * r1, sd * (c1sq - ru * s) - ru * p0,
+    # s1 sd = (2 a1 b1 - e a1^2) r |2 r1 - r| - c1 b1 - c0 of the Delta_1 cut
+    return ((2 * rs * x0, -2 * rr, p0, p1, e * rr),
+            (-2 * (rs * ru * x0 + sd * a), 2 * rr * r1, sd * (c1sq - ru * s) - ru * p0,
              2 * sd * (e * a - b) - ru * p1, -e * rr * r1))
 
 
-def _a1_window(cuts: Tuple[Tuple[int, ...], ...], sg: int, fr: range, ends: Tuple[int, int], rmp: int, den: int) -> range:
+def _a1_window(cuts: Tuple[Tuple[int, ...], ...], fr: range, ends: Tuple[int, int], rmp: int, den: int) -> range:
     """The a1 of the fiber range fr whose mu window may hold a b1 passing
-    both `_cuts` (sign sg = sign(2 r1 - r), and sg = +-1 when 2 r1 = r,
-    where they meet in the pinning).  A superset in integers:
-    b1 is relaxed to the real y of the mu window, den y = nj - rmp a1 with
-    nj in ends; each cut is linear in y, so it holds on the window only if
-    it holds at an end, where den times it is a quadratic in a1.  A cut
-    keeps the hull of its two nonnegativity intervals, widened by one step
-    around `isqrt`, or all of fr when its quadratic does not open
-    downwards."""
+    both `_cuts` c1 b1 + c0 >= 0 (at 2 r1 = r they meet in the pinning).
+    A superset in integers: b1 is relaxed to the real y of the mu window,
+    den y = nj - rmp a1 with nj in ends; each cut is linear in y, so it
+    holds on the window only if it holds at an end, where den times it is
+    a quadratic in a1.  A cut keeps the hull of its two nonnegativity
+    intervals, widened by one step around `isqrt`, or all of fr when its
+    quadratic does not open downwards."""
     lo, hi = fr.start, fr.stop
     for u0, u1, v0, v1, v2 in cuts:
-        qa = sg * (den * v2 - rmp * u1)
+        qa = den * v2 - rmp * u1
         if qa >= 0:
             continue
         clo, chi = hi, lo             # the hull of nothing yet
         w = -2 * qa
         for nj in ends:
-            # sg den (c1 y + c0) = qa x^2 + qb x + qc
-            qb = sg * (den * v1 + u1 * nj - rmp * u0)
-            qc = sg * (den * v0 + u0 * nj)
+            # den (c1 y + c0) = qa x^2 + qb x + qc
+            qb = den * v1 + u1 * nj - rmp * u0
+            qc = den * v0 + u0 * nj
             disc = qb * qb - 4 * qa * qc
             if disc < 0:
                 continue              # negative for every a1
@@ -324,17 +333,10 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
         n1 = r1 * degv
         cuts = _cuts(vkey, e, r1)
         (u0, u1, v0, v1, v2), (g0, g1, h0, h1, h2) = cuts
-        # each cut reads sg (c1 b1 + c0) >= 0, sg = sign(t); at t = 0 either
-        # sign, the cuts meeting in the pinning.  k and j below are the cuts
-        # times sg, so the congruence runs on |t| and s1_den > 0
-        if t < 0:
-            sg, tt = -1, -t
-            u0, u1, v0, v1, v2, g0, g1, h0, h1, h2 = -u0, -u1, -v0, -v1, -v2, -g0, -g1, -h0, -h1, -h2
-        else:
-            sg, tt = 1, t
-        s1_den = r * r1 * tt
-        rtt = r * tt
-        for a1 in _a1_window(cuts, sg, _fiber_range(r, a, r1, cp, cq), (n1, n1 + r1 * ru * mq), rmp, den):
+        # the cuts come signed by sign(t), so the congruence runs on |t|
+        rtt = r * abs(t)
+        s1_den = r1 * rtt
+        for a1 in _a1_window(cuts, _fiber_range(r, a, r1, cp, cq), (n1, n1 + r1 * ru * mq), rmp, den):
             # mu(v) <= mu(w1) <= mu(v) + ru/r
             lo, hi = _mu_window(n1 - a1 * rmp, den, r1, ru, mq)
             # each cut k1 b1 + k0 >= 0 (Delta_1), j1 b1 + j0 >= 0 (Delta(u))
@@ -368,9 +370,8 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
             ea1 = e * a1 * a1
             step = 1                    # at t = 0: at most the pinned b1 is left
             if t:
-                # s1 = (c1sq1 r t - c1 b1 - c0) / (r r1 t) = (c1sq1 r |t| -
-                # k1 b1 - k0) / s1_den = (beta b1 + alpha) / s1_den: keep the
-                # b1 where s1 is an integer
+                # s1 = (c1sq1 r |t| - k1 b1 - k0) / s1_den = (beta b1 +
+                # alpha) / s1_den: keep the b1 where s1 is an integer
                 beta = 2 * rtt * a1 - k1
                 alpha = -ea1 * rtt - k0
                 g = gcd(beta, s1_den)
@@ -413,9 +414,7 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                     # window settles only for a tail of length one
                     if (a1 * mp + b1 * mq) * last[0] - (last[1] * mp + last[2] * mq) * r1 > r1 * last[0] * mq:
                         continue
-                    if any(chi2(w1, f, e) != 0 for f in tail):
-                        continue      # condition (4)
-                    return (w1,) + tail
+                    return (w1,) + tail   # (4) follows (module docstring)
     return _unsplit(vkey, n0, mp, mq, e)
 
 
@@ -598,13 +597,10 @@ def delta_estimate(
     _dlp._check_slope(nu)
     da, db = nu.a.denominator, nu.b.denominator
     r0 = da * db // gcd(da, db)
-    lower = Fraction(1, 2)
-    if rank_cutoff > 1:
-        if table is None and rank_cutoff > 2:   # DLP^{<2} reads line bundles only
-            table = build_table(e, rank_cutoff - 1)
-        bound = _dlp.dlp_below_rank(nu, m, e, rank_cutoff, table)
-        if bound.value is not None:
-            lower = max(lower, bound.value)
+    if table is None and rank_cutoff > 2:       # DLP^{<2} reads line bundles only
+        table = build_table(e, rank_cutoff - 1)
+    bound = _dlp.dlp_below_rank(nu, m, e, rank_cutoff, table)   # empty at r = 1
+    lower = Fraction(1, 2) if bound.value is None else max(Fraction(1, 2), bound.value)
     mp, mq = m.numerator, m.denominator
     cap = lower + 8
     best = None                     # (dn, r^2, key) of the best witness

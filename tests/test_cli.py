@@ -256,6 +256,22 @@ def test_cache_that_misses_its_header_is_rebuilt(tmp_path, capsys):
                    "row, (1, 0, 0); rebuilding\n" % cache)
 
 
+def test_cache_that_names_a_directory_exits_4(tmp_path, capsys):
+    # load_table cannot read a directory, so the table is rebuilt; the
+    # temporary file beside it cannot replace it, so save_table removes it
+    # and the write fails with the cache exit code
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, out, err = run_cli(capsys, "dlp", "--e", "0", "--nu", "1/3,1/5", "--m", "1",
+                             "--below-rank", "4", "--cache", str(cache))
+    assert code == 4 and out == ""
+    first, second = err.splitlines()
+    assert first.startswith("warning: cannot read cache %s: " % cache) and first.endswith("; rebuilding")
+    assert second.startswith("cache error: cannot write cache %s: " % cache)
+    assert cache.is_dir() and not list(cache.iterdir())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_cached_rerun_at_the_same_rank_builds_nothing(tmp_path, capsys, monkeypatch):
     # F_1 has no rank-21 row and F_0 no rank-18 row: the header's max_rank,
     # not the highest row, says what the cache covers, so an extension that

@@ -91,6 +91,8 @@ def test_dlp_below_rank_edges(table0):
     assert dlp_below_rank(nu, 2, 0, 2).value == dlp_line_bundles(nu, 2, 0).value
     with pytest.raises(InsufficientTable):
         dlp_below_rank(nu, 2, 0, 25, table0)
+    with pytest.raises(InsufficientTable):
+        dlp_below_rank(nu, 2, 0, 3)         # no table at r > 2
     with pytest.raises(ValueError):
         dlp_below_rank(nu, 2, 2, 5, table0)
 

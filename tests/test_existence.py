@@ -11,6 +11,7 @@ from hirzebruch import (
     ChernCharacter,
     DecisionCertificate,
     DivisorClass,
+    HNDecomposition,
     character,
     delta_estimate,
     dual,
@@ -137,10 +138,41 @@ def test_validator_rejects_tampering():
     import dataclasses
 
     bad = dataclasses.replace(dec, factors=(dec.factors[1], dec.factors[0]))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="not strictly decreasing"):
         validate_hn(bad, v1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="do not sum"):
         validate_hn(dec, twist(v1, DivisorClass(0, 1), 1))
+
+    # each further refusal on a decomposition that passes every earlier
+    # check; the search never tests (4), so this validator is its one check
+    def refused(factors, m, e, match, check_moduli=False):
+        total = factors[0]
+        for f in factors[1:]:
+            total = total + f
+        dec = HNDecomposition(tuple(factors), Q(m), e)
+        with pytest.raises(AssertionError, match=match):
+            validate_hn(dec, total, check_moduli)
+
+    refused([CH_O] * 5, 1, 0, "length 5 out of range")
+    # c2 = c1^2/2 - ch2 = -1/2
+    refused([character(1, 0, 0, Q(1, 2)), character(1, 0, 0, Q(-1, 2))], 1, 0, "not integral")
+    # Delta = -ch2/r = -1/2, with c2 = -1 integral
+    refused([character(2, 0, 0, 1), character(1, 0, 0, -1)], 1, 0, "violates Bogomolov")
+    # O(2F) and O: mu 2 and 0 at m = 1
+    refused([character(1, 0, 2, 0), CH_O], 1, 0, "spread exceeds 1")
+    # O(-2E) and O(-E - 2F) on F_0 at m = 1: mu -2 and -3, and
+    # chi(O(-2E), O(-E - 2F)) = chi(O(E - 2F)) = 2 (-1) = -2
+    refused([character(1, -2, 0, 0), character(1, -1, -2, 2)], 1, 0, r"chi\(w_1, w_2\) != 0")
+    # the generic filtration O, I_p(-E + F), O(-E) of (3, -2E + F, -1) on
+    # F_0 at m = 1 with its tail merged: (2, -2E + F, -1) is EMPTY, every
+    # other condition holds
+    v = character(3, -2, 1, -1)
+    dec = hn_generic(v, 1, 0)
+    assert dec.factors == (CH_O, character(1, -1, 1, -1), character(1, -1, 0, 0))
+    merged = (CH_O, dec.factors[1] + dec.factors[2])
+    assert verdict(merged[1], 1, 0) == "EMPTY"
+    validate_hn(HNDecomposition(merged, Q(1), 0), v, check_moduli=False)
+    refused(list(merged), 1, 0, "has empty moduli", check_moduli=True)
 
 
 def test_multiplicativity():
@@ -241,6 +273,19 @@ def test_delta_estimate_worked_values(table0, table1):
     br1 = delta_estimate(DivisorClass(Q(3, 13), Q(6, 13)), Q(12, 7), 1, 13, table1)
     assert br1.upper == Q(98, 169) and br1.lower == Q(523, 1014)
     assert br0.lower <= br0.upper and br1.lower <= br1.upper
+
+
+def test_delta_estimate_builds_its_own_table(table0, table1):
+    # with no table the bracket builds the one of the ranks below its
+    # cutoff and equals the bracket read from the session tables; at cutoff 8
+    # the lower bound comes from a rank-5 (F_0) or rank-6 (F_1) exceptional
+    cases = ((0, table0, DivisorClass(Q(1, 5), Q(2, 5)), Q(13, 25)),
+             (1, table1, DivisorClass(Q(2, 7), Q(2, 5)), Q(787, 1470)))
+    for e, table, nu, lower in cases:
+        for cutoff in (3, 5, 8):
+            br = delta_estimate(nu, 1, e, cutoff)
+            assert br == delta_estimate(nu, 1, e, cutoff, table), (e, cutoff)
+        assert br.lower == lower
 
 
 def test_delta_estimate_lower_above_upper_on_a_split_witness(table1):
@@ -676,8 +721,7 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
                 for r1 in range(1, r):
                     fr = existence._fiber_range(r, a, r1, cp, cq)
                     n1 = r1 * (a * mp + b * mq)
-                    # the sign the search uses, also at 2 r1 = r
-                    win = existence._a1_window(existence._cuts((r, a, b, s), e, r1), -1 if 2 * r1 < r else 1,
+                    win = existence._a1_window(existence._cuts((r, a, b, s), e, r1),
                                                fr, (n1, n1 + r1 * (r - r1) * mq), r * mp, r * mq)
                     assert fr.start <= win.start and win.stop <= fr.stop or not win
                     total += len(fr)
@@ -702,11 +746,12 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
 
 def test_cuts_are_the_pinned_deltas():
     # reference in Fractions: at x = a1 each cut c1 b1 + c0 of _cuts is
-    # 2 r r1^2 (r1 - r P(nu - nu1) + r Delta), i.e. 2 r r1^2 (2 r1 - r) Delta_1
-    # for the pinned Delta_1, and 2 r r1 (r - r1)^2 (2 r1 - r) Delta(v - w1);
-    # so sg (c1 b1 + c0) has the sign of Delta_1 and of Delta(u), and when
-    # 2 r1 = r the first cut's zeros are the pinning P(nu - nu1) = Delta + 1/2
-    # and the second cut is -r1 times the first
+    # sg 2 r r1^2 (r1 - r P(nu - nu1) + r Delta), i.e. 2 r r1^2 |2 r1 - r| Delta_1
+    # for the pinned Delta_1, and 2 r r1 (r - r1)^2 |2 r1 - r| Delta(v - w1),
+    # sg = sign(2 r1 - r) and sg = 1 when 2 r1 = r; so c1 b1 + c0 has the sign
+    # of Delta_1 and of Delta(u), and when 2 r1 = r the first cut's zeros are
+    # the pinning P(nu - nu1) = Delta + 1/2 and the second cut is -r1 times
+    # the first
     rng = random.Random(47)
     sides = {1: 0, -1: 0}
     zeros = pinned = 0
@@ -725,24 +770,24 @@ def test_cuts_are_the_pinned_deltas():
             if f[1] != f[0] and (f[0] / (f[0] - f[1])).denominator == 1:
                 b1s.append(int(f[0] / (f[0] - f[1])))
         (c1, c0), (d1, d0) = [(u0 + u1 * a1, v0 + v1 * a1 + v2 * a1 * a1) for u0, u1, v0, v1, v2 in cuts]
+        sg = -1 if 2 * r1 < r else 1
         for b1 in b1s:
             nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
             p = hilbert_P(nu - nu1, e)
-            assert c1 * b1 + c0 == 2 * r * r1 * r1 * (r1 - r * p + r * dv), (r, a, b, s, e, r1, a1, b1)
+            assert c1 * b1 + c0 == sg * 2 * r * r1 * r1 * (r1 - r * p + r * dv), (r, a, b, s, e, r1, a1, b1)
             if 2 * r1 == r:
                 assert (c1 * b1 + c0 == 0) == (p == dv + Q(1, 2))
                 pinned += p == dv + Q(1, 2)
-                # the Delta(u) cut is -r1 times the Delta_1 cut: for either
-                # sign the two half-lines meet exactly in the pinning
+                # the Delta(u) cut is -r1 times the Delta_1 cut: the two
+                # half-lines meet exactly in the pinning
                 assert cuts[1] == tuple(-r1 * x for x in cuts[0]), (r, a, b, s, e, r1)
                 continue
-            sg = 1 if 2 * r1 > r else -1
             delta1 = (r1 - r * p + r * dv) / (2 * r1 - r)
             w1 = ChernCharacter(r1, nu1.scale(r1), r1 * (intersect(nu1, nu1, e) / 2 - delta1))
             delta_u = (v - w1).delta(e)
-            assert d1 * b1 + d0 == 2 * r * r1 * (r - r1) ** 2 * (2 * r1 - r) * delta_u, (r, a, b, s, e, r1, a1, b1)
+            assert d1 * b1 + d0 == 2 * r * r1 * (r - r1) ** 2 * abs(2 * r1 - r) * delta_u, (r, a, b, s, e, r1, a1, b1)
             for cut, delta in ((c1 * b1 + c0, delta1), (d1 * b1 + d0, delta_u)):
-                assert (sg * cut > 0) == (delta > 0) and (sg * cut < 0) == (delta < 0)
+                assert (cut > 0) == (delta > 0) and (cut < 0) == (delta < 0)
                 zeros += delta == 0
             sides[sg] += 1
     assert min(sides.values()) > 1000 and pinned > 50 and zeros > 0, (sides, pinned, zeros)
@@ -792,7 +837,7 @@ def test_a1_window_leaves_the_search_unchanged(monkeypatch):
 
     windowed = run()
     monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
-    monkeypatch.setattr(existence, "_a1_window", lambda cuts, sg, fr, ends, rmp, den: fr)
+    monkeypatch.setattr(existence, "_a1_window", lambda cuts, fr, ends, rmp, den: fr)
     assert run() == windowed
     assert sum(x[0] == "hn" for x in windowed[0]) > 5000
     assert sum(dec is not None and len(dec) > 1 for dec in windowed[1]) > 100
@@ -851,7 +896,7 @@ def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
     assert spread_over == 0
     monkeypatch.setattr(existence, "_mu_window", lambda num, den, r1, ru, mq: (-(-num // den), -(-num // den) + r1))
     monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
-    monkeypatch.setattr(existence, "_a1_window", lambda cuts, sg, fr, ends, rmp, den: fr)
+    monkeypatch.setattr(existence, "_a1_window", lambda cuts, fr, ends, rmp, den: fr)
     wide, wide_calls, wide_over = run()
     assert wide == spread
     assert wide_calls > spread_calls and wide_over > 0, (wide_calls, spread_calls, wide_over)

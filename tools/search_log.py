@@ -10,6 +10,13 @@ only must print the same digests as its parent at every seed; run the
 script with `--src` pointing at the parent's `src/` (for example an
 unpacked `git archive`) to get the parent's digests.
 
+Every filtration of length >= 2 it hashes is re-checked from scratch by
+`validate_hn(dec, v, check_moduli=False)`: the sum, integrality,
+Bogomolov, conditions (2) and (3), and chi(w_i, w_j) = 0, which is
+condition (4) and which the search itself does not test.  The check calls
+neither `_prior` nor `_hn_key`, so the digests do not see it; a failure
+ends the run with an `AssertionError`.
+
 The input set, per seed:
   * `hn_generic` on seeded integral characters (rank <= 8, |a|, |b| <= 7,
     0 <= Delta <= 3) at e in {0, 1, 2} and m in {1/3, 1/2, 1, 3/2, 12/7, 3},
@@ -52,12 +59,12 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="the src/ directory to import")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from hirzebruch import DivisorClass, build_table, delta_estimate, existence, hn_generic
+    from hirzebruch import DivisorClass, build_table, delta_estimate, existence, hn_generic, validate_hn
     from hirzebruch.lattice import from_key
 
     rng = random.Random(args.seed)
     calls, results = hashlib.sha256(), hashlib.sha256()
-    counts = {"prior": 0, "hn": 0}
+    counts = {"prior": 0, "hn": 0, "validated": 0}
     prior, hn_key = existence._prior, existence._hn_key
 
     def logged_prior(key, n, e):
@@ -77,7 +84,12 @@ def main(argv=None) -> int:
             for m in MS:
                 existence.clear_cache()
                 for key in characters(rng, e, PER_SLICE):
-                    results.update(repr(hn_generic(from_key(key), m, e)).encode())
+                    v = from_key(key)
+                    dec = hn_generic(v, m, e)
+                    if dec is not None and len(dec) > 1:
+                        validate_hn(dec, v, check_moduli=False)
+                        counts["validated"] += 1
+                    results.update(repr(dec).encode())
         for cutoff, n in BRACKETS:
             for e in (0, 1):
                 for _ in range(n):
@@ -89,7 +101,8 @@ def main(argv=None) -> int:
     finally:
         existence._prior, existence._hn_key = prior, hn_key
     print("src %s" % os.path.dirname(os.path.dirname(existence.__file__)))
-    print("seed %d: %d _prior and %d _hn_key calls" % (args.seed, counts["prior"], counts["hn"]))
+    print("seed %d: %d _prior and %d _hn_key calls, %d filtrations validated"
+          % (args.seed, counts["prior"], counts["hn"], counts["validated"]))
     print("calls   %s" % calls.hexdigest())
     print("results %s" % results.hexdigest())
     return 0
