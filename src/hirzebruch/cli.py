@@ -95,6 +95,9 @@ def _cache_path(args) -> str:
 
 
 def _load_or_build_table(e: int, rmax: int, cache: str):
+    if cache and os.path.isdir(cache):
+        # it could be neither read nor replaced: refuse it before the build
+        raise exc_mod.CacheError("cache %s is a directory" % cache)
     base = None
     if cache and os.path.exists(cache):
         try:

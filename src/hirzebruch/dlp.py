@@ -16,12 +16,12 @@ which makes the twist search finite.
 
 The contributing bundles come as slope classes mod Z^2 (`SlopeClass`): the
 twist/dual and, on F_0, fiber-swap orbits of the exceptional table rows
-(`orbit`; once per table as `ExceptionalTable.classes`, cut below a rank
-by `slope_classes`).  A class is integers (rank, a, b) with slope
-(a/rank, b/rank) mod Z^2 plus its stability interval, whose ends are
-integer pairs (p, q), q >= 0, (1, 0) = +infinity (`orbit` converts a table
-row's ends); every contributor is O or exceptional, so
-Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
+(`orbit`; once per table as `ExceptionalTable.classes`, in ascending
+rank, cut below a rank by `slope_classes`).  A class is integers
+(rank, a, b) with slope (a/rank, b/rank) mod Z^2 plus its stability
+interval, whose ends are integer pairs (p, q), q >= 0, (1, 0) = +infinity
+(`orbit` converts a table row's ends); every contributor is O or
+exceptional, so Delta(V) = 1/2 - 1/(2 rank^2) comes from the rank.  The
 twist scan runs per class on integers (`_best`, with nu = (x, y)/nu_den
 and m = mp/mq): scaled by L = lcm(nu_den, rank), every offset d, its
 H_m-degree, P(+-d) and Delta(V) have one denominator.  On a column of
@@ -31,6 +31,9 @@ line d.H_m = 0 on either side or the one on it (`_best` says why the far
 ends never win): O(#columns) integer steps per class.  Ties go to the
 smallest witness, as a walk over the whole box in ascending order keeping
 the last maximum would give, and classes are compared by cross-multiplying.
+The classes come in ascending rank, and no class of rank rho is worth more
+than 1/2 + (2 - h)^2/(8h) + 1/(2 rho^2), h = 2m + e (`_rank_bound`), so
+the walk ends at the first rank whose bound is below the best so far.
 The walk has two callers.  `_scan` takes the whole maximum; the one
 `Fraction` is the value it returns.  `exceeds_exceptional_delta`, the
 exceptionality test of the table build, stops the walk at the first class
@@ -46,9 +49,11 @@ e >= 2 is refused by the gate `lattice.check_del_pezzo`; reduce first.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .lattice import (
@@ -155,13 +160,14 @@ def orbit(rec, e: int) -> List[SlopeClass]:
 
 
 def slope_classes(table, e: int, below_rank: int) -> List[SlopeClass]:
-    """O plus the slope classes of the table rows of rank 2 .. below_rank - 1.
+    """O plus the slope classes of the table rows of rank 2 .. below_rank - 1,
+    in ascending rank; none for below_rank <= 1.
 
     The table is only consulted when below_rank > 2 and must then cover
     every rank below the cutoff; its classes are `ExceptionalTable.classes`.
     """
     if below_rank <= 2:
-        return [LINE_BUNDLES]
+        return [LINE_BUNDLES] if below_rank == 2 else []
     if table is None:
         raise InsufficientTable("an exceptional table is required for rank bounds > 2")
     if table.e != e:
@@ -171,7 +177,8 @@ def slope_classes(table, e: int, below_rank: int) -> List[SlopeClass]:
             "table covers ranks <= %d but DLP^{<%d} needs %d"
             % (table.max_rank, below_rank, below_rank - 1)
         )
-    return [c for c in table.classes if c.rank < below_rank]
+    # the classes ascend in rank, so those below the cutoff are a prefix
+    return list(table.classes[:bisect_left(table.classes, below_rank, key=attrgetter("rank"))])
 
 
 def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, mq: int, e: int,
@@ -179,7 +186,8 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
     """DLP over the `classes` stable at m = mp/mq, at nu = (x, y)/nu_den, as
     (num, dnm, witness, equal_slope) for the value num/dnm, num = None when
     no class is stable there.  With `stop` = (p, q) the walk stops at the
-    first class whose value exceeds p/q."""
+    first class whose value exceeds p/q.  `classes` must ascend in rank, as
+    `slope_classes` and `ExceptionalTable.classes` give them."""
     # Per slope class, scaled by L = lcm(nu_den, rank): the offsets
     # d = nu - (twist of the class) are (X, Y)/L with X = x0 and Y = y0 mod L,
     # (x0, y0)/L = nu - (class slope), kept to |d.H_m| <= s and fiber part
@@ -203,17 +211,38 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
     # compared by cross-multiplying, ties going to the smallest witness.
     # The walk keeps the maximum itself: handing each class's best offset to
     # a caller cost the DLP queries about 4%.
+    # The walk ends at the first rank that cannot beat the best, which needs
+    # `classes` in ascending rank (`ExceptionalTable.classes` is).  With
+    # k = L / rank and h = 2m + e, both branches meet the line t = 0 of
+    # column X at 2 L^2 +- (2 - h) L X - h X^2.  For |X| <= L each branch
+    # rises toward the line, so no candidate of the column exceeds
+    # 2 L^2 + |2 - h| L |X| - h X^2; for |X| > L the half-column whose
+    # slope turns is negative (above) and the other one still rises toward
+    # the line.  Over real X that peaks at 2 L^2 (1 + c),
+    # c = (2 - h)^2 / (8 h), and 2 L^2 Delta(V) = L^2 - k^2, so no class of
+    # the rank is worth more than 1/2 + c + 1/(2 rank^2) (`_rank_bound`),
+    # which falls with the rank.  Only a bound strictly below the best ends
+    # the walk.
     xwp, xwq = fiber_window(mp, mq, e)
     # |t| <= L mq s, s = strip_halfwidth = (2 mp + (e + 2) mq) / (2 mq)
     hwq = mq * (2 * mp + (e + 2) * mq)
     mps, ysc = 2 * mp * mq, 2 * mq * mq
+    hq = 2 * mp + e * mq                # h = hq / mq, c = cn / cd
+    cn, cd = (2 * mq - hq) ** 2, 8 * hq * mq
     best_num = best_den = None          # the best value is best_num / best_den
     best_wit: Optional[Tuple[int, int, int]] = None
     best_eq = False
+    last = 0                            # the rank of the last class read
     for con in classes:
+        rank = con.rank
+        if rank != last:
+            last = rank
+            if best_num is not None:
+                bn, bd = _rank_bound(rank, cn, cd)
+                if bn * best_den < best_num * bd:
+                    break
         if not con.stable_at(mp, mq):
             continue
-        rank = con.rank
         L = lcm(nu_den, rank)
         k = L // rank
         nx = x * (L // nu_den)
@@ -262,6 +291,13 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
     return best_num, best_den, best_wit, best_eq
 
 
+def _rank_bound(rank: int, cn: int, cd: int) -> Tuple[int, int]:
+    """(num, den) with num/den = 1/2 + cn/cd + 1/(2 rank^2), the most a
+    class of this rank is worth when c = cn/cd (see `_best`)."""
+    rr = rank * rank
+    return rr * (cd + 2 * cn) + cd, 2 * cd * rr
+
+
 def _scan(nu: DivisorClass, contributors: Iterable[SlopeClass], m: Fraction, e: int) -> DlpValue:
     ap, aq = nu.a.numerator, nu.a.denominator
     bp, bq = nu.b.numerator, nu.b.denominator
@@ -297,14 +333,12 @@ def dlp_below_rank(nu: DivisorClass, m: Rat, e: int, r: int, table=None) -> DlpV
     """DLP^{<r}_{H_m}(nu) over mu_{H_m}-stable exceptionals of rank < r.
 
     `table` must cover ranks < r (only consulted when r > 2).  Returns an
-    empty DlpValue when r <= 1.
+    empty DlpValue when r = 1.
     """
     check_del_pezzo(e)
     m = check_polarization(m)
     check_rank(r, "rank cutoff")
     _check_slope(nu)
-    if r == 1:
-        return DlpValue(None)
     return _scan(nu, slope_classes(table, e, r), m, e)
 
 
@@ -320,6 +354,7 @@ def dlp_grid(
 
     `square` is (eps0, eps1, phi0, phi1); `steps` subdivisions give steps+1
     samples per axis (steps = 0 samples the single corner).  Rows follow eps.
+    The inputs are checked and the classes cut below the rank once per grid.
     """
     check_del_pezzo(e)
     m = check_polarization(m)
@@ -330,8 +365,10 @@ def dlp_grid(
     else:
         eps_vals = [e0 + (e1 - e0) * Fraction(i, steps) for i in range(steps + 1)]
         phi_vals = [p0 + (p1 - p0) * Fraction(j, steps) for j in range(steps + 1)]
+    check_rank(rank_cutoff, "rank cutoff")
+    classes = slope_classes(table, e, rank_cutoff)
 
     return eps_vals, phi_vals, [
-        [dlp_below_rank(DivisorClass(ev, pv), m, e, rank_cutoff, table) for pv in phi_vals]
+        [_scan(DivisorClass(ev, pv), classes, m, e) for pv in phi_vals]
         for ev in eps_vals
     ]

@@ -43,8 +43,9 @@ reproducible byte for byte.
 The twist/dual/swap orbit of a table row, the open-interval stability test
 and the coverage check on a table live in `dlp` (`SlopeClass`, `orbit`,
 `slope_classes`), which scans the same classes for DLP^{<r}; a table lists
-its classes once, in row order (`ExceptionalTable.classes`).  A slope class
-is integers (rank, a, b) with its interval, and its Delta is
+its classes once, in ascending rank (`ExceptionalTable.classes`), which
+the DLP walk needs to end at the first rank that cannot beat its best.
+A slope class is integers (rank, a, b) with its interval, and its Delta is
 `exceptional_delta(rank)`.  `_candidates` is the one enumeration of
 canonical pairs per rank, shared by `potential_characters` and
 `build_table`, and `_beaten` is the one exceptionality test, behind
@@ -67,6 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from . import dlp
@@ -135,18 +137,26 @@ class ExceptionalTable:
 
     @cached_property
     def classes(self) -> Tuple[dlp.SlopeClass, ...]:
-        """O, then the slope classes of each row of rank >= 2, in row order."""
-        return (dlp.LINE_BUNDLES,) + tuple(
-            cls for rec in self.records if rec.r > 1 for cls in dlp.orbit(rec, self.e))
+        """O, then the slope classes of each row of rank >= 2, in ascending
+        rank and, within a rank, in row order, whatever order the rows come
+        in: the DLP walk (`dlp._best`) ends at the first rank that cannot
+        beat its best, which needs the ranks ascending."""
+        return _by_rank((dlp.LINE_BUNDLES,), self.records, self.e)
 
     def _extended(self, max_rank: int, rows) -> "ExceptionalTable":
         """This table with `rows` appended and max_rank raised; its classes
         are this table's plus the orbit of each new row of rank >= 2."""
         rows = tuple(rows)
         table = ExceptionalTable(self.e, max_rank, self.records + rows)
-        table.__dict__["classes"] = self.classes + tuple(     # the cached_property's slot
-            cls for rec in rows if rec.r > 1 for cls in dlp.orbit(rec, self.e))
+        table.__dict__["classes"] = _by_rank(self.classes, rows, self.e)    # the cached_property's slot
         return table
+
+
+def _by_rank(classes: Tuple[dlp.SlopeClass, ...], rows, e: int) -> Tuple[dlp.SlopeClass, ...]:
+    """`classes` and the orbits of the `rows` of rank >= 2, stably sorted
+    by rank."""
+    new = tuple(cls for rec in rows if rec.r > 1 for cls in dlp.orbit(rec, e))
+    return tuple(sorted(classes + new, key=attrgetter("rank")))
 
 
 # ---------------------------------------------------------------------------

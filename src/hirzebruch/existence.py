@@ -599,7 +599,8 @@ def delta_estimate(
     r0 = da * db // gcd(da, db)
     if table is None and rank_cutoff > 2:       # DLP^{<2} reads line bundles only
         table = build_table(e, rank_cutoff - 1)
-    bound = _dlp.dlp_below_rank(nu, m, e, rank_cutoff, table)   # empty at r = 1
+    # past the gates above; empty at r = 1
+    bound = _dlp._scan(nu, _dlp.slope_classes(table, e, rank_cutoff), m, e)
     lower = Fraction(1, 2) if bound.value is None else max(Fraction(1, 2), bound.value)
     mp, mq = m.numerator, m.denominator
     cap = lower + 8

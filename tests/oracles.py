@@ -209,13 +209,16 @@ def dlp_brute_force(nu, m, e, below_rank, table, box=6):
     Enumerates every twist with both offset coordinates in [-box, box] plus
     the polarization strip; independent of the library's window derivation.
     """
+    return max((val for _, val in dlp_branch_values(nu, m, e, below_rank, table, box)), default=None)
+
+
+def dlp_branch_values(nu, m, e, below_rank, table, box=6):
+    """(rank, value) of every branch value `dlp_brute_force` maximizes."""
+    if below_rank <= 1:
+        return
     m = Fraction(m)
     s = m + Fraction(e, 2) + 1
-    classes = fraction_slope_classes(table, e, below_rank)
-    best = None
-    if below_rank <= 1:
-        return None
-    for rank, na, nb, dlt, (lo, hi) in classes:
+    for rank, na, nb, dlt, (lo, hi) in fraction_slope_classes(table, e, below_rank):
         if not (m > lo and (hi is None or m < hi)):
             continue
         x0 = nu.a - na
@@ -236,9 +239,7 @@ def dlp_brute_force(nu, m, e, below_rank, table, box=6):
                         hilbert_P(DivisorClass(x, y), e),
                         hilbert_P(DivisorClass(-x, -y), e),
                     ) - dlt
-                if best is None or val > best:
-                    best = val
-    return best
+                yield rank, val
 
 
 def quotient_side_interval(rec, table):

@@ -256,18 +256,18 @@ def test_cache_that_misses_its_header_is_rebuilt(tmp_path, capsys):
                    "row, (1, 0, 0); rebuilding\n" % cache)
 
 
-def test_cache_that_names_a_directory_exits_4(tmp_path, capsys):
-    # load_table cannot read a directory, so the table is rebuilt; the
-    # temporary file beside it cannot replace it, so save_table removes it
-    # and the write fails with the cache exit code
+def test_cache_that_names_a_directory_exits_4(tmp_path, capsys, monkeypatch):
+    # a directory can be neither read as a cache nor replaced by one, so it
+    # is refused with the cache exit code before any table is built
+    from hirzebruch import exceptional
+
+    monkeypatch.setattr(exceptional, "build_table", lambda *a, **k: pytest.fail("built a table"))
     cache = tmp_path / "cache"
     cache.mkdir()
     code, out, err = run_cli(capsys, "dlp", "--e", "0", "--nu", "1/3,1/5", "--m", "1",
                              "--below-rank", "4", "--cache", str(cache))
     assert code == 4 and out == ""
-    first, second = err.splitlines()
-    assert first.startswith("warning: cannot read cache %s: " % cache) and first.endswith("; rebuilding")
-    assert second.startswith("cache error: cannot write cache %s: " % cache)
+    assert err == "cache error: cache %s is a directory\n" % cache
     assert cache.is_dir() and not list(cache.iterdir())
     assert not list(tmp_path.glob("*.tmp"))
 

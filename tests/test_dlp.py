@@ -8,6 +8,7 @@ from conftest import fraction_end, random_slope
 from hirzebruch import (
     CH_O,
     DivisorClass,
+    build_table,
     dlp_below_rank,
     dlp_grid,
     dlp_line_bundles,
@@ -24,9 +25,9 @@ from hirzebruch.dlp import (
     slope_classes,
     strip_halfwidth,
 )
-from hirzebruch.exceptional import exceptional_delta, load_table, save_table
+from hirzebruch.exceptional import ExceptionalTable, exceptional_delta, load_table, save_table
 from hirzebruch.lattice import hilbert_P2
-from oracles import dlp_brute_force
+from oracles import dlp_branch_values, dlp_brute_force
 
 
 def test_dlp_single_branches():
@@ -159,9 +160,24 @@ def test_witness_validity(table0, table1):
         assert abs((nu - w.nu()).hm_degree(m)) <= strip_halfwidth(m, e)
 
 
-def test_grid_shapes_and_single_point(table0):
+def test_grid_shapes_and_single_point(table0, monkeypatch):
     eps, phi, rows = dlp_grid(0, 1, (0, 1, 0, 1), 3, 8, table0)
     assert len(eps) == len(phi) == 4 and len(rows) == 4 and len(rows[0]) == 4
+    # the classes are cut once per grid, and each sample is its DLP value
+    calls = []
+    monkeypatch.setattr(dlp, "slope_classes", lambda *args: calls.append(args) or slope_classes(*args))
+    for cutoff in (1, 2, 8):
+        calls.clear()
+        eps, phi, rows = dlp_grid(0, Q(3, 2), (-1, 1, Q(1, 2), 2), 4, cutoff, table0)
+        assert len(calls) == 1
+        assert rows == [[dlp_below_rank(DivisorClass(ev, pv), Q(3, 2), 0, cutoff, table0) for pv in phi]
+                        for ev in eps]
+    assert rows[0][0] != DlpValue(None)
+    assert dlp_grid(0, 1, (0, 1, 0, 1), 2, 1)[2] == [[DlpValue(None)] * 3] * 3
+    with pytest.raises(ValueError, match="rank cutoff"):
+        dlp_grid(0, 1, (0, 1, 0, 1), 2, 0, table0)
+    with pytest.raises(InsufficientTable):
+        dlp_grid(0, 1, (0, 1, 0, 1), 2, 25, table0)
     nu = DivisorClass(Q(1, 3), Q(2, 3))
     _, _, single = dlp_grid(0, 1, (Q(1, 3), Q(1, 3), Q(2, 3), Q(2, 3)), 0, 8, table0)
     assert single == [[dlp_below_rank(nu, 1, 0, 8, table0)]]
@@ -236,9 +252,11 @@ def test_orbit_matches_fraction_enumeration(table0, table1, tmp_path):
                 if 1 < rec.r < cut:
                     want += orbit(rec, table.e)
             assert slope_classes(table, table.e, cut) == want, (table.e, cut)
-    # below rank 2 no table is read: `dlp_line_bundles` is DLP^{<2}
+    # below rank 2 no table is read: `dlp_line_bundles` is DLP^{<2}, and
+    # DLP^{<1} has no class
     for e in (0, 1):
         assert slope_classes(None, e, 2) == [LINE_BUNDLES]
+        assert slope_classes(None, e, 1) == []
 
 
 def _full_box_scan(nu, m, e, classes):
@@ -317,3 +335,87 @@ def test_scan_matches_full_box(table0, table1):
                         assert dlp._scan(nu, [c], m, e) == _full_box_scan(nu, m, e, [c])
                 n += 1
     assert n >= 2000
+
+
+def _bound(rank, m, e):
+    """1/2 + (2 - h)^2/(8 h) + 1/(2 rank^2), h = 2m + e: the most a class of
+    this rank is worth at m."""
+    h = 2 * Q(m) + e
+    return Q(1, 2) + (2 - h) ** 2 / (8 * h) + Q(1, 2 * rank * rank)
+
+
+def test_no_class_exceeds_its_rank_bound(wide_tables):
+    # m below 1, at 1 and above it on both surfaces, every class of the
+    # rank-39 and rank-40 tables: the scan's value of each class and every
+    # branch value of the brute force stay at or under the rank bound
+    rng = random.Random(30)
+    for table in wide_tables:
+        e = table.e
+        classes = slope_classes(table, e, table.max_rank + 1)
+        for m in (Q(1, 7), Q(1, 3), Q(2, 3), Q(1), Q(3, 2), Q(12, 7), Q(5)):
+            mp, mq = m.numerator, m.denominator
+            hq = 2 * mp + e * mq
+            for c in classes:
+                assert Q(*dlp._rank_bound(c.rank, (2 * mq - hq) ** 2, 8 * hq * mq)) == _bound(c.rank, m, e)
+            for _ in range(6):
+                nu = random_slope(rng, den_max=12, num_span=12)
+                den = lcm(nu.a.denominator, nu.b.denominator)
+                x, y = int(nu.a * den), int(nu.b * den)
+                for c in classes:
+                    num, dnm, _, _ = dlp._best([c], x, y, den, mp, mq, e)
+                    assert num is None or Q(num, dnm) <= _bound(c.rank, m, e), (e, m, nu, c)
+            nu = random_slope(rng, den_max=6, num_span=6)
+            for rank, val in dlp_branch_values(nu, m, e, 12, table, box=3):
+                assert val <= _bound(rank, m, e), (e, m, nu, rank)
+
+
+def test_rank_bound_changes_no_answer(wide_tables, monkeypatch):
+    # tables_dlp-style queries (m = p/q, p <= 24, q <= 8, every cutoff up to
+    # 40, slopes with denominators <= 12) and exceptionality tests, with the
+    # walk ended at the rank bound and with it never ended
+    rng = random.Random(31)
+    queries, tests = [], []
+    for table in wide_tables:
+        e = table.e
+        for cutoff in range(2, table.max_rank + 2):
+            for _ in range(12):
+                m = Q(rng.randint(1, 24), rng.randint(1, 8))
+                queries.append((random_slope(rng, den_max=12, num_span=12), m, e, cutoff, table))
+                r = rng.randint(2, cutoff)
+                tests.append((slope_classes(table, e, cutoff), rng.randint(-2 * r, 2 * r),
+                              rng.randint(-2 * r, 2 * r), r, m.numerator, m.denominator, e))
+
+    def answers():
+        return ([dlp_below_rank(*q) for q in queries], [dlp.exceeds_exceptional_delta(*t) for t in tests],
+                [build_table(e, 20).records for e in (0, 1)])
+
+    pruned = answers()
+    # the bound ends the walk before the last rank on most queries
+    ended = sum(val.value > _bound(slope_classes(table, e, cutoff)[-1].rank, m, e)
+                for val, (_, m, e, cutoff, table) in zip(pruned[0], queries))
+    assert ended > len(queries) // 2
+    monkeypatch.setattr(dlp, "_rank_bound", lambda *args: (1, 0))     # +infinity
+    assert answers() == pruned
+
+
+def test_classes_ascend_in_rank(table0, table1, tmp_path):
+    # built, loaded and shuffled tables list their classes in ascending rank;
+    # a shuffled table lists a rank's classes in its own row order but gives
+    # the same DLP values
+    rng = random.Random(32)
+    for table in (table0, table1):
+        path = str(tmp_path / ("t%d.jsonl" % table.e))
+        save_table(table, path)
+        rows = list(table.records)
+        rng.shuffle(rows)
+        shuffled = ExceptionalTable(table.e, table.max_rank, tuple(rows))
+        for t in (table, load_table(path, table.e), shuffled):
+            ranks = [c.rank for c in t.classes]
+            assert ranks == sorted(ranks) and ranks[0] == 1
+        assert sorted(shuffled.classes) == sorted(table.classes)
+        assert shuffled.records != table.records
+        for _ in range(300):
+            nu = random_slope(rng, den_max=12, num_span=12)
+            m = Q(rng.randint(1, 24), rng.randint(1, 8))
+            r = rng.randint(2, table.max_rank + 1)
+            assert dlp_below_rank(nu, m, table.e, r, shuffled) == dlp_below_rank(nu, m, table.e, r, table)

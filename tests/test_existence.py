@@ -288,6 +288,26 @@ def test_delta_estimate_builds_its_own_table(table0, table1):
         assert br.lower == lower
 
 
+def test_delta_estimate_gates_the_dlp_scan_once(table0, table1, monkeypatch):
+    # the lower bound is max(1/2, DLP^{<cutoff}), 1/2 at cutoff 1, read past
+    # the gates of dlp_below_rank, whose checks delta_estimate makes itself
+    from hirzebruch import dlp
+
+    cases = ((0, table0, DivisorClass(Q(1, 5), Q(2, 5))), (1, table1, DivisorClass(Q(2, 7), Q(2, 5))))
+    want = {}
+    for e, table, nu in cases:
+        for c in (1, 2, 5, 8):
+            value = dlp_below_rank(nu, 1, e, c, table).value
+            want[e, c] = Q(1, 2) if value is None else max(Q(1, 2), value)
+    monkeypatch.setattr(dlp, "dlp_below_rank", lambda *args: pytest.fail("gated again"))
+    for e, table, nu in cases:
+        for c in (1, 2, 5, 8):
+            assert delta_estimate(nu, 1, e, c, table).lower == want[e, c], (e, c)
+        with pytest.raises(ValueError, match="rank cutoff"):
+            delta_estimate(nu, 1, e, 0, table)
+    assert want[0, 1] == Q(1, 2) < want[0, 8]
+
+
 def test_delta_estimate_lower_above_upper_on_a_split_witness(table1):
     # DLP bounds stable sheaves, while the upper witness may be strictly
     # semistable: here it is O(E) + (3, E + F, -3/2), two NONEMPTY summands
