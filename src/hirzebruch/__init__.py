@@ -21,6 +21,7 @@ from .lattice import (
     intersect,
     line_bundle,
     mu,
+    parse_integer,
     parse_rational,
     polarization_divisor,
     reduced_hilbert_key,

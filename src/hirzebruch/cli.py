@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: exceptional, exists, hn, dlp, delta, kronecker, reduce, grid.
-All numeric arguments are exact rationals ("p/q" or integer literals;
-floating-point input is rejected).  Exit codes: 0 success, 2 invalid input,
-3 precondition violated, 4 cache error, 5 internal error (a broken engine
-invariant: a bug to report, not a property of the input).
+All numeric arguments are exact: integers are ASCII digits with an optional
+sign, rationals the same with at most one "/" ("p/q"); anything else, such
+as floating-point input, is rejected as invalid input.  Exit codes:
+0 success, 2 invalid input, 3 precondition violated, 4 cache error,
+5 internal error (a broken engine invariant: a bug to report, not a
+property of the input).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import dlp as dlp_mod
 from . import exceptional as exc_mod
@@ -23,6 +24,7 @@ from .lattice import (
     DivisorClass,
     IntegralityError,
     format_rational,
+    parse_integer,
     parse_rational,
 )
 from .prioritary import BogomolovViolation
@@ -42,8 +44,7 @@ def _parse_char(text: str) -> ChernCharacter:
     parts = text.split(",")
     if len(parts) != 4:
         raise InputError("character must be r,a,b,ch2 (got %r)" % text)
-    r = int(parts[0])
-    a, b = int(parts[1]), int(parts[2])
+    r, a, b = (parse_integer(t) for t in parts[:3])
     return ChernCharacter(r, DivisorClass(a, b), parse_rational(parts[3]))
 
 
@@ -192,7 +193,7 @@ def cmd_kronecker(args) -> int:
     parts = args.abcd.split(",")
     if len(parts) != 4:
         raise InputError("abcd must be a,b,c,d (got %r)" % args.abcd)
-    a, b, c, d = (int(t) for t in parts)
+    a, b, c, d = (parse_integer(t) for t in parts)
     p = kronecker.KroneckerParams(args.e, ell, a, b, c, d)
     k_char, l_char, v_char = chars = kronecker.kronecker_characters(p)
     m_v = kronecker.wall_m_v(p, chars)
@@ -248,11 +249,18 @@ def cmd_grid(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err))
+def _arg_type(parse):
+    """An argparse type that reports the ValueError of `parse`, which names
+    the text, as the reason for exit 2."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err))
+    return convert
+
+
+_integer, _rational = _arg_type(parse_integer), _arg_type(parse_rational)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,50 +271,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exceptional", help="enumerate exceptional bundles with stability intervals")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument("--e", type=_integer, required=True)
+    p.add_argument("--max-rank", type=_integer, required=True)
     p.add_argument("--cache", help="JSONL cache path (env HIRZ_CACHE also honored)")
 
     p = sub.add_parser("exists", help="decide nonemptiness of the semistable moduli space")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=_integer, required=True)
     p.add_argument("--char", required=True, help="r,a,b,ch2")
     p.add_argument("--m", type=_rational, required=True)
 
     p = sub.add_parser("hn", help="generic Harder-Narasimhan filtration")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=_integer, required=True)
     p.add_argument("--char", required=True, help="r,a,b,ch2")
     p.add_argument("--m", type=_rational, required=True)
 
     p = sub.add_parser("dlp", help="rank-bounded Drezet-Le Potier value at a slope")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=_integer, required=True)
     p.add_argument("--nu", required=True, help="slope a,b with rational entries")
     p.add_argument("--m", type=_rational, required=True)
-    p.add_argument("--below-rank", type=int, required=True)
+    p.add_argument("--below-rank", type=_integer, required=True)
     p.add_argument("--cache")
 
     p = sub.add_parser("delta", help="bracket the sharp Bogomolov threshold")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=_integer, required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--m", type=_rational, required=True)
-    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument("--max-rank", type=_integer, required=True)
     p.add_argument("--cache")
 
     p = sub.add_parser("kronecker", help="orthogonal Kronecker pair: characters, wall, threshold")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--e", type=_integer, required=True)
+    p.add_argument("--ell", type=_integer, required=True)
     p.add_argument("--abcd", required=True, help="a,b,c,d positive integers")
 
     p = sub.add_parser("reduce", help="decide on F_e (e >= 2) through the reduction map")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=_integer, required=True)
     p.add_argument("--char", required=True)
     p.add_argument("--m", type=_rational, required=True)
 
     p = sub.add_parser("grid", help="emit a DLP value grid over a slope square")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=_integer, required=True)
     p.add_argument("--m", type=_rational, required=True)
     p.add_argument("--square", required=True, help="eps0,eps1,phi0,phi1")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--below-rank", type=int, required=True)
+    p.add_argument("--steps", type=_integer, required=True)
+    p.add_argument("--below-rank", type=_integer, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache")
 

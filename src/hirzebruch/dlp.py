@@ -28,7 +28,8 @@ H_m-degree, P(+-d) and Delta(V) have one denominator.  On a column of
 offsets with fixed fiber part, each branch of DLP is affine in the other
 coordinate, so the column's best offset is the lattice point nearest the
 line d.H_m = 0 on either side or the one on it (`_best` says why the far
-ends never win): O(#columns) integer steps per class.  Ties go to the
+ends never win and why the strip never clips these points, so they are
+visited directly): O(#columns) integer steps per class.  Ties go to the
 smallest witness, as a walk over the whole box in ascending order keeping
 the last maximum would give, and classes are compared by cross-multiplying.
 The classes come in ascending rank, and no class of rank rho is worth more
@@ -66,7 +67,6 @@ from .lattice import (
     check_rank,
     fiber_window,
     hilbert_P,
-    hilbert_P2,
 )
 
 
@@ -203,9 +203,15 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
     # turns (below the line at X < -L, above it at X > L) the strip bound
     # keeps P < 0, while the column with |X| < L has a point of P > 0 within
     # one lattice step of the line: those half-columns never hold the
-    # maximum.  Every class has a column and every column a candidate: the
-    # box is >= 2L wide (fiber window >= 1) and L (2m + e + 2) > 2L high, so
-    # a column has >= 2 lattice points, one of them off the line.
+    # maximum.  Lemma: the strip never clips the nearest points.  The last
+    # lattice Y below the line has its next lattice Y, Y + L, on or above
+    # it, so -L mq <= t < 0 there; likewise 0 < t <= L mq at the first Y
+    # above.  The strip is |t| <= L mq (m + e/2 + 1), which is wider because
+    # m > 0.  So every column has its point on either side, and every class
+    # a column (the box is >= 2L wide, fiber window >= 1).
+    # With fl, rem = divmod(-X mp, mq), the last Y below the line is
+    # fl - (rem == 0), the line holds Y = fl when rem == 0, and the first Y
+    # above it is fl + 1; each is moved onto the lattice Y = y0 mod L.
     # The <= 3 points are visited in ascending Y with `>=`, as a walk over
     # the whole box would, which keeps the tie rule.  Classes are
     # compared by cross-multiplying, ties going to the smallest witness.
@@ -224,59 +230,45 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
     # which falls with the rank.  Only a bound strictly below the best ends
     # the walk.
     xwp, xwq = fiber_window(mp, mq, e)
-    # |t| <= L mq s, s = strip_halfwidth = (2 mp + (e + 2) mq) / (2 mq)
-    hwq = mq * (2 * mp + (e + 2) * mq)
-    mps, ysc = 2 * mp * mq, 2 * mq * mq
-    hq = 2 * mp + e * mq                # h = hq / mq, c = cn / cd
-    cn, cd = (2 * mq - hq) ** 2, 8 * hq * mq
+    hn = 2 * mp + e * mq                # h = hn / mq, c = cn / cd
+    cn, cd = (2 * mq - hn) ** 2, 8 * hn * mq
     best_num = best_den = None          # the best value is best_num / best_den
     best_wit: Optional[Tuple[int, int, int]] = None
     best_eq = False
     last = 0                            # the rank of the last class read
-    for con in classes:
-        rank = con.rank
+    for rank, ca, cb, (lp, lq), (hp, hq) in classes:
         if rank != last:
             last = rank
             if best_num is not None:
                 bn, bd = _rank_bound(rank, cn, cd)
                 if bn * best_den < best_num * bd:
                     break
-        if not con.stable_at(mp, mq):
+        if not (lp * mq < mp * lq and mp * hq < hp * mq):     # stable at m
             continue
         L = lcm(nu_den, rank)
         k = L // rank
         nx = x * (L // nu_den)
         ny = y * (L // nu_den)
-        x0 = nx - con.a * k
-        y0 = ny - con.b * k
+        x0 = nx - ca * k
+        y0 = ny - cb * k
         xlim = xwp * L // xwq
-        hw = L * hwq
         top = None
         for X in range(-xlim + (x0 + xlim) % L, xlim + 1, L):
-            y_lo = -((hw + X * mps) // ysc)
-            y_hi = (hw - X * mps) // ysc
-            y_lo += (y0 - y_lo) % L             # first and last lattice Y
-            y_hi -= (y_hi - y0) % L
-            tx = X * mp
-            below = (-tx - 1) // mq             # last Y with t < 0
-            if y_lo <= below:
-                Y = min(y_hi, below)
-                Y -= (Y - y0) % L
-                p = hilbert_P2(X, Y, L, e)
-                if top is None or p >= top:
-                    top, bx, by = p, X, Y
-            if tx % mq == 0 and (-tx // mq - y0) % L == 0:
-                Y = -tx // mq
-                p = max(hilbert_P2(X, Y, L, e), hilbert_P2(-X, -Y, L, e))
-                if top is None or p >= top:
-                    top, bx, by = p, X, Y
-            above = -tx // mq + 1                # first Y with t > 0
-            if y_hi >= above:
-                Y = max(y_lo, above)
-                Y += (y0 - Y) % L
-                p = hilbert_P2(-X, -Y, L, e)
-                if top is None or p >= top:
-                    top, bx, by = p, X, Y
+            fl, rem = divmod(-X * mp, mq)
+            Y = fl - (rem == 0)                 # below the line
+            Y -= (Y - y0) % L
+            p = (X + L) * (2 * Y + 2 * L - e * X)
+            if top is None or p >= top:
+                top, bx, by = p, X, Y
+            if rem == 0 and (fl - y0) % L == 0:     # on the line
+                p = max((X + L) * (2 * fl + 2 * L - e * X), (L - X) * (2 * L - 2 * fl + e * X))
+                if p >= top:
+                    top, bx, by = p, X, fl
+            Y = fl + 1                          # above the line
+            Y += (y0 - Y) % L
+            p = (L - X) * (2 * L - 2 * Y + e * X)
+            if p >= top:
+                top, bx, by = p, X, Y
         num, den = top - L * L + k * k, 2 * L * L
         cmp = 1 if best_num is None else num * best_den - best_num * den
         if cmp < 0:

@@ -27,12 +27,16 @@ its factor and `from_rank_slope_disc` for Delta.  The input tests take no
 `bool` and raise ValueError naming the value: `check_surface` (e >= 0),
 `check_del_pezzo` (e in {0, 1} for tables and DLP; reduce e >= 2 with
 `reduction`), `check_rank` (r >= 1), `check_count` (a count n >= 0) and
-m > 0 in `check_polarization`.
+m > 0 in `check_polarization`.  Text is read by one grammar, `parse_integer`
+and `parse_rational`: ASCII digits with an optional sign and, for a
+rational, at most one "/"; Python's wider `int` syntax (`1_0`, other
+scripts' digits) is refused.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -337,20 +341,46 @@ def format_rational(x: Optional[Fraction], infinity: str = "inf") -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _stripped(text: str) -> str:
+    # a cache row may hold a JSON number where a literal belongs
+    if not isinstance(text, str):
+        raise TypeError("a number literal must be a string, got %r" % (text,))
+    return text.strip()
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer literal: an optional sign and ASCII digits, with
+    surrounding whitespace ignored; anything else raises ValueError (a
+    non-string TypeError)."""
+    t = _stripped(text)
+    if _INTEGER.fullmatch(t) is None:
+        raise ValueError("not an integer: %r (write ASCII digits with an optional sign)" % (text,))
+    return int(t)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" or integer literal; floats are rejected with a hint."""
-    text = text.strip()
-    if "." in text or "e" in text.lower():
+    """Parse a "p/q" or integer literal: an optional sign, ASCII digits and
+    at most one "/" before the digits of a nonzero denominator, with
+    surrounding whitespace ignored.  Floats are rejected with a hint, other
+    text with ValueError, a non-string with TypeError."""
+    t = _stripped(text)
+    if "." in t or "e" in t.lower():
         raise ValueError(
             "floating-point literal %r not accepted; write an exact fraction "
-            "(e.g. 1/2 instead of 0.5)" % (text,)
+            "(e.g. 1/2 instead of 0.5)" % (t,)
         )
-    if "/" in text:
-        num, den = (int(t) for t in text.split("/", 1))
-        if den == 0:
-            raise ValueError("zero denominator in %r" % (text,))
-        return Fraction(num, den)
-    return Fraction(int(text))
+    match = _RATIONAL.fullmatch(t)
+    if match is None:
+        raise ValueError("not a rational number: %r (write p/q or an integer in ASCII digits)"
+                         % (text,))
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
+        raise ValueError("zero denominator in %r" % (t,))
+    return Fraction(num, den)
 
 
 def floor_frac(x: Rat) -> int:

@@ -208,6 +208,16 @@ def test_cache_extend_and_corrupt(tmp_path, capsys, monkeypatch):
     code, out4, err = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", "6", "--cache", cache)
     assert code == 0 and "rebuilding" in err
     assert out4 == out1
+    # and a row whose interval end is a JSON number, not a "p/q" string
+    with open(cache) as fh:
+        lines = fh.read().splitlines()
+    row = json.loads(lines[2])
+    row["lo"] = 1
+    with open(cache, "w") as fh:
+        fh.write("\n".join(lines[:2] + [json.dumps(row)] + lines[3:]) + "\n")
+    code, out5, err = run_cli(capsys, "exceptional", "--e", "1", "--max-rank", "6", "--cache", cache)
+    assert code == 0 and "corrupt cache" in err and "must be a string" in err and "rebuilding" in err
+    assert out5 == out1
     # env var supplies the cache path
     cache2 = str(tmp_path / "env.jsonl")
     monkeypatch.setenv("HIRZ_CACHE", cache2)
@@ -373,3 +383,104 @@ def test_fuzz_exit_codes(capsys, monkeypatch):
         assert "Traceback" not in err, argv
         codes[code] = codes.get(code, 0) + 1
     assert codes.get(0, 0) >= 20 and codes.get(2, 0) >= 100, codes
+
+
+def _exit_code(argv):
+    """main(argv), with an argparse rejection read as its exit code; any
+    other exception fails the test with the argv that raised it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+    except Exception as exc:                    # a traceback for the user
+        pytest.fail("%r raised %r" % (argv, exc))
+
+
+def test_numbers_outside_the_grammar_exit_2(capsys):
+    # integers are ASCII digits with an optional sign, rationals the same
+    # with at most one "/"; what Python's int() would also read (digit
+    # group underscores, other scripts' digits) is refused, naming the text
+    cases = [
+        (("exists", "--e", "0", "--char", "1_0,0,0,0", "--m", "1"), "1_0"),
+        (("exists", "--e", "0", "--char", "1,0,0,0", "--m", "\u0663"), "\u0663"),
+        (("exists", "--e", "0", "--char", "1,0,0,0", "--m", "1_0/3"), "1_0/3"),
+        (("exceptional", "--e", "0", "--max-rank", "\u0663"), "\u0663"),
+        (("exceptional", "--e", "\uff10", "--max-rank", "3"), "\uff10"),
+        (("hn", "--e", "0", "--char", "2,1,0,-1/-2", "--m", "1"), "-1/-2"),
+        (("dlp", "--e", "0", "--nu", "1/2,nan", "--m", "1", "--below-rank", "3"), "nan"),
+        (("dlp", "--e", "0", "--nu", "1/2,1/3", "--m", "1", "--below-rank", "3/1"), "3/1"),
+        (("delta", "--e", "0", "--nu", "1/2,1/3", "--m", "1", "--max-rank", "0x3"), "0x3"),
+        (("kronecker", "--e", "0", "--ell", "3", "--abcd", "1,1,2,1_5"), "1_5"),
+        (("kronecker", "--e", "0", "--ell", "inf", "--abcd", "1,1,2,15"), "inf"),
+        (("reduce", "--e", "2", "--char", "3,1,\u0663,-1", "--m", "1"), "\u0663"),
+        (("grid", "--e", "0", "--m", "1", "--square", "0,1,0,1//2", "--steps", "1",
+          "--below-rank", "2"), "1//2"),
+        (("grid", "--e", "0", "--m", "1", "--square", "0,1,0,1", "--steps", "1_0",
+          "--below-rank", "2"), "1_0"),
+    ]
+    for argv, text in cases:
+        code = _exit_code(list(argv))
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, ""), argv
+        assert repr(text) in out.err and "Traceback" not in out.err, (argv, out.err)
+        assert "not an integer" in out.err or "not a rational number" in out.err, (argv, out.err)
+    # the same commands with ASCII numbers answer
+    code, out, _ = run_cli(capsys, "exists", "--e", "+0", "--char", "+10,-0,0,0", "--m", "+10/3")
+    assert code == 0 and json.loads(out)["verdict"] == "NONEMPTY"
+
+
+# values that are malformed, out of range or read differently by Python
+_ODD = ["1/0", "0/0", "nan", "inf", "-inf", "1_0", "\u0663", "\uff11", "", " ", "1,1,1,1,1",
+        "1.5", "1e3", "0x1", "1/2/3", "1//2", "/2", "2/", "1/-2", "+-1", "- 1", "--e", "-1",
+        "0", "00", "+3", "-1/2", "3/2", ",", "1,", ",1"]
+
+# one well-formed argv per subcommand, option by option, with small ranks
+_BASE = {
+    "exceptional": [("--e", "0"), ("--max-rank", "3")],
+    "exists": [("--e", "0"), ("--char", "2,1,0,-1"), ("--m", "1")],
+    "hn": [("--e", "1"), ("--char", "2,1,0,-3/2"), ("--m", "1/2")],
+    "dlp": [("--e", "1"), ("--nu", "1/2,1/3"), ("--m", "1"), ("--below-rank", "3")],
+    "delta": [("--e", "0"), ("--nu", "1/2,1/3"), ("--m", "1"), ("--max-rank", "3")],
+    "kronecker": [("--e", "0"), ("--ell", "3"), ("--abcd", "1,1,2,15")],
+    "reduce": [("--e", "2"), ("--char", "3,1,3,-1"), ("--m", "1")],
+    "grid": [("--e", "0"), ("--m", "1"), ("--square", "0,1,0,1"), ("--steps", "1"),
+             ("--below-rank", "3")],
+}
+
+
+def _argv(sub, values):
+    argv = [sub]
+    for flag, value in _BASE[sub]:
+        argv += [flag, values.get(flag, value)]
+    return argv
+
+
+def test_fuzz_odd_values_in_every_slot(capsys, monkeypatch):
+    # every subcommand with each odd value in each option and in each entry
+    # of a comma list, then seeded pairs of odd values: a documented exit
+    # code, no traceback, and nothing on stdout when the input is refused
+    monkeypatch.delenv("HIRZ_CACHE", raising=False)
+    runs = []
+    for sub, opts in sorted(_BASE.items()):
+        for flag, value in opts:
+            parts = value.split(",")
+            for odd in _ODD:
+                runs.append(_argv(sub, {flag: odd}))
+                if len(parts) > 1:
+                    for i in range(len(parts)):
+                        runs.append(_argv(sub, {flag: ",".join(parts[:i] + [odd] + parts[i + 1:])}))
+    rng = random.Random(35)
+    for _ in range(200):
+        sub = rng.choice(sorted(_BASE))
+        flags = rng.sample([flag for flag, _ in _BASE[sub]], 2)
+        runs.append(_argv(sub, {flag: rng.choice(_ODD) for flag in flags}))
+    codes = {}
+    for argv in runs:
+        code = _exit_code(argv)
+        out = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, out.err)
+        assert "Traceback" not in out.err, argv
+        if code in (2, 3):
+            assert out.out == "", argv
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0, 0) >= 50 and codes.get(2, 0) >= 1000, codes

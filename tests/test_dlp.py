@@ -26,7 +26,7 @@ from hirzebruch.dlp import (
     strip_halfwidth,
 )
 from hirzebruch.exceptional import ExceptionalTable, exceptional_delta, load_table, save_table
-from hirzebruch.lattice import hilbert_P2
+from hirzebruch.lattice import fiber_window, hilbert_P2
 from oracles import dlp_branch_values, dlp_brute_force
 
 
@@ -335,6 +335,69 @@ def test_scan_matches_full_box(table0, table1):
                         assert dlp._scan(nu, [c], m, e) == _full_box_scan(nu, m, e, [c])
                 n += 1
     assert n >= 2000
+
+
+def test_scan_matches_full_box_at_extreme_m():
+    # m far below and far above the range of the test above: at m = 1/60 the
+    # fiber window is 60 wide and the strip barely 2 high, at m = 200 the
+    # window is 1 and the strip 201 high; tables of rank <= 8
+    rng = random.Random(33)
+    for e in (0, 1):
+        table = build_table(e, 8)
+        for m in (Q(1, 60), Q(1, 25), Q(40), Q(200)):
+            for r in range(2, table.max_rank + 2):
+                classes = slope_classes(table, e, r)
+                for _ in range(10):
+                    nu = random_slope(rng, den_max=6, num_span=12)
+                    got = dlp_below_rank(nu, m, e, r, table)
+                    assert got == _full_box_scan(nu, m, e, classes), (e, r, m, nu)
+            for c in slope_classes(table, e, table.max_rank + 1):
+                nu = random_slope(rng, den_max=6, num_span=12)
+                assert dlp._scan(nu, [c], m, e) == _full_box_scan(nu, m, e, [c]), (e, m, nu, c)
+
+
+def test_nearest_points_never_leave_the_strip():
+    # the lemma that lets `_best` skip the strip clip, in integers: on every
+    # column X of the fiber window and for every residue y0 = Y mod L, the
+    # last lattice Y below the line t = X mp + Y mq = 0 and the first above
+    # it lie within L mq of the line, so strictly inside the strip
+    # |X 2 mp mq + Y 2 mq^2| <= L mq (2 mp + (e + 2) mq); every column
+    # and residue where they are few, the two ends and a seeded sample of
+    # each where they are many, the residues always with the two that put a
+    # nearest point farthest from the line
+    rng = random.Random(34)
+    ms = [Q(1, 1000), Q(1, 999), Q(3, 1000), Q(1, 60), Q(2, 3), Q(1), Q(999, 1000),
+          Q(1000, 999), Q(12, 7), Q(999), Q(1000)]
+    ms += [Q(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(8)]
+    n = 0
+    for e in (0, 1):
+        for m in ms:
+            mp, mq = m.numerator, m.denominator
+            xwp, xwq = fiber_window(mp, mq, e)
+            mps, ysc = 2 * mp * mq, 2 * mq * mq
+            for L in (1, 2, 3, 7, 12, 60, 997, 1999, 2000):
+                hw = L * mq * (2 * mp + (e + 2) * mq)
+                xlim = xwp * L // xwq
+                if xlim <= 40:
+                    columns = range(-xlim, xlim + 1)
+                else:
+                    columns = [-xlim, -xlim + 1, -L, 0, L, xlim - 1, xlim]
+                    columns += [rng.randint(-xlim, xlim) for _ in range(12)]
+                for X in columns:
+                    fl, rem = divmod(-X * mp, mq)
+                    below, above = fl - (rem == 0), fl + 1
+                    if L <= 60:
+                        residues = range(L)
+                    else:
+                        residues = [0, L - 1, (below + 1) % L, (above - 1) % L]
+                        residues += [rng.randrange(L) for _ in range(24)]
+                    for y0 in residues:
+                        for Y, side in ((below - (below - y0) % L, -1), (above + (y0 - above) % L, 1)):
+                            t = X * mp + Y * mq
+                            assert 0 < side * t <= L * mq, (e, m, L, X, y0, Y)
+                            assert abs(X * mps + Y * ysc) < hw, (e, m, L, X, y0, Y)
+                            n += 1
+    assert n > 200000, n
 
 
 def _bound(rank, m, e):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction as Q
 
@@ -50,6 +51,7 @@ from hirzebruch import (
     moduli_nonempty,
     mu,
     params_for_slope,
+    parse_integer,
     parse_rational,
     polarization_divisor,
     potential_characters,
@@ -235,6 +237,35 @@ def test_rational_serialization():
         parse_rational("1e-3")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+def test_number_grammar():
+    # an optional sign and ASCII digits, for a rational at most one "/"
+    # before a nonzero denominator; surrounding whitespace is ignored
+    assert [parse_integer(t) for t in ("7", "-7", "+7", "007", "-0", " 3 ")] == [7, -7, 7, 7, 0, 3]
+    assert [parse_rational(t) for t in ("+1/2", "-13/2", "4/6", "0/5", "5", "-0")] == \
+        [Q(1, 2), Q(-13, 2), Q(2, 3), 0, 5, 0]
+    # what Python's int() and Fraction() would read is refused, naming the text
+    for text in ("1_0", "\u0663", "\uff11", "0x10", "nan", "inf", "", " ", "+", "-", "--1",
+                 "+-1", "- 1", "1 0", "1,1", "1/2"):
+        with pytest.raises(ValueError, match="not an integer: %s" % re.escape(repr(text))):
+            parse_integer(text)
+    for text in ("1_0/3", "1/1_0", "\u0663", "3/\u0663", "nan", "inf", "", "/2", "2/", "1//2",
+                 "1/2/3", "1/-2", "1/+2", "-1/-2", "1 /2", "0x1/2", "1,1"):
+        with pytest.raises(ValueError, match="not a rational number: %s" % re.escape(repr(text))):
+            parse_rational(text)
+    # a float keeps its hint, a zero denominator its message
+    for text in ("0.5", "1e3", "-1E-3", ".5"):
+        with pytest.raises(ValueError, match="instead of 0.5"):
+            parse_rational(text)
+    for text in ("1/0", "-3/00", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+    # a JSON number where a cache row holds a literal
+    for value in (1, Q(1, 2), None):
+        for parse in (parse_integer, parse_rational):
+            with pytest.raises(TypeError, match="must be a string"):
+                parse(value)
 
 
 def test_kronecker_pair_key_order_past_wall():
