@@ -3,10 +3,11 @@
 Subcommands: exceptional, exists, hn, dlp, delta, kronecker, reduce, grid.
 All numeric arguments are exact: integers are ASCII digits with an optional
 sign, rationals the same with at most one "/" ("p/q"); anything else, such
-as floating-point input, is rejected as invalid input.  Exit codes:
-0 success, 2 invalid input, 3 precondition violated, 4 cache error,
-5 internal error (a broken engine invariant: a bug to report, not a
-property of the input).
+as floating-point input, is rejected as invalid input.  A value that starts
+with "-" and a digit may follow its flag as a separate argument
+("--nu -1/4,1/3"), as in the "--nu=-1/4,1/3" form.  Exit codes: 0 success,
+2 invalid input, 3 precondition violated, 4 cache error, 5 internal error
+(a broken engine invariant: a bug to report, not a property of the input).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import dlp as dlp_mod
@@ -22,7 +24,6 @@ from . import existence, kronecker, reduction
 from .lattice import (
     ChernCharacter,
     DivisorClass,
-    IntegralityError,
     format_rational,
     parse_integer,
     parse_rational,
@@ -36,14 +37,10 @@ EXIT_CACHE = 4
 EXIT_INTERNAL = 5
 
 
-class InputError(ValueError):
-    pass
-
-
 def _parse_char(text: str) -> ChernCharacter:
     parts = text.split(",")
     if len(parts) != 4:
-        raise InputError("character must be r,a,b,ch2 (got %r)" % text)
+        raise ValueError("character must be r,a,b,ch2 (got %r)" % text)
     r, a, b = (parse_integer(t) for t in parts[:3])
     return ChernCharacter(r, DivisorClass(a, b), parse_rational(parts[3]))
 
@@ -51,7 +48,7 @@ def _parse_char(text: str) -> ChernCharacter:
 def _parse_slope(text: str) -> DivisorClass:
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError("slope must be aNum/aDen,bNum/bDen (got %r)" % text)
+        raise ValueError("slope must be aNum/aDen,bNum/bDen (got %r)" % text)
     return DivisorClass(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
@@ -90,9 +87,7 @@ def emit(obj) -> None:
 
 
 def _cache_path(args) -> str:
-    if getattr(args, "cache", None):
-        return args.cache
-    return os.environ.get("HIRZ_CACHE", "")
+    return args.cache or os.environ.get("HIRZ_CACHE", "")
 
 
 def _load_or_build_table(e: int, rmax: int, cache: str):
@@ -105,7 +100,6 @@ def _load_or_build_table(e: int, rmax: int, cache: str):
             base = exc_mod.load_table(cache, e)
         except exc_mod.CacheError as err:
             sys.stderr.write("warning: %s; rebuilding\n" % err)
-            base = None
     table = exc_mod.build_table(e, rmax, base=base)
     # the header records max_rank, so the file changes only when it grows
     if cache and (base is None or table.max_rank > base.max_rank):
@@ -192,7 +186,7 @@ def cmd_kronecker(args) -> int:
     ell = args.ell
     parts = args.abcd.split(",")
     if len(parts) != 4:
-        raise InputError("abcd must be a,b,c,d (got %r)" % args.abcd)
+        raise ValueError("abcd must be a,b,c,d (got %r)" % args.abcd)
     a, b, c, d = (parse_integer(t) for t in parts)
     p = kronecker.KroneckerParams(args.e, ell, a, b, c, d)
     k_char, l_char, v_char = chars = kronecker.kronecker_characters(p)
@@ -225,7 +219,7 @@ def cmd_reduce(args) -> int:
 def cmd_grid(args) -> int:
     parts = [parse_rational(t) for t in args.square.split(",")]
     if len(parts) != 4:
-        raise InputError("square must be eps0,eps1,phi0,phi1")
+        raise ValueError("square must be eps0,eps1,phi0,phi1")
     eps_vals, phi_vals, rows = dlp_mod.dlp_grid(
         args.e, args.m, tuple(parts), args.steps, args.below_rank, _table_below(args, args.below_rank)
     )
@@ -263,61 +257,45 @@ def _arg_type(parse):
 _integer, _rational = _arg_type(parse_integer), _arg_type(parse_rational)
 
 
+# each option's argparse keywords, once
+_OPTIONS = {
+    "--e": dict(type=_integer, required=True),
+    "--max-rank": dict(type=_integer, required=True),
+    "--below-rank": dict(type=_integer, required=True),
+    "--cache": dict(help="JSONL cache path (env HIRZ_CACHE also honored)"),
+    "--char": dict(required=True, help="r,a,b,ch2"),
+    "--nu": dict(required=True, help="slope a,b with rational entries"),
+    "--m": dict(type=_rational, required=True),
+    "--ell": dict(type=_integer, required=True),
+    "--abcd": dict(required=True, help="a,b,c,d positive integers"),
+    "--square": dict(required=True, help="eps0,eps1,phi0,phi1"),
+    "--steps": dict(type=_integer, required=True),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
+
+# (subcommand, help, its options in order)
+_COMMANDS = (
+    ("exceptional", "enumerate exceptional bundles with stability intervals", "--e --max-rank --cache"),
+    ("exists", "decide nonemptiness of the semistable moduli space", "--e --char --m"),
+    ("hn", "generic Harder-Narasimhan filtration", "--e --char --m"),
+    ("dlp", "rank-bounded Drezet-Le Potier value at a slope", "--e --nu --m --below-rank --cache"),
+    ("delta", "bracket the sharp Bogomolov threshold", "--e --nu --m --max-rank --cache"),
+    ("kronecker", "orthogonal Kronecker pair: characters, wall, threshold", "--e --ell --abcd"),
+    ("reduce", "decide on F_e (e >= 2) through the reduction map", "--e --char --m"),
+    ("grid", "emit a DLP value grid over a slope square", "--e --m --square --steps --below-rank --format --cache"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hirz",
         description="Exact decision procedures for moduli of sheaves on Hirzebruch surfaces.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exceptional", help="enumerate exceptional bundles with stability intervals")
-    p.add_argument("--e", type=_integer, required=True)
-    p.add_argument("--max-rank", type=_integer, required=True)
-    p.add_argument("--cache", help="JSONL cache path (env HIRZ_CACHE also honored)")
-
-    p = sub.add_parser("exists", help="decide nonemptiness of the semistable moduli space")
-    p.add_argument("--e", type=_integer, required=True)
-    p.add_argument("--char", required=True, help="r,a,b,ch2")
-    p.add_argument("--m", type=_rational, required=True)
-
-    p = sub.add_parser("hn", help="generic Harder-Narasimhan filtration")
-    p.add_argument("--e", type=_integer, required=True)
-    p.add_argument("--char", required=True, help="r,a,b,ch2")
-    p.add_argument("--m", type=_rational, required=True)
-
-    p = sub.add_parser("dlp", help="rank-bounded Drezet-Le Potier value at a slope")
-    p.add_argument("--e", type=_integer, required=True)
-    p.add_argument("--nu", required=True, help="slope a,b with rational entries")
-    p.add_argument("--m", type=_rational, required=True)
-    p.add_argument("--below-rank", type=_integer, required=True)
-    p.add_argument("--cache")
-
-    p = sub.add_parser("delta", help="bracket the sharp Bogomolov threshold")
-    p.add_argument("--e", type=_integer, required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--m", type=_rational, required=True)
-    p.add_argument("--max-rank", type=_integer, required=True)
-    p.add_argument("--cache")
-
-    p = sub.add_parser("kronecker", help="orthogonal Kronecker pair: characters, wall, threshold")
-    p.add_argument("--e", type=_integer, required=True)
-    p.add_argument("--ell", type=_integer, required=True)
-    p.add_argument("--abcd", required=True, help="a,b,c,d positive integers")
-
-    p = sub.add_parser("reduce", help="decide on F_e (e >= 2) through the reduction map")
-    p.add_argument("--e", type=_integer, required=True)
-    p.add_argument("--char", required=True)
-    p.add_argument("--m", type=_rational, required=True)
-
-    p = sub.add_parser("grid", help="emit a DLP value grid over a slope square")
-    p.add_argument("--e", type=_integer, required=True)
-    p.add_argument("--m", type=_rational, required=True)
-    p.add_argument("--square", required=True, help="eps0,eps1,phi0,phi1")
-    p.add_argument("--steps", type=_integer, required=True)
-    p.add_argument("--below-rank", type=_integer, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--cache")
-
+    for name, text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag in flags.split():
+            p.add_argument(flag, **_OPTIONS[flag])
     return top
 
 
@@ -328,6 +306,13 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes only plain negative numbers such as -3 for values: join
+    # each value that starts with "-" and a digit to the option before it
+    # ("--nu", "-1/4,1/3" -> "--nu=-1/4,1/3"); every option takes one value
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _OPTIONS and re.match("-[0-9]", argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = _PARSER.parse_args(argv)
     try:
         # looked up by name at call time, so a replaced cmd_* is the one run
@@ -341,7 +326,7 @@ def main(argv=None) -> int:
     except (BogomolovViolation, kronecker.KroneckerDomainError) as err:
         sys.stderr.write("precondition violated: %s\n" % err)
         return EXIT_PRECONDITION
-    except (InputError, IntegralityError, ValueError) as err:
+    except ValueError as err:
         sys.stderr.write("invalid input: %s\n" % err)
         return EXIT_INPUT
 

@@ -43,9 +43,9 @@ reduced pair (p, q) and the fiber window as the integer pair
 `lattice.fiber_window(p, q, e)`.  `_cuts` derives the Delta_1 and
 Delta(u) cuts once per r1, signed by sign(2 r1 - r) so that each reads
 c1 b1 + c0 >= 0, with c1 linear and c0 quadratic in a1.  For fixed (r1, a1) the pinned ch2_1
-is linear in b1 too, so the b1 loop visits only the arithmetic progression
-where ch2_1 is integral, cut to the half-lines of both cuts; the
-candidates are still visited in the order of the plain triple loop.
+is linear in b1 too: the b1 loop walks the mu window cut to the half-lines
+of both cuts, in the order of the plain triple loop, and one modulo test
+per b1 keeps the b1 where ch2_1 makes w_1 integral.
 
 When 2 r1 = r the pinning degenerates to P(nu - nu_1) = Delta + 1/2, which
 is where the two cuts meet: they stay unsigned, the Delta(u) cut is then
@@ -148,9 +148,10 @@ class DecisionCertificate:
 class DeltaBracket:
     """Bracket of the sharp Bogomolov threshold (see `delta_estimate`).
 
-    `lower` is a DLP bound, which holds for stable sheaves; `witness` is a
-    NONEMPTY character of discriminant `upper`, whose moduli space may hold
-    strictly semistable sheaves only, so lower > upper can happen.
+    `lower` is a DLP bound, which holds for mu_{H_m}-stable sheaves;
+    `witness` is a NONEMPTY character of discriminant `upper`, whose moduli
+    space of H_m-Gieseker-semistable sheaves may hold strictly semistable
+    sheaves only, so lower > upper can happen.
     """
 
     nu: DivisorClass
@@ -333,7 +334,8 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
         n1 = r1 * degv
         cuts = _cuts(vkey, e, r1)
         (u0, u1, v0, v1, v2), (g0, g1, h0, h1, h2) = cuts
-        # the cuts come signed by sign(t), so the congruence runs on |t|
+        # the cuts come signed by sign(t), so s1 has the positive
+        # denominator s1_den = r1 r |t| (at t = 0 it is unused)
         rtt = r * abs(t)
         s1_den = r1 * rtt
         for a1 in _a1_window(cuts, _fiber_range(r, a, r1, cp, cq), (n1, n1 + r1 * ru * mq), rmp, den):
@@ -368,25 +370,17 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
             if lo >= hi:
                 continue
             ea1 = e * a1 * a1
-            step = 1                    # at t = 0: at most the pinned b1 is left
-            if t:
-                # s1 = (c1sq1 r |t| - k1 b1 - k0) / s1_den = (beta b1 +
-                # alpha) / s1_den: keep the b1 where s1 is an integer
-                beta = 2 * rtt * a1 - k1
-                alpha = -ea1 * rtt - k0
-                g = gcd(beta, s1_den)
-                if alpha % g:
-                    continue
-                step = s1_den // g
-                b0 = (-alpha // g) * pow(beta // g, -1, step) % step
-                lo += (b0 - lo) % step
-            for b1 in range(lo, hi, step):
+            # s1 = (c1sq1 r |t| - k1 b1 - k0) / s1_den = (beta b1 + alpha) / s1_den
+            beta = 2 * rtt * a1 - k1
+            alpha = -ea1 * rtt - k0
+            for b1 in range(lo, hi):
                 c1sq1 = 2 * a1 * b1 - ea1
                 if t:
-                    s1 = (beta * b1 + alpha) // s1_den
-                    if (c1sq1 - s1) % 2 != 0:
-                        continue      # c2(w1) not an integer
-                    s1_list = (s1,)
+                    # keep s1 an integer of the parity of c1sq1, so that
+                    # c2(w1) = (c1sq1 - s1)/2 is an integer
+                    if (beta * b1 + alpha - c1sq1 * s1_den) % (2 * s1_den):
+                        continue
+                    s1_list = ((beta * b1 + alpha) // s1_den,)
                 else:
                     au = a - a1
                     n2u0 = 2 * au * (b - b1) - e * au * au - ru * (s - c1sq1)
@@ -585,11 +579,11 @@ def delta_estimate(
     the test ignores Delta, so it runs once per rank, on the rank's first
     scanned character, until a tie is seen.
 
-    The lower bound is about stable sheaves, the witness only carries
-    semistable ones, so lower > upper is possible when every semistable
-    sheaf of the witness's character is strictly semistable: at
-    nu = (1/2, 1/4), m = 1/2 on F_1 the bracket is (3/4, 1/2) with witness
-    (4, 2E + F, -2) = O(E) + (3, E + F, -3/2).
+    The lower bound holds for mu_{H_m}-stable sheaves, the witness is only
+    known to carry H_m-Gieseker-semistable ones, so lower > upper is
+    possible when every semistable sheaf of the witness's character is
+    strictly semistable: at nu = (1/2, 1/4), m = 1/2 on F_1 the bracket is
+    (3/4, 1/2) with witness (4, 2E + F, -2) = O(E) + (3, E + F, -3/2).
     """
     check_del_pezzo(e)
     m = check_polarization(m)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -172,6 +173,44 @@ def test_exit_codes(capsys):
             assert (code, out) == (2, "")
             assert err == ("invalid input: only F_0 and F_1 are served here, got e=2; reduce "
                            "e >= 2 to them through the reduction map (hirzebruch.reduction) first\n")
+
+
+def test_negative_values_follow_their_flag(capsys):
+    # a value that starts with "-" and a digit after a flag is that flag's
+    # value, as in the "--flag=value" form; argparse alone reads only plain
+    # negative numbers such as -3 that way
+    answers = []
+    for cmd in ("dlp --e 0 --nu -1/4,1/3 --m 1 --below-rank 3",
+                "dlp --e 0 --nu 1/2,1/3 --m -1/2 --below-rank 3",
+                "grid --e 0 --m 1 --square -1,1,0,1 --steps 1 --below-rank 3"):
+        answers.append(run_cli(capsys, *cmd.split()))
+        assert answers[-1] == run_cli(capsys, *re.sub(r" (-[0-9])", r"=\1", cmd).split()), cmd
+    assert answers[0] == (0, '{"equal_slope": false, "value": "5/6", "witness": [1, 0, 0]}\n', "")
+    assert answers[1][:2] == (2, "") and "must be positive" in answers[1][2]
+    assert answers[2][0] == 0 and answers[2][1].startswith("eps,phi,delta\n-1,0,")
+    # plain negative numbers were values already, and "-inf" is still read
+    # as a flag
+    code, out, err = run_cli(capsys, "exceptional", "--e", "-1", "--max-rank", "3")
+    assert (code, out) == (2, "") and "surface parameter e" in err
+    code, out, err = run_cli(capsys, "grid", "--e", "0", "--m", "1", "--square", "0,1,0,1",
+                             "--steps", "-1", "--below-rank", "3")
+    assert (code, out) == (2, "") and "steps must be" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["dlp", "--e", "0", "--nu", "-inf", "--m", "1", "--below-rank", "3"])
+    assert exc.value.code == 2 and "--nu: expected one argument" in capsys.readouterr().err
+    # --help takes no value, so nothing is joined to it
+    with pytest.raises(SystemExit) as exc:
+        main(["dlp", "--help", "-1"])
+    assert exc.value.code == 0 and "--below-rank" in capsys.readouterr().out
+
+
+def test_high_e_refusals_name_the_character_given(capsys):
+    # on e >= 2 the engine's input check runs on v itself, not on its pi image
+    given = "ChernCharacter(r=2, c1=DivisorClass(a=Fraction(1, 1), b=Fraction(1, 1)), ch2=Fraction(1, 2))"
+    for sub in ("exists", "reduce"):
+        code, out, err = run_cli(capsys, sub, "--e", "2", "--char", "2,1,1,1/2", "--m", "1/3")
+        assert (code, out) == (2, "")
+        assert err == "invalid input: decision engine needs an integral character, got %s\n" % given
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

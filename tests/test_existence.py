@@ -15,6 +15,7 @@ from hirzebruch import (
     character,
     delta_estimate,
     dual,
+    euler_pair,
     exceptional_character,
     exists_above,
     generic_prioritary_index,
@@ -399,6 +400,78 @@ def test_degenerate_first_factors_lie_on_the_pinning(monkeypatch):
         for v in chars[:150]:
             hn_generic(v, m, e)
     assert len(formed) > 100 and not any(formed), (len(formed), sum(map(bool, formed)))
+
+
+def test_first_factors_above_rank_six_match_a_fraction_brute_force(monkeypatch):
+    # criterion 3 stops at r <= 6, where a b1 window holds at most two
+    # values.  On seeded characters of rank 7-20 with a length-one
+    # filtration (so the top-level search tries every candidate), the w1
+    # with 2 r1 != r that it passes to its first prioritary gate
+    # (_prior(w1, ceil(m) + 1)) are exactly the integral w1 of a brute force
+    # in Fractions: r1 in [1, r), |a1/r1 - a/r| < max(1, 2/(2m+e)), b1 in the
+    # closed mu window, ch2_1 pinned by chi(w1, v - w1) = 0, Delta_1 >= 0
+    # and Delta(v - w1) >= 0.  The sample reaches b1 windows of 3 or more
+    # values on which 2 ch2_1 changes by a non-integer per b1, so that only
+    # some b1 of the window give an integral w1
+    prior, search = existence._prior, existence._search
+    stack, logged = [], []
+
+    def logged_search(key, mp, mq, e):
+        stack.append((key, -(-mp // mq) + 1))
+        try:
+            return search(key, mp, mq, e)
+        finally:
+            stack.pop()
+
+    def logged_prior(key, n, e):
+        if len(stack) == 1 and n == stack[0][1] and key[0] < stack[0][0][0] != 2 * key[0]:
+            logged.append(key)
+        return prior(key, n, e)
+
+    monkeypatch.setattr(existence, "_search", logged_search)
+    monkeypatch.setattr(existence, "_prior", logged_prior)
+    rng = random.Random(71)
+    chars = candidates = stepped = 0
+    for e in (0, 1):
+        for m in (Q(1), Q(3), Q(5)):
+            cf = max(Q(1), Q(2) / (2 * m + e))
+            found = 0
+            while found < 4:
+                r = rng.randint(7, 20)
+                a, b = rng.randrange(r), rng.randrange(r)
+                c1sq = 2 * a * b - e * a * a
+                c2 = -((-c1sq * (r - 1)) // (2 * r)) + rng.randint(0, r)     # Delta in [0, ~1]
+                v = character(r, a, b, Q(c1sq, 2) - c2)
+                existence.clear_cache()
+                logged.clear()
+                dec = hn_generic(v, m, e)
+                if dec is None or len(dec) != 1:
+                    continue
+                found += 1
+                want = set()
+                for r1 in range(1, r):
+                    if 2 * r1 == r:
+                        continue
+                    for a1 in range(math.floor(r1 * (Q(a, r) - cf)), math.ceil(r1 * (Q(a, r) + cf)) + 1):
+                        if abs(Q(a1, r1) - Q(a, r)) >= cf:
+                            continue
+                        window = []     # (b1, ch2_1) with both Deltas >= 0
+                        for b1 in _spread_b1(r, a, b, m, r1, a1):
+                            w0 = character(r1, a1, b1, 0)
+                            # chi(w1, v - w1) is affine in ch2_1 with slope r - 2 r1
+                            w1 = character(r1, a1, b1, euler_pair(w0, v - w0, e) / (2 * r1 - r))
+                            assert euler_pair(w1, v - w1, e) == 0
+                            if w1.delta(e) >= 0 and (v - w1).delta(e) >= 0:
+                                window.append((b1, w1.ch2))
+                                if w1.is_integral(e):
+                                    want.add(int_key(w1))
+                        if len(window) >= 3:
+                            # the change of 2 ch2_1 per b1 is not an integer
+                            stepped += (2 * (window[1][1] - window[0][1])).denominator > 1
+                assert len(logged) == len(set(logged)) and set(logged) == want, (v, m, e)
+                chars += 1
+                candidates += len(want)
+    assert chars == 24 and candidates > 100 and stepped > 50, (chars, candidates, stepped)
 
 
 def _quad_b_bound(m, e):
