@@ -3,11 +3,14 @@
 Subcommands: exceptional, exists, hn, dlp, delta, kronecker, reduce, grid.
 All numeric arguments are exact: integers are ASCII digits with an optional
 sign, rationals the same with at most one "/" ("p/q"); anything else, such
-as floating-point input, is rejected as invalid input.  A value that starts
-with "-" and a digit may follow its flag as a separate argument
-("--nu -1/4,1/3"), as in the "--nu=-1/4,1/3" form.  Exit codes: 0 success,
-2 invalid input, 3 precondition violated, 4 cache error, 5 internal error
-(a broken engine invariant: a bug to report, not a property of the input).
+as floating-point input, is rejected as invalid input.  argparse keeps every
+value as text; `main` reads each with its option's parser in `_OPTIONS`
+(`_fields` splits the comma lists), so a malformed value exits 2 with one
+"invalid input: ..." line naming the text.  A value that starts with "-"
+and a digit may follow its flag as a separate argument ("--nu -1/4,1/3"),
+as in the "--nu=-1/4,1/3" form.  Exit codes: 0 success, 2 invalid input,
+3 precondition violated, 4 cache error, 5 internal error (a broken engine
+invariant: a bug to report, not a property of the input).
 """
 
 from __future__ import annotations
@@ -37,19 +40,23 @@ EXIT_CACHE = 4
 EXIT_INTERNAL = 5
 
 
-def _parse_char(text: str) -> ChernCharacter:
+def _fields(text: str, form: str, *parsers) -> list:
+    """The comma list `text` read field by field, one parser each; `form`
+    names the fields when their number is wrong."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("character must be r,a,b,ch2 (got %r)" % text)
-    r, a, b = (parse_integer(t) for t in parts[:3])
-    return ChernCharacter(r, DivisorClass(a, b), parse_rational(parts[3]))
+    if len(parts) != len(parsers):
+        raise ValueError("expected %s, got %r" % (form, text))
+    return [parse(t) for parse, t in zip(parsers, parts)]
 
 
-def _parse_slope(text: str) -> DivisorClass:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("slope must be aNum/aDen,bNum/bDen (got %r)" % text)
-    return DivisorClass(parse_rational(parts[0]), parse_rational(parts[1]))
+def _char(text: str) -> ChernCharacter:
+    r, a, b, ch2 = _fields(text, "r,a,b,ch2", parse_integer, parse_integer, parse_integer,
+                           parse_rational)
+    return ChernCharacter(r, DivisorClass(a, b), ch2)
+
+
+def _slope(text: str) -> DivisorClass:
+    return DivisorClass(*_fields(text, "a,b", parse_rational, parse_rational))
 
 
 def char_obj(v: ChernCharacter) -> dict:
@@ -132,19 +139,17 @@ def cmd_exceptional(args) -> int:
 
 
 def cmd_exists(args) -> int:
-    v = _parse_char(args.char)
     if args.e >= 2:
-        cert, trace = reduction.reduce_decision(v, args.e, args.m)
+        cert, trace = reduction.reduce_decision(args.char, args.e, args.m)
         emit(cert_obj(cert, trace))
     else:
-        cert = existence.moduli_nonempty(v, args.m, args.e)
+        cert = existence.moduli_nonempty(args.char, args.m, args.e)
         emit(cert_obj(cert))
     return EXIT_OK
 
 
 def cmd_hn(args) -> int:
-    v = _parse_char(args.char)
-    dec = existence.hn_generic(v, args.m, args.e)
+    dec = existence.hn_generic(args.char, args.m, args.e)
     if dec is None:
         emit({"verdict": existence.NO_PRIORITARY, "hn": None})
     else:
@@ -153,8 +158,7 @@ def cmd_hn(args) -> int:
 
 
 def cmd_dlp(args) -> int:
-    nu = _parse_slope(args.nu)
-    val = dlp_mod.dlp_below_rank(nu, args.m, args.e, args.below_rank, _table_below(args, args.below_rank))
+    val = dlp_mod.dlp_below_rank(args.nu, args.m, args.e, args.below_rank, _table_below(args, args.below_rank))
     emit(
         {
             "value": format_rational(val.value, infinity="-inf"),
@@ -166,11 +170,10 @@ def cmd_dlp(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    nu = _parse_slope(args.nu)
-    br = existence.delta_estimate(nu, args.m, args.e, args.max_rank, _table_below(args, args.max_rank))
+    br = existence.delta_estimate(args.nu, args.m, args.e, args.max_rank, _table_below(args, args.max_rank))
     emit(
         {
-            "nu": [format_rational(nu.a), format_rational(nu.b)],
+            "nu": [format_rational(args.nu.a), format_rational(args.nu.b)],
             "m": format_rational(br.m),
             "rank_cutoff": br.rank_cutoff,
             "lower": format_rational(br.lower),
@@ -184,11 +187,7 @@ def cmd_delta(args) -> int:
 
 def cmd_kronecker(args) -> int:
     ell = args.ell
-    parts = args.abcd.split(",")
-    if len(parts) != 4:
-        raise ValueError("abcd must be a,b,c,d (got %r)" % args.abcd)
-    a, b, c, d = (parse_integer(t) for t in parts)
-    p = kronecker.KroneckerParams(args.e, ell, a, b, c, d)
+    p = kronecker.KroneckerParams(args.e, ell, *args.abcd)
     k_char, l_char, v_char = chars = kronecker.kronecker_characters(p)
     m_v = kronecker.wall_m_v(p, chars)
     eps = kronecker.wall_crossing_epsilon(p, chars)
@@ -208,8 +207,7 @@ def cmd_kronecker(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    v = _parse_char(args.char)
-    cert, trace = reduction.reduce_decision(v, args.e, args.m)
+    cert, trace = reduction.reduce_decision(args.char, args.e, args.m)
     obj = cert_obj(cert, trace)
     obj["final_character"] = char_obj(trace.final_character)
     emit(obj)
@@ -217,11 +215,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    parts = [parse_rational(t) for t in args.square.split(",")]
-    if len(parts) != 4:
-        raise ValueError("square must be eps0,eps1,phi0,phi1")
     eps_vals, phi_vals, rows = dlp_mod.dlp_grid(
-        args.e, args.m, tuple(parts), args.steps, args.below_rank, _table_below(args, args.below_rank)
+        args.e, args.m, tuple(args.square), args.steps, args.below_rank, _table_below(args, args.below_rank)
     )
     if args.format == "csv":
         sys.stdout.write("eps,phi,delta\n")
@@ -243,34 +238,23 @@ def cmd_grid(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _arg_type(parse):
-    """An argparse type that reports the ValueError of `parse`, which names
-    the text, as the reason for exit 2."""
-    def convert(text: str):
-        try:
-            return parse(text)
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(str(err))
-    return convert
-
-
-_integer, _rational = _arg_type(parse_integer), _arg_type(parse_rational)
-
-
-# each option's argparse keywords, once
+# each option's parser (None keeps the text) and argparse keywords, once;
+# argparse keeps every value as text and `main` parses it
 _OPTIONS = {
-    "--e": dict(type=_integer, required=True),
-    "--max-rank": dict(type=_integer, required=True),
-    "--below-rank": dict(type=_integer, required=True),
-    "--cache": dict(help="JSONL cache path (env HIRZ_CACHE also honored)"),
-    "--char": dict(required=True, help="r,a,b,ch2"),
-    "--nu": dict(required=True, help="slope a,b with rational entries"),
-    "--m": dict(type=_rational, required=True),
-    "--ell": dict(type=_integer, required=True),
-    "--abcd": dict(required=True, help="a,b,c,d positive integers"),
-    "--square": dict(required=True, help="eps0,eps1,phi0,phi1"),
-    "--steps": dict(type=_integer, required=True),
-    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--e": (parse_integer, dict(required=True)),
+    "--max-rank": (parse_integer, dict(required=True)),
+    "--below-rank": (parse_integer, dict(required=True)),
+    "--cache": (None, dict(help="JSONL cache path (env HIRZ_CACHE also honored)")),
+    "--char": (_char, dict(required=True, help="r,a,b,ch2")),
+    "--nu": (_slope, dict(required=True, help="slope a,b with rational entries")),
+    "--m": (parse_rational, dict(required=True)),
+    "--ell": (parse_integer, dict(required=True)),
+    "--abcd": (lambda t: _fields(t, "a,b,c,d", *[parse_integer] * 4),
+               dict(required=True, help="a,b,c,d positive integers")),
+    "--square": (lambda t: _fields(t, "eps0,eps1,phi0,phi1", *[parse_rational] * 4),
+                 dict(required=True, help="eps0,eps1,phi0,phi1")),
+    "--steps": (parse_integer, dict(required=True)),
+    "--format": (None, dict(choices=("csv", "json"), default="csv")),
 }
 
 # (subcommand, help, its options in order)
@@ -295,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text, flags in _COMMANDS:
         p = sub.add_parser(name, help=text)
         for flag in flags.split():
-            p.add_argument(flag, **_OPTIONS[flag])
+            p.add_argument(flag, **_OPTIONS[flag][1])
     return top
 
 
@@ -315,6 +299,10 @@ def main(argv=None) -> int:
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = _PARSER.parse_args(argv)
     try:
+        for flag, (parse, _) in _OPTIONS.items():
+            dest = flag[2:].replace("-", "_")
+            if parse is not None and hasattr(args, dest):
+                setattr(args, dest, parse(getattr(args, dest)))
         # looked up by name at call time, so a replaced cmd_* is the one run
         return globals()["cmd_" + args.command](args)
     except exc_mod.CacheError as err:

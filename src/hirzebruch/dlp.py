@@ -26,12 +26,13 @@ twist scan runs per class on integers (`_best`, with nu = (x, y)/nu_den
 and m = mp/mq): scaled by L = lcm(nu_den, rank), every offset d, its
 H_m-degree, P(+-d) and Delta(V) have one denominator.  On a column of
 offsets with fixed fiber part, each branch of DLP is affine in the other
-coordinate, so the column's best offset is the lattice point nearest the
-line d.H_m = 0 on either side or the one on it (`_best` says why the far
-ends never win and why the strip never clips these points, so they are
-visited directly): O(#columns) integer steps per class.  Ties go to the
-smallest witness, as a walk over the whole box in ascending order keeping
-the last maximum would give, and classes are compared by cross-multiplying.
+coordinate, so each branch is read at its nearest lattice point on its
+own closed side of the line d.H_m = 0, two points per column (`_best`
+says why the far ends never win and why the strip never clips these
+points, so they are visited directly): O(#columns) integer steps per
+class.  Ties go to the smallest witness, as a walk over the whole box in
+ascending order keeping the last maximum would give, and classes are
+compared by cross-multiplying.
 The classes come in ascending rank, and no class of rank rho is worth more
 than 1/2 + (2 - h)^2/(8h) + 1/(2 rho^2), h = 2m + e (`_rank_bound`), so
 the walk ends at the first rank whose bound is below the best so far.
@@ -196,23 +197,25 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
     # is fixed, so the best offset is the largest P, ties going to the
     # largest (X, Y), i.e. the smallest witness.
     # On a column X the branches are affine in Y, split by t = X mp + Y mq:
-    #   t < 0:  2 L^2 P(d)  = (X + L)(2Y + 2L - eX), slope 2(X + L),
-    #   t > 0:  2 L^2 P(-d) = (L - X)(2L - 2Y + eX), slope -2(L - X),
-    # so on a column with -L <= X <= L the best point is the lattice point
-    # nearest the line on either side or the one on it.  Where a slope
-    # turns (below the line at X < -L, above it at X > L) the strip bound
-    # keeps P < 0, while the column with |X| < L has a point of P > 0 within
+    #   t <= 0:  2 L^2 P(d)  = (X + L)(2Y + 2L - eX), slope 2(X + L),
+    #   t >= 0:  2 L^2 P(-d) = (L - X)(2L - 2Y + eX), slope -2(L - X),
+    # each branch read on its own closed side of the line.  For -L < X < L,
+    # P(d) strictly rises in Y and P(-d) strictly falls, so each closed
+    # half-column peaks at its lattice point nearest the line and every
+    # other point of it is strictly lower: no tie can move the witness.
+    # When the line holds a lattice point both reads land on it, and the
+    # two `>=` updates keep max(P(d), P(-d)) with that point as the
+    # witness, which is the soft convention.  Where a slope turns (below
+    # the line at X <= -L, above it at X >= L) the strip bound keeps
+    # P <= 0, while the column with |X| < L has a point of P > 0 within
     # one lattice step of the line: those half-columns never hold the
-    # maximum.  Lemma: the strip never clips the nearest points.  The last
-    # lattice Y below the line has its next lattice Y, Y + L, on or above
-    # it, so -L mq <= t < 0 there; likewise 0 < t <= L mq at the first Y
-    # above.  The strip is |t| <= L mq (m + e/2 + 1), which is wider because
-    # m > 0.  So every column has its point on either side, and every class
-    # a column (the box is >= 2L wide, fiber window >= 1).
-    # With fl, rem = divmod(-X mp, mq), the last Y below the line is
-    # fl - (rem == 0), the line holds Y = fl when rem == 0, and the first Y
-    # above it is fl + 1; each is moved onto the lattice Y = y0 mod L.
-    # The <= 3 points are visited in ascending Y with `>=`, as a walk over
+    # maximum.  Lemma: the strip never clips the two points.  The last
+    # lattice Y with t <= 0 has its next lattice Y, Y + L, above the line,
+    # so -L mq < t <= 0 there; likewise 0 <= t < L mq at the first lattice
+    # Y with t >= 0.  The strip is |t| <= L mq (m + e/2 + 1), which is
+    # wider because m > 0.  So every column has its point on either side,
+    # and every class a column (the box is >= 2L wide, fiber window >= 1).
+    # The two points are visited in ascending Y with `>=`, as a walk over
     # the whole box would, which keeps the tie rule.  Classes are
     # compared by cross-multiplying, ties going to the smallest witness.
     # The walk keeps the maximum itself: handing each class's best offset to
@@ -254,18 +257,13 @@ def _best(classes: Iterable[SlopeClass], x: int, y: int, nu_den: int, mp: int, m
         xlim = xwp * L // xwq
         top = None
         for X in range(-xlim + (x0 + xlim) % L, xlim + 1, L):
-            fl, rem = divmod(-X * mp, mq)
-            Y = fl - (rem == 0)                 # below the line
-            Y -= (Y - y0) % L
+            Y = -X * mp // mq
+            Y -= (Y - y0) % L                   # the last lattice Y with t <= 0
             p = (X + L) * (2 * Y + 2 * L - e * X)
             if top is None or p >= top:
                 top, bx, by = p, X, Y
-            if rem == 0 and (fl - y0) % L == 0:     # on the line
-                p = max((X + L) * (2 * fl + 2 * L - e * X), (L - X) * (2 * L - 2 * fl + e * X))
-                if p >= top:
-                    top, bx, by = p, X, fl
-            Y = fl + 1                          # above the line
-            Y += (y0 - Y) % L
+            if X * mp + Y * mq < 0:
+                Y += L                          # the first lattice Y with t >= 0
             p = (L - X) * (2 * L - 2 * Y + e * X)
             if p >= top:
                 top, bx, by = p, X, Y

@@ -164,8 +164,6 @@ def _by_rank(classes: Tuple[dlp.SlopeClass, ...], rows, e: int) -> Tuple[dlp.Slo
 
 def solve_congruence_b(r: int, a: int, e: int) -> Optional[int]:
     """b in [0, r) with 2ab = a^2 e + a e r - r^2 - 1 (mod 2r), if solvable."""
-    if r == 1:
-        return 0
     if gcd(a, r) != 1:
         return None
     num = a * a * e + a * e * r - r * r - 1
@@ -183,8 +181,6 @@ def canonical_pair(r: int, a: int, b: int, e: int) -> Tuple[int, int]:
     """Normalize (a, b) mod twists, duals and (e=0) the fiber swap."""
     a %= r
     b %= r
-    if r == 1:
-        return (0, 0)
     images = [(x % r, y % r) for x, y, _ in dlp._images(a, b, e)]
     ok = [c for c in images if (2 * c[0] < r and c[0] <= c[1] if e == 0 else 2 * c[0] <= r)]
     if not ok:

@@ -77,7 +77,7 @@ def sign_with_sqrt(p: Fraction, q: Fraction, D: int) -> int:
 def _sign_biquadratic(g0, g1, h0, h1, A: int, B: int) -> int:
     """Exact sign of (g0 + g1 sqrt(A)) + (h0 + h1 sqrt(A)) sqrt(B)."""
     sG = sign_with_sqrt(g0, g1, A)
-    if h0 == 0 and h1 == 0:
+    if B == 0 or h0 == h1 == 0:
         return sG
     sH = sign_with_sqrt(h0, h1, A)
     if sH == 0:

@@ -154,9 +154,8 @@ def test_exit_codes(capsys):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "invalid input" in err and "zero denominator" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["exists", "--e", "0", "--char", "1,0,0,0", "--m", "1/0"])
-    assert exc.value.code == 2 and "zero denominator" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "exists", "--e", "0", "--char", "1,0,0,0", "--m", "1/0")
+    assert (code, out) == (2, "") and "invalid input" in err and "zero denominator" in err
     # a DLP rank cutoff must be positive, as for `grid`
     for cutoff in ("0", "-3"):
         for sub in (("dlp", "--nu", "1/2,1/3"), ("grid", "--square", "0,1,0,1", "--steps", "2")):

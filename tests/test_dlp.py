@@ -359,12 +359,12 @@ def test_scan_matches_full_box_at_extreme_m():
 def test_nearest_points_never_leave_the_strip():
     # the lemma that lets `_best` skip the strip clip, in integers: on every
     # column X of the fiber window and for every residue y0 = Y mod L, the
-    # last lattice Y below the line t = X mp + Y mq = 0 and the first above
-    # it lie within L mq of the line, so strictly inside the strip
+    # last lattice Y with t = X mp + Y mq <= 0 and the first with t >= 0
+    # lie less than L mq from the line, so strictly inside the strip
     # |X 2 mp mq + Y 2 mq^2| <= L mq (2 mp + (e + 2) mq); every column
     # and residue where they are few, the two ends and a seeded sample of
-    # each where they are many, the residues always with the two that put a
-    # nearest point farthest from the line
+    # each where they are many, the residues always with those next to the
+    # line's, which put a nearest point farthest from it
     rng = random.Random(34)
     ms = [Q(1, 1000), Q(1, 999), Q(3, 1000), Q(1, 60), Q(2, 3), Q(1), Q(999, 1000),
           Q(1000, 999), Q(12, 7), Q(999), Q(1000)]
@@ -384,17 +384,18 @@ def test_nearest_points_never_leave_the_strip():
                     columns = [-xlim, -xlim + 1, -L, 0, L, xlim - 1, xlim]
                     columns += [rng.randint(-xlim, xlim) for _ in range(12)]
                 for X in columns:
-                    fl, rem = divmod(-X * mp, mq)
-                    below, above = fl - (rem == 0), fl + 1
+                    fl = -X * mp // mq              # the last Y with t <= 0
                     if L <= 60:
                         residues = range(L)
                     else:
-                        residues = [0, L - 1, (below + 1) % L, (above - 1) % L]
+                        residues = [0, L - 1] + [(fl + i) % L for i in (-1, 0, 1)]
                         residues += [rng.randrange(L) for _ in range(24)]
                     for y0 in residues:
-                        for Y, side in ((below - (below - y0) % L, -1), (above + (y0 - above) % L, 1)):
+                        below = fl - (fl - y0) % L
+                        above = below + L if X * mp + below * mq < 0 else below
+                        for Y, side in ((below, -1), (above, 1)):
                             t = X * mp + Y * mq
-                            assert 0 < side * t <= L * mq, (e, m, L, X, y0, Y)
+                            assert 0 <= side * t < L * mq, (e, m, L, X, y0, Y)
                             assert abs(X * mps + Y * ysc) < hw, (e, m, L, X, y0, Y)
                             n += 1
     assert n > 200000, n

@@ -246,6 +246,14 @@ def test_elementary_modification_monotonicity():
     assert exists_above(v3, 1, 0)
 
 
+def test_exists_above_fails_at_an_empty_character():
+    # (15, 3E + 5F, -8) at m = 2509/900 on F_0 is EMPTY (the README's CLI
+    # example), so the harness fails at its first character
+    v = character(15, 3, 5, -8)
+    assert verdict(v, Q(2509, 900), 0) == "EMPTY"
+    assert not exists_above(v, Q(2509, 900), 0)
+
+
 def test_gieseker_gap_at_equal_slopes():
     # (2, -2F) on F_0: Delta = 0 is semistable (O(-F)^2), Delta = 1/2 is not
     # (the orthogonal pair of rank-one pieces of discriminants 0 and 1 is a

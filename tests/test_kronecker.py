@@ -179,6 +179,37 @@ def test_sign_with_sqrt():
     assert sign_with_sqrt(Q(9, 4), Q(-1), 5) > 0   # 9/4 > sqrt 5
     assert sign_with_sqrt(Q(0), Q(0), 7) == 0
     assert sign_with_sqrt(Q(4), Q(-2), 4) == 0     # 4 - 2 sqrt(4) = 0
+    with pytest.raises(ValueError, match="negative radicand"):
+        sign_with_sqrt(Q(1), Q(1), -1)
+
+
+def test_biquadratic_sign_against_square_radicands():
+    # with A = a^2 and B = b^2 the sign of (g0 + g1 sqrt A) + (h0 + h1 sqrt A)
+    # sqrt B is that of g0 + g1 a + (h0 + h1 a) b in Fractions; each mode
+    # builds one cancellation on purpose: H = 0 term by term, H = 0 as a
+    # value, G = 0, and G = -H sqrt B with G and H of opposite signs; a and
+    # b include 0, so sqrt A and sqrt B vanish too
+    rng = random.Random(57)
+    seen = Counter()
+    for mode in ("random", "h_terms", "h_value", "g_value", "cancel") * 120:
+        a, b = rng.randint(0, 6), rng.randint(0, 6)
+        g0, g1, h0, h1 = (Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        if mode == "h_terms":
+            h0 = h1 = Q(0)
+        elif mode == "h_value":
+            h0 = -h1 * a
+        elif mode == "g_value":
+            g0 = -g1 * a
+        elif mode == "cancel":
+            g0 = -g1 * a - (h0 + h1 * a) * b
+        G, H = g0 + g1 * a, h0 + h1 * a
+        want = (G + H * b > 0) - (G + H * b < 0)
+        assert kronecker._sign_biquadratic(g0, g1, h0, h1, a * a, b * b) == want, (a, b, g0, g1, h0, h1)
+        seen["h_terms"] += h0 == h1 == 0
+        seen["h_value"] += H == 0 and (h0, h1) != (0, 0)
+        seen["g_value"] += G == 0 and H != 0
+        seen["cancel"] += G * H < 0 and want == 0
+    assert min(seen[mode] for mode in ("h_terms", "h_value", "g_value", "cancel")) >= 20, seen
 
 
 def test_delta_closed_form_values():

@@ -10,6 +10,7 @@ import pytest
 from conftest import random_integral_character
 from hirzebruch import (
     BogomolovViolation,
+    CacheError,
     CH_O,
     ChernCharacter,
     DivisorClass,
@@ -53,6 +54,7 @@ from hirzebruch import (
     params_for_slope,
     parse_integer,
     parse_rational,
+    pi_map,
     polarization_divisor,
     potential_characters,
     prioritary_nonempty,
@@ -346,6 +348,44 @@ def test_integer_key_refusals():
     for v in NO_KEY:
         with pytest.raises(ValueError, match="integral c1 and 2 ch2"):
             int_key(v)
+
+
+def test_guards_refuse_what_they_name(tmp_path):
+    # one call per refusal: rank 0 where the rank divides, a non-integral
+    # class or character where an integral one is needed, Delta < 0, the
+    # other surface's base table or cache rows, an unreadable cache and a
+    # reduction step in neither direction
+    zero, v = character(0, 1, 0, 0), character(2, 1, 0, 0)
+    for call in (zero.nu, lambda: zero.delta(0), lambda: euler_char(zero, 0),
+                 lambda: euler_pair(zero, v, 0), lambda: euler_pair(v, zero, 0),
+                 lambda: mu(zero, 1), lambda: reduced_hilbert_key(zero, 1, 0)):
+        with pytest.raises(ZeroDivisionError, match="positive rank"):
+            call()
+    half = DivisorClass(Q(1, 2), 0)
+    with pytest.raises(IntegralityError, match="line bundle class must be integral"):
+        line_bundle(half, 0)
+    with pytest.raises(IntegralityError, match="twisting class must be integral"):
+        twist(v, half, 0)
+    with pytest.raises(BogomolovViolation, match="< 0"):
+        l0_and_psi(character(2, 1, 0, Q(1, 4)), 0)         # Delta = -1/8
+    for e in (0, 1):
+        with pytest.raises(ValueError, match="character is not integral"):
+            gaeta_exponents(character(3, 1, 0, Q(-1, 3)), e)
+        with pytest.raises(ValueError, match="needs positive rank"):
+            general_cohomology(zero, e)
+        with pytest.raises(IntegralityError, match="is not integral"):
+            general_cohomology(character(2, 0, 0, Q(-1, 4)), e)
+    table1 = build_table(1, 2)
+    with pytest.raises(ValueError, match="different surface"):
+        build_table(0, 3, base=table1)
+    path = str(tmp_path / "exc.jsonl")
+    with pytest.raises(CacheError, match="cannot read cache"):
+        load_table(path, 1)
+    save_table(table1, path)
+    with pytest.raises(CacheError, match="row for e=1 in a cache opened for e=0"):
+        load_table(path, 0)
+    with pytest.raises(ValueError, match="direction must be"):
+        pi_map(v, "sideways")
 
 
 def test_no_key_inputs_are_refused_everywhere():
