@@ -53,7 +53,8 @@ canonical pairs per rank, shared by `potential_characters` and
 `lattice.int_key`) and `build_table`.  A cache starts with a header line
 holding e, max_rank, the rows per rank and the sha256 of the row lines;
 `load_table` refuses a cache whose header is missing or does not match its
-rows, and rows that fail `_check_row`.  A table of rank >= 1 holds exactly
+rows, and rows that fail `_check_row` (CacheError), and a sound cache of
+the other surface (ValueError).  A table of rank >= 1 holds exactly
 one rank-1 row, (1, 0, 0), and one of rank 0 no row: `_check_rank_one`
 refuses a missing or repeated rank-1 row in a `build_table` base (ValueError)
 and in a loaded cache (CacheError).
@@ -449,8 +450,21 @@ def save_table(table: ExceptionalTable, path: str) -> None:
 def load_table(path: str, e: int) -> ExceptionalTable:
     """Load a cache; raises CacheError on unreadable or inconsistent content,
     a missing header or rows that do not match it.  The table covers the
-    header's max_rank."""
+    header's max_rank.  A sound cache of the other surface raises ValueError,
+    as a `build_table` base of the other surface does: it is not corrupt, so
+    it is no reason to rebuild the file in place."""
     check_del_pezzo(e)
+    try:
+        return _read_table(path, e)
+    except CacheError as err:
+        try:
+            _read_table(path, 1 - e)
+        except CacheError:
+            raise err from None
+    raise ValueError("cache %s holds the table of F_%d, not of F_%d" % (path, 1 - e, e))
+
+
+def _read_table(path: str, e: int) -> ExceptionalTable:
     try:
         with open(path) as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]

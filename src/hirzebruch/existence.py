@@ -17,7 +17,8 @@ enumerates first factors w_1 = (r1, a1 E + b1 F, ch2_1) with
 
   * r1 in [1, r-1] and slope inside the quadrilateral
       |(nu_1 - nu).F| < max(1, 2/(e+2m)),   mu(v) <= mu(w_1) <= mu(v) + (r - r1)/r
-    (the first factor carries the maximal slope; past the right end
+    (the Delta cuts below imply the fiber bound; the first factor
+    carries the maximal slope; past the right end
     mu(w_1) - mu(u) > 1 for u = v - w_1, and the last factor of any tail
     has mu <= mu(u), so (3) fails for every tail),
   * Delta_1 pinned by chi(w_1, v) = chi(w_1, w_1), i.e. the orthogonality
@@ -39,8 +40,8 @@ Then every chi(w_1, f_j) <= 0, and a zero sum forces each one to 0.
 The inner loops run on plain integers.  Characters are keys (r, a, b, 2 ch2)
 from `lattice.int_key`, Delta is read from 2 r^2 Delta = 2ab - e a^2 - r s
 and chi from 2 chi (`lattice.delta2`, `lattice.chi2`), m enters as its
-reduced pair (p, q) and the fiber window as the integer pair
-`lattice.fiber_window(p, q, e)`.  `_cuts` derives the Delta_1 and
+reduced pair (p, q) and the fiber window of `_is_wall_key` as the integer
+pair `lattice.fiber_window(p, q, e)`.  `_cuts` derives the Delta_1 and
 Delta(u) cuts once per r1, signed by sign(2 r1 - r) so that each reads
 c1 b1 + c0 >= 0, with c1 linear and c0 quadratic in a1.  For fixed (r1, a1) the pinned ch2_1
 is linear in b1 too: the b1 loop walks the mu window cut to the half-lines
@@ -75,15 +76,33 @@ test reads k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2 in integers, that
 is max(r1, r - r1) >= need for one threshold need per search, so the ranks
 kept are two runs, [1, r - need] and [need, r - 1]: all of [1, r) when
 2 need <= r + 1, none when need >= r.  With no rank left the search goes
-straight to its closing check, before the fiber window and the degree of v
-are computed.  Then `_a1_window` bounds a1 for each r1 left from the same
-cuts: with b1 relaxed to the real mu window, each cut at either end of the
-window is a quadratic in a1.  A cut that opens upwards bounds nothing; one
-that opens downwards (Delta(u) when 2 r1 > r, Delta_1 when 2 r1 < r, one
-of the two when 2 r1 = r) leaves no b1 to visit for the a1 outside the
-hull of its two nonnegativity intervals (`math.isqrt` roots, widened by
-one).  Per a1 the search reads both cuts as b1 half-lines, on integer
-locals.  The generic prioritary index comes from
+straight to its closing check, before the degree of v is computed.  Then
+`_a1_window` bounds a1 for each r1 left by one of the same cuts: with b1
+relaxed to the real mu window, a cut at either end of the window is a
+quadratic in a1 whose a1^2 coefficient, den v2 - r mp u1 in `_a1_window`,
+is sg r^3 hn for the Delta_1 cut and -sg r^3 r1 hn for the Delta(u) cut,
+sg = sign(2 r1 - r) (1 when 2 r1 = r).  So exactly one cut opens
+downwards, Delta_1 when 2 r1 < r and Delta(u) when 2 r1 >= r, and the
+window is the hull of its two nonnegativity intervals (`math.isqrt` roots,
+widened by one); the other cut bounds no a1.  Per a1 the search reads both
+cuts as b1 half-lines, on integer locals.
+
+The downward cut alone implies the fiber bound of the quadrilateral.  Write
+delta = x E + y F, so x = delta.F, with t = delta.H_m in [-(r - r1)/r, 0],
+h = 2m + e and X = max(1, 2/h); then P(delta) = (x + 1)(1 + t - x h/2) and
+1 + t >= r1/r > 0.  When 2 r1 < r the cut reads P(delta) >= Delta + r1/r
+> 0: x <= -1 would make the first factor <= 0 and the second > 0, so
+x > -1, and then 1 + t - x h/2 > 0 gives x < 2/h.  When 2 r1 >= r it reads
+Q(delta) >= (r - r1) Delta/r1 + r1/r > 0, where
+Q = lam (x t - h x^2/2) + t + x (1 - h/2) + 1 is concave in x with
+Q(0) = 1 + t > 0.  For h >= 2, Q(1) = (lam + 1)(t - h/2) + 2 and
+Q(-1) = (lam - 1)(-t - h/2) are <= 0 (-t <= 1/2); for h < 2,
+Q(2/h) <= 2t/h + t and Q(-2/h) <= (2 + t)(1 - 2/h) are < 0 (lam >= 1).
+So Q > 0 only for |x| < X.  At an a1 outside the open fiber window
+|a1/r1 - a/r| < X no real b1 of the mu window passes the downward cut, and
+its per-a1 half-line leaves no b1: the search needs no fiber clip.
+
+The generic prioritary index comes from
 `prioritary.prioritary_index_of_key`.  Filtrations are memoized on
 (e, p, q, key) (Gieseker tie-breaks on walls are not twist-equivariant, so
 no twist sharing).  A broken invariant of the search raises
@@ -238,44 +257,29 @@ def _cuts(vkey: IKey, e: int, r1: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]
              2 * sd * (e * a - b) - ru * p1, -e * rr * r1))
 
 
-def _a1_window(cuts: Tuple[Tuple[int, ...], ...], fr: range, ends: Tuple[int, int], rmp: int, den: int) -> range:
-    """The a1 of the fiber range fr whose mu window may hold a b1 passing
-    both `_cuts` c1 b1 + c0 >= 0 (at 2 r1 = r they meet in the pinning).
-    A superset in integers: b1 is relaxed to the real y of the mu window,
-    den y = nj - rmp a1 with nj in ends; each cut is linear in y, so it
-    holds on the window only if it holds at an end, where den times it is
-    a quadratic in a1.  A cut keeps the hull of its two nonnegativity
-    intervals, widened by one step around `isqrt`, or all of fr when its
-    quadratic does not open downwards."""
-    lo, hi = fr.start, fr.stop
-    for u0, u1, v0, v1, v2 in cuts:
-        qa = den * v2 - rmp * u1
-        if qa >= 0:
-            continue
-        clo, chi = hi, lo             # the hull of nothing yet
-        w = -2 * qa
-        for nj in ends:
-            # den (c1 y + c0) = qa x^2 + qb x + qc
-            qb = den * v1 + u1 * nj - rmp * u0
-            qc = den * v0 + u0 * nj
-            disc = qb * qb - 4 * qa * qc
-            if disc < 0:
-                continue              # negative for every a1
+def _a1_window(cut: Tuple[int, ...], ends: Tuple[int, int], rmp: int, den: int) -> range:
+    """The a1 whose mu window may hold a b1 passing the cut c1 b1 + c0 >= 0
+    of `_cuts` that opens downwards in a1 (module docstring).  A superset
+    in integers: b1 is relaxed to the real y of the mu window,
+    den y = nj - rmp a1 with nj in ends; the cut is linear in y, so it holds
+    on the window only if it holds at an end, where den times it is a
+    quadratic in a1.  The window is the hull of its two nonnegativity
+    intervals, widened by one step around `isqrt`."""
+    u0, u1, v0, v1, v2 = cut
+    qa = den * v2 - rmp * u1          # < 0
+    w = -2 * qa
+    lo = hi = None                    # the hull of nothing yet
+    for nj in ends:
+        # den (c1 y + c0) = qa x^2 + qb x + qc
+        qb = den * v1 + u1 * nj - rmp * u0
+        qc = den * v0 + u0 * nj
+        disc = qb * qb - 4 * qa * qc
+        if disc >= 0:                 # else negative for every a1
             # nonnegative for (qb - sqrt(disc)) / w <= a1 <= (qb + sqrt(disc)) / w
             sq = isqrt(disc) + 1
-            x = (qb - sq) // w + 1
-            if x < clo:
-                clo = x
-            x = -(-(qb + sq) // w)
-            if x > chi:
-                chi = x
-        if clo > lo:
-            lo = clo
-        if chi < hi:
-            hi = chi
-        if lo >= hi:
-            break
-    return range(lo, hi)
+            x, y = (qb - sq) // w + 1, -(-(qb + sq) // w)
+            lo, hi = (x, y) if lo is None else (min(lo, x), max(hi, y))
+    return range(0) if lo is None else range(lo, hi)
 
 
 def _first_ranks(r: int, n2v: int, mp: int, mq: int, e: int) -> Sequence[int]:
@@ -322,7 +326,6 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
     if not ranks:
         return _unsplit(vkey, n0, mp, mq, e)
 
-    cp, cq = fiber_window(mp, mq, e)
     # H_m-degree of v times (r mq): mu(v) = degv / den
     degv = a * mp + b * mq
     den = r * mq
@@ -338,7 +341,8 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
         # denominator s1_den = r1 r |t| (at t = 0 it is unused)
         rtt = r * abs(t)
         s1_den = r1 * rtt
-        for a1 in _a1_window(cuts, _fiber_range(r, a, r1, cp, cq), (n1, n1 + r1 * ru * mq), rmp, den):
+        # the cut that opens downwards in a1: Delta_1 when t < 0, else Delta(u)
+        for a1 in _a1_window(cuts[t >= 0], (n1, n1 + r1 * ru * mq), rmp, den):
             # mu(v) <= mu(w1) <= mu(v) + ru/r
             lo, hi = _mu_window(n1 - a1 * rmp, den, r1, ru, mq)
             # each cut k1 b1 + k0 >= 0 (Delta_1), j1 b1 + j0 >= 0 (Delta(u))

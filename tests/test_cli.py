@@ -304,6 +304,20 @@ def test_cache_that_misses_its_header_is_rebuilt(tmp_path, capsys):
                    "row, (1, 0, 0); rebuilding\n" % cache)
 
 
+def test_cache_of_the_other_surface_exits_2_and_is_kept(tmp_path, capsys, monkeypatch):
+    # one HIRZ_CACHE shared by both surfaces: the F_0 table it holds is
+    # refused as input for an F_1 query, not rebuilt over as corrupt
+    cache = tmp_path / "shared.jsonl"
+    monkeypatch.setenv("HIRZ_CACHE", str(cache))
+    code, _, _ = run_cli(capsys, "exceptional", "--e", "0", "--max-rank", "5")
+    assert code == 0
+    before = cache.read_bytes()
+    code, out, err = run_cli(capsys, "dlp", "--e", "1", "--m", "1", "--nu", "1/3,1/3", "--below-rank", "4")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: cache %s holds the table of F_0, not of F_1\n" % cache
+    assert cache.read_bytes() == before
+
+
 def test_cache_that_names_a_directory_exits_4(tmp_path, capsys, monkeypatch):
     # a directory can be neither read as a cache nor replaced by one, so it
     # is refused with the cache exit code before any table is built

@@ -806,14 +806,16 @@ def _spread_b1(r, a, b, m, r1, a1):
 
 
 def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
-    # brute force in Fractions: an (r1, a1) of the fiber range with a b1 of
-    # the spread window whose pinned Delta_1 and Delta(u) are both >= 0, or
-    # on the pinning P(nu - nu1) = Delta + 1/2 when 2 r1 = r, lies in the
-    # window (integrality of w1 is not asked)
+    # brute force in Fractions: an (r1, a1) with a b1 of the spread window
+    # whose pinned Delta_1 and Delta(u) are both >= 0, or on the pinning
+    # P(nu - nu1) = Delta + 1/2 when 2 r1 = r, lies in the window of the
+    # downward cut (integrality of w1 is not asked); a1 runs over the fiber
+    # range widened by r1 on each side, and the window lies inside the fiber
+    # range: the downward cut implies the fiber bound (module docstring)
     rng = random.Random(43)
     kept = total = tight = pinned = 0
-    for e in (0, 1, 2, 3):
-        for m in (Q(1, 3), Q(1, 2), Q(1), Q(12, 7), Q(3)):
+    for e in range(6):
+        for m in (Q(1, 9), Q(1, 7), Q(1, 3), Q(1, 2), Q(1), Q(12, 7), Q(3)):
             mp, mq = m.numerator, m.denominator
             cp, cq = existence.fiber_window(mp, mq, e)
             for r, a, b, s in _window_cases(rng, e, 16):
@@ -822,12 +824,12 @@ def test_a1_window_keeps_every_pair_with_a_b1_passing_both_deltas():
                 for r1 in range(1, r):
                     fr = existence._fiber_range(r, a, r1, cp, cq)
                     n1 = r1 * (a * mp + b * mq)
-                    win = existence._a1_window(existence._cuts((r, a, b, s), e, r1),
-                                               fr, (n1, n1 + r1 * (r - r1) * mq), r * mp, r * mq)
+                    cut = existence._cuts((r, a, b, s), e, r1)[2 * r1 >= r]
+                    win = existence._a1_window(cut, (n1, n1 + r1 * (r - r1) * mq), r * mp, r * mq)
                     assert fr.start <= win.start and win.stop <= fr.stop or not win
                     total += len(fr)
                     kept += len(win)
-                    for a1 in fr:
+                    for a1 in range(fr.start - r1, fr.stop + r1):
                         for b1 in _spread_b1(r, a, b, m, r1, a1):
                             nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
                             if 2 * r1 == r:
@@ -863,6 +865,14 @@ def test_cuts_are_the_pinned_deltas():
         v = from_key((r, a, b, s))
         nu, dv = v.nu(), v.delta(e)
         cuts = existence._cuts((r, a, b, s), e, r1)
+        sg = -1 if 2 * r1 < r else 1
+        # the a1^2 coefficients of _a1_window, den v2 - r mp u1 with
+        # den = r mq, are sg r^3 hn and -sg r^3 r1 hn, hn = 2 mp + e mq:
+        # exactly one cut opens downwards, Delta_1 when 2 r1 < r, else Delta(u)
+        m = rng.choice((Q(1, 9), Q(1, 2), Q(1), Q(12, 7), Q(7)))
+        mp, mq = m.numerator, m.denominator
+        hn = 2 * mp + e * mq
+        assert [r * mq * c[4] - r * mp * c[1] for c in cuts] == [sg * r ** 3 * hn, -sg * r ** 3 * r1 * hn]
         a1 = rng.randint(-2 * r1, 2 * r1)
         b1s = [rng.randint(-3 * r1, 3 * r1)]
         if 2 * r1 == r:
@@ -871,7 +881,6 @@ def test_cuts_are_the_pinned_deltas():
             if f[1] != f[0] and (f[0] / (f[0] - f[1])).denominator == 1:
                 b1s.append(int(f[0] / (f[0] - f[1])))
         (c1, c0), (d1, d0) = [(u0 + u1 * a1, v0 + v1 * a1 + v2 * a1 * a1) for u0, u1, v0, v1, v2 in cuts]
-        sg = -1 if 2 * r1 < r else 1
         for b1 in b1s:
             nu1 = DivisorClass(Q(a1, r1), Q(b1, r1))
             p = hilbert_P(nu - nu1, e)
@@ -910,11 +919,27 @@ def _corpus_slices(seed):
     return slices
 
 
+def _fiber_box(slices):
+    # one a1 box holding the fiber range of every (v, r1) of the slices: an
+    # a1 window patched to it searches a superset of the fiber-clipped a1
+    box = range(-30, 31)
+    for e, m, chars in slices:
+        cp, cq = fiber_window(m.numerator, m.denominator, e)
+        for v in chars:
+            r, a, _, _ = int_key(v)
+            for r1 in range(1, r):
+                fr = existence._fiber_range(r, a, r1, cp, cq)
+                assert box.start <= fr.start and fr.stop <= box.stop, (v, e, m, r1)
+    return box
+
+
 def test_a1_window_leaves_the_search_unchanged(monkeypatch):
     # the same _prior and _hn_key calls, in the same order and with the same
-    # memo size, as with every rank and the whole fiber range, on a seeded
-    # sample of the criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
+    # memo size, as with every rank and an a1 box holding every fiber range,
+    # on a seeded sample of the criterion-3 corpus (r <= 6, |a|, |b| <= 6,
+    # 0 <= Delta <= 3)
     slices = _corpus_slices(44)
+    box = _fiber_box(slices)
     prior, hn_key = existence._prior, existence._hn_key
 
     def run():
@@ -938,7 +963,7 @@ def test_a1_window_leaves_the_search_unchanged(monkeypatch):
 
     windowed = run()
     monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
-    monkeypatch.setattr(existence, "_a1_window", lambda cuts, fr, ends, rmp, den: fr)
+    monkeypatch.setattr(existence, "_a1_window", lambda cut, ends, rmp, den: box)
     assert run() == windowed
     assert sum(x[0] == "hn" for x in windowed[0]) > 5000
     assert sum(dec is not None and len(dec) > 1 for dec in windowed[1]) > 100
@@ -948,10 +973,12 @@ def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
     # the mu window stops exactly at the spread bound mu(w1) <= mu(v) +
     # (r - r1)/r, so every candidate (w1, u) the search forms has
     # mu(w1) - mu(u) <= 1; widening it back to mu(w1) < mu(v) + 1, with
-    # every rank and the whole fiber range, only adds candidates past that
-    # bound, and _hn_key calls, and changes no filtration on a seeded sample
-    # of the criterion-3 corpus (r <= 6, |a|, |b| <= 6, 0 <= Delta <= 3)
+    # every rank and an a1 box holding every fiber range, only adds
+    # candidates past that bound, and _hn_key calls, and changes no
+    # filtration on a seeded sample of the criterion-3 corpus (r <= 6,
+    # |a|, |b| <= 6, 0 <= Delta <= 3)
     slices = _corpus_slices(46)
+    box = _fiber_box(slices)
     for e, m, chars in slices:
         mp, mq = m.numerator, m.denominator
         cp, cq = fiber_window(mp, mq, e)
@@ -997,7 +1024,7 @@ def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
     assert spread_over == 0
     monkeypatch.setattr(existence, "_mu_window", lambda num, den, r1, ru, mq: (-(-num // den), -(-num // den) + r1))
     monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
-    monkeypatch.setattr(existence, "_a1_window", lambda cuts, fr, ends, rmp, den: fr)
+    monkeypatch.setattr(existence, "_a1_window", lambda cut, ends, rmp, den: box)
     wide, wide_calls, wide_over = run()
     assert wide == spread
     assert wide_calls > spread_calls and wide_over > 0, (wide_calls, spread_calls, wide_over)
@@ -1101,3 +1128,22 @@ def test_high_rank_filtrations(monkeypatch):
         validate_hn(dec, from_key(key), check_moduli=False)
         if key == cases[0][0]:
             assert max(widths) >= 200, max(widths)
+
+
+def test_no_first_factor_without_the_next_prioritary_index_raises(monkeypatch):
+    # _unsplit's invariant: a character with no first factor is
+    # H_{ceil m + 1}-prioritary; a _prior that refuses n >= 2 breaks it
+    prior = existence._prior
+    monkeypatch.setattr(existence, "_prior", lambda key, n, e: n < 2 and prior(key, n, e))
+    existence.clear_cache()
+    with pytest.raises(existence.InternalError, match="inconsistent state: no decomposition found for"):
+        hn_generic(character(2, 1, 0, -1), 1, 0)
+    existence.clear_cache()
+
+
+def test_delta_scan_past_its_cap_raises(monkeypatch):
+    # delta_estimate's invariant: each rank meets a NONEMPTY character within
+    # Delta <= lower + 8; an _hn_key that finds no filtration breaks it
+    monkeypatch.setattr(existence, "_hn_key", lambda key, mp, mq, e: None)
+    with pytest.raises(existence.InternalError, match="delta scan exceeded cap 17/2 at rank 2"):
+        delta_estimate(DivisorClass(Q(1, 2), 0), 1, 0, 4)

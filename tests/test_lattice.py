@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 import re
 from decimal import Decimal
@@ -353,8 +354,8 @@ def test_integer_key_refusals():
 def test_guards_refuse_what_they_name(tmp_path):
     # one call per refusal: rank 0 where the rank divides, a non-integral
     # class or character where an integral one is needed, Delta < 0, the
-    # other surface's base table or cache rows, an unreadable cache and a
-    # reduction step in neither direction
+    # other surface's base table, cache or cache rows, an unreadable cache
+    # and a reduction step in neither direction
     zero, v = character(0, 1, 0, 0), character(2, 1, 0, 0)
     for call in (zero.nu, lambda: zero.delta(0), lambda: euler_char(zero, 0),
                  lambda: euler_pair(zero, v, 0), lambda: euler_pair(v, zero, 0),
@@ -382,6 +383,13 @@ def test_guards_refuse_what_they_name(tmp_path):
     with pytest.raises(CacheError, match="cannot read cache"):
         load_table(path, 1)
     save_table(table1, path)
+    with pytest.raises(ValueError, match="cache .* holds the table of F_1, not of F_0"):
+        load_table(path, 0)
+    # the header names F_0 (its sha256 covers the rows alone, so it still
+    # matches them) over the rows of F_1
+    head, *rows = open(path).read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("".join(ln + "\n" for ln in [json.dumps({**json.loads(head), "e": 0})] + rows))
     with pytest.raises(CacheError, match="row for e=1 in a cache opened for e=0"):
         load_table(path, 0)
     with pytest.raises(ValueError, match="direction must be"):
