@@ -102,6 +102,30 @@ So Q > 0 only for |x| < X.  At an a1 outside the open fiber window
 |a1/r1 - a/r| < X no real b1 of the mu window passes the downward cut, and
 its per-a1 half-line leaves no b1: the search needs no fiber clip.
 
+A top-level search of `delta_estimate`'s scan gets a hint: the key
+V = (rV, aV, bV, sV) of the twisted exceptional bundle behind the DLP
+bound, sV from 2 rV^2 Delta(V) = rV^2 - 1.  Below that bound the general
+sheaf is destabilised by V, so the first factor is often k V or
+v - k V.  After the `_prior(v, ceil m)`, r = 1 and empty-rank exits and
+before its loop, the search tries these for k = 1, 2, ... with
+k rV < r (`_probe`) and accepts a candidate w1, u = v - w1 only through
+every test the loop applies to its own candidates: mu(v) <= mu(w1) <=
+mu(v) + r(u)/r, integrality, Delta_1 >= 0 and Delta(u) >= 0, the pinning
+chi(w1, u) = 0, then the loop's gates `_prior(w1, ceil m + 1)`,
+`_prior(u, ceil m)`, (5), (2) and (3).  Why the
+answer is the same.  A candidate that passes is a decomposition meeting
+(1)-(5): (1) by the `_prior` gates and the tail's own filtration, (2), (3)
+and (5) by their gates, (4) as above.  By the uniqueness of the HN
+filtration at most one first factor passes (criterion 3 of the
+acceptance tests asserts `len(found) <= 1` on its corpus).  And the loop
+meets this candidate: its rank, a1 window and b1 half-lines are proven
+supersets of the integral candidates with both Delta >= 0 and the
+pinning inside the mu window (at 2 r1 = r the s1 range is exactly those
+with both Delta >= 0), so the loop would have found and returned the same
+filtration.  Nothing in this argument reads the hint, so the probe is
+sound for any integer key; the hint only decides how often it hits.
+Recursive searches get no hint.
+
 The generic prioritary index comes from
 `prioritary.prioritary_index_of_key`.  Filtrations are memoized on
 (e, p, q, key) (Gieseker tie-breaks on walls are not twist-equivariant, so
@@ -301,21 +325,23 @@ def _first_ranks(r: int, n2v: int, mp: int, mq: int, e: int) -> Sequence[int]:
     return [*range(1, r - need + 1), *range(need, r)]
 
 
-def _hn_key(key: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
+def _hn_key(key: IKey, mp: int, mq: int, e: int, hint: Optional[IKey] = None) -> Optional[Tuple[IKey, ...]]:
     # NB: cached on the raw key.  Gieseker tie-breaking at non-generic m is
     # not twist-equivariant, so the filtration genuinely belongs to the
-    # character itself, not to a twist-normalized representative.
+    # character itself, not to a twist-normalized representative.  The
+    # hint only orders the search, so it is not part of the memo key.
     ck = (e, mp, mq, key)
     factors = _HN.get(ck, False)    # a filtration is a tuple or None
     if factors is False:
-        factors = _HN[ck] = _search(key, mp, mq, e)
+        factors = _HN[ck] = _search(key, mp, mq, e, hint)
     return factors
 
 
-def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
+def _search(vkey: IKey, mp: int, mq: int, e: int, hint: Optional[IKey] = None) -> Optional[Tuple[IKey, ...]]:
     """Factors of the generic HN filtration at m = mp/mq (lowest terms) of
     an integral key with Delta >= 0, or None when no H_{ceil m}-prioritary
-    sheaves exist."""
+    sheaves exist.  A `hint` key V makes `_probe` try the first factors
+    k V and v - k V before the loop."""
     r, a, b, s = vkey
     n0 = -(-mp // mq)               # ceil(m)
     if not _prior(vkey, n0, e):
@@ -325,6 +351,10 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
     ranks = _first_ranks(r, delta2(vkey, e), mp, mq, e)
     if not ranks:
         return _unsplit(vkey, n0, mp, mq, e)
+    if hint is not None:
+        found = _probe(vkey, hint, n0, mp, mq, e)
+        if found is not None:
+            return found
 
     # H_m-degree of v times (r mq): mu(v) = degv / den
     degv = a * mp + b * mq
@@ -414,6 +444,44 @@ def _search(vkey: IKey, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
                         continue
                     return (w1,) + tail   # (4) follows (module docstring)
     return _unsplit(vkey, n0, mp, mq, e)
+
+
+def _probe(vkey: IKey, hint: IKey, n0: int, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
+    """The filtration of v when its first factor is w1 = k V or w1 = v - k V
+    for the hint V and some k >= 1 with k r(V) < r(v), else None: each
+    candidate meets the loop's window, integrality, Delta and pinning
+    tests and then its gates.  Sound for any integer hint (module
+    docstring)."""
+    r, a, b, s = vkey
+    rV, aV, bV, sV = hint
+    degv = a * mp + b * mq
+    for k in range(1, (r - 1) // rV + 1):
+        kv = (k * rV, k * aV, k * bV, k * sV)
+        rest = (r - k * rV, a - k * aV, b - k * bV, s - k * sV)
+        for w1, u in ((kv, rest), (rest, kv)):
+            r1, a1, b1, s1 = w1
+            # mu(v) <= mu(w1) <= mu(v) + r(u)/r
+            lo, hi = _mu_window(r1 * degv - a1 * r * mp, r * mq, r1, r - r1, mq)
+            if not lo <= b1 < hi:
+                continue
+            if (2 * a1 * b1 - e * a1 * a1 - s1) % 2:
+                continue            # c2(w1) is not an integer
+            if delta2(w1, e) < 0 or delta2(u, e) < 0 or chi2(w1, u, e):
+                continue            # a Delta cut or the pinning fails
+            # the loop's gates, which it keeps inline: a helper call per
+            # candidate cost decide_sweep 1-2%
+            if not _prior(w1, n0 + 1, e) or not _prior(u, n0, e):
+                continue            # necessary for (5); condition (1)
+            if len(_hn_key(w1, mp, mq, e)) != 1:
+                continue            # condition (5)
+            tail = _hn_key(u, mp, mq, e)
+            if not _key_gt(w1, tail[0], mp, mq, e):
+                continue            # condition (2)
+            rl, al, bl, _ = tail[-1]
+            if (a1 * mp + b1 * mq) * rl - (al * mp + bl * mq) * r1 > r1 * rl * mq:
+                continue            # condition (3)
+            return (w1,) + tail
+    return None
 
 
 def _unsplit(vkey: IKey, n0: int, mp: int, mq: int, e: int) -> Tuple[IKey]:
@@ -578,6 +646,11 @@ def delta_estimate(
     memoized search, Delta = (c1^2 - 2 r ch2)/(2 r^2) is compared by
     cross-multiplying, and the witness and its `Fraction` Delta are built
     once, on return.  Lower bound: max(1/2, DLP^{<cutoff}_{H_m}(nu)).
+    Each scanned key's search first tries the first factors k V and
+    v - k V for the twisted exceptional V that gives the DLP bound (the
+    witness-first probe of the module docstring), which answers most keys
+    below the bound without the search's loop and never changes a
+    filtration.
     e must be 0 or 1 (reduce first otherwise) and nu a `DivisorClass`.  The
     wall flag records a slope tie (`is_wall`) of some scanned character;
     the test ignores Delta, so it runs once per rank, on the rank's first
@@ -601,6 +674,11 @@ def delta_estimate(
     bound = _dlp._scan(nu, _dlp.slope_classes(table, e, rank_cutoff), m, e)
     lower = Fraction(1, 2) if bound.value is None else max(Fraction(1, 2), bound.value)
     mp, mq = m.numerator, m.denominator
+    hint = None                     # the key of the exceptional V behind the bound
+    if bound.witness is not None:
+        rV, aV, bV = bound.witness
+        # 2 rV^2 Delta(V) = rV^2 - 1
+        hint = (rV, aV, bV, (2 * aV * bV - e * aV * aV - rV * rV + 1) // rV)
     cap = lower + 8
     best = None                     # (dn, r^2, key) of the best witness
     wall = False
@@ -623,7 +701,7 @@ def delta_estimate(
             key = (r, a, b, s)
             if s == s0:
                 wall = wall or _is_wall_key(key, mp, mq, e)
-            factors = _hn_key(key, mp, mq, e)
+            factors = _hn_key(key, mp, mq, e, hint)
             if factors is not None and len(factors) == 1:
                 best = (dn, rr, key)
                 break

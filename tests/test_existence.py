@@ -388,10 +388,10 @@ def test_degenerate_first_factors_lie_on_the_pinning(monkeypatch):
     prior, search = existence._prior, existence._search
     stack, formed = [], []
 
-    def logged_search(key, mp, mq, e):
+    def logged_search(key, mp, mq, e, *hint):
         stack.append((key, -(-mp // mq) + 1))
         try:
-            return search(key, mp, mq, e)
+            return search(key, mp, mq, e, *hint)
         finally:
             stack.pop()
 
@@ -424,10 +424,10 @@ def test_first_factors_above_rank_six_match_a_fraction_brute_force(monkeypatch):
     prior, search = existence._prior, existence._search
     stack, logged = [], []
 
-    def logged_search(key, mp, mq, e):
+    def logged_search(key, mp, mq, e, *hint):
         stack.append((key, -(-mp // mq) + 1))
         try:
-            return search(key, mp, mq, e)
+            return search(key, mp, mq, e, *hint)
         finally:
             stack.pop()
 
@@ -698,6 +698,32 @@ def test_delta_estimate_matches_the_public_scan(table0, table1):
                 found += br.upper is not None
                 split += br.upper is not None and br.lower > br.upper
     assert 0 < walls < found < 400 and split > 0, (walls, found, split)
+
+
+def test_probe_leaves_every_bracket_unchanged(monkeypatch, wide_tables):
+    # the witness-first probe only reorders the search: every bracket of
+    # the 100 slope classes with denominators <= 5 on F_0 and F_1 at
+    # m = 1 - e/2, at cutoff 16 on both surfaces and 30 on F_1, is the one
+    # of the search with the probe off, memo cleared per bracket; the probe
+    # hits, so a probe that never answers does not pass
+    probe, hits = existence._probe, []
+
+    def counting_probe(*args):
+        found = probe(*args)
+        hits.append(found is not None)
+        return found
+
+    for e, cutoff in ((0, 16), (1, 16), (1, 30)):
+        m = 1 - Q(e, 2)
+        for x, y in itertools.product(SLOPES_DEN5, repeat=2):
+            nu = DivisorClass(x, y)
+            brackets = []
+            for patched in (counting_probe, lambda *args: None):
+                monkeypatch.setattr(existence, "_probe", patched)
+                existence.clear_cache()
+                brackets.append(delta_estimate(nu, m, e, cutoff, wide_tables[e]))
+            assert brackets[0] == brackets[1], (e, cutoff, nu)
+    assert sum(hits) > 1000 and not all(hits), (sum(hits), len(hits))
 
 
 def test_delta_estimate_tests_walls_once_per_rank_and_builds_one_witness(monkeypatch, table1):
@@ -992,10 +1018,10 @@ def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
     hn_key, search = existence._hn_key, existence._search
     searching, calls, over = [], [], []
 
-    def logged_search(key, mp, mq, e):
+    def logged_search(key, mp, mq, e, *hint):
         searching.append(key)
         try:
-            return search(key, mp, mq, e)
+            return search(key, mp, mq, e, *hint)
         finally:
             searching.pop()
 
@@ -1144,6 +1170,6 @@ def test_no_first_factor_without_the_next_prioritary_index_raises(monkeypatch):
 def test_delta_scan_past_its_cap_raises(monkeypatch):
     # delta_estimate's invariant: each rank meets a NONEMPTY character within
     # Delta <= lower + 8; an _hn_key that finds no filtration breaks it
-    monkeypatch.setattr(existence, "_hn_key", lambda key, mp, mq, e: None)
+    monkeypatch.setattr(existence, "_hn_key", lambda *args: None)
     with pytest.raises(existence.InternalError, match="delta scan exceeded cap 17/2 at rank 2"):
         delta_estimate(DivisorClass(Q(1, 2), 0), 1, 0, 4)

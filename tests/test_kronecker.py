@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -16,6 +17,7 @@ from hirzebruch import (
     euler_pair,
     hn_generic,
     kronecker_characters,
+    verdict,
     wall_crossing_epsilon,
     wall_m_l,
     wall_m_v,
@@ -302,13 +304,23 @@ def test_small_params_hn_cross_check():
         done += 1
 
 
-def test_closed_form_matches_estimator(table0, table1):
-    for p, table in ((P_F0, table0), (P_F1, table1)):
-        k, l, v = kronecker_characters(p)
+def test_closed_form_matches_estimator(wide_tables):
+    # every admissible family with e in {0, 1}, ell in 3..5, 1 <= a, b, c <= 3
+    # and d < 40 whose sum character has rank <= 24 (74 families, the
+    # largest d is 25): at the wall m_V, away from the anticanonical
+    # polarization, the estimator's upper bound is the closed form, the
+    # DLP bound stays strictly below it and the witness is NONEMPTY
+    families = [p for p in itertools.starmap(KroneckerParams, itertools.product(
+                    (0, 1), range(3, 6), range(1, 4), range(1, 4), range(1, 4), range(1, 40)))
+                if p.is_admissible() and kronecker_characters(p)[2].r <= 24]
+    assert len(families) == 74 and {P_F0, P_F1} <= set(families)
+    for p in families:
+        v = kronecker_characters(p)[2]
         m = wall_m_v(p)
-        closed = delta_closed_form(v.nu(), m, p.e, p.ell)
-        bracket = delta_estimate(v.nu(), m, p.e, v.r, table)
-        assert bracket.upper == closed
+        bracket = delta_estimate(v.nu(), m, p.e, v.r, wide_tables[p.e])
+        assert bracket.upper == delta_closed_form(v.nu(), m, p.e, p.ell), p
+        assert bracket.lower < bracket.upper, p
+        assert bracket.witness is not None and verdict(bracket.witness, m, p.e) == "NONEMPTY", p
 
 
 # each broken invariant raises InternalError (exit 5 in `hirz`), also under -O

@@ -8,7 +8,9 @@ with the size of the `_HN` memo at the call, and the sha256 of the
 results.  A change to the search that is meant to prune or restructure
 only must print the same digests as its parent at every seed; run the
 script with `--src` pointing at the parent's `src/` (for example an
-unpacked `git archive`) to get the parent's digests.
+unpacked `git archive`) to get the parent's digests.  A change that only
+adds calls, such as a probe that tries likely first factors before the
+search's loop, keeps the `results` digest and moves the `calls` digest.
 
 Every filtration of length >= 2 it hashes is re-checked from scratch by
 `validate_hn(dec, v, check_moduli=False)`: the sum, integrality,
@@ -72,10 +74,10 @@ def main(argv=None) -> int:
         calls.update(repr(("prior", key, n, e, len(existence._HN))).encode())
         return prior(key, n, e)
 
-    def logged_hn_key(key, mp, mq, e):
+    def logged_hn_key(key, mp, mq, e, *hint):
         counts["hn"] += 1
         calls.update(repr(("hn", key, mp, mq, e, len(existence._HN))).encode())
-        return hn_key(key, mp, mq, e)
+        return hn_key(key, mp, mq, e, *hint)
 
     tables = {e: build_table(e, max(c for c, _ in BRACKETS) - 1) for e in (0, 1)}
     existence._prior, existence._hn_key = logged_prior, logged_hn_key
