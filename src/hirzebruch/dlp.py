@@ -42,8 +42,8 @@ exceptionality test of the table build, stops the walk at the first class
 whose value beats the Delta of a rank-r exceptional, which for most
 candidates is O itself.
 The exceptional module walks the stability walls of I_V on the same
-classes with the same scaling and the same end pairs (`LINE_BUNDLES` gives
-the sentinels), so the orbit enumeration and the stability test live here;
+classes with the same scaling, each walk clipped to the class's end pairs,
+so the orbit enumeration and the end pairs live here;
 `exceptional.canonical_pair` reads the same images of a slope (`_images`).
 
 e >= 2 is refused by the gate `lattice.check_del_pezzo`; reduce first.

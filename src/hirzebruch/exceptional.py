@@ -26,25 +26,51 @@ is the connected component of R_{>0} minus
     S_V = { m_{V,W} : W exceptional, r(W) < r(V), chi(W,V) > 0, m_{V,W} in I_W }
 
 containing the anticanonical parameter 1 - e/2, where m_{V,W} = -y/x for
-nu(V) - nu(W) = xE + yF.  `_strip_walls` walks the twists of one slope
-class of W on a vertical (x in (-1, 0)) or horizontal (y in (-1, 0)) strip
-in integers over L = lcm(r(V), r(W)), where chi(W, V) > 0 reads
-hilbert_P2 > 2 L^2 (Delta(V) + Delta(W)) = 2 L^2 - (L/r(V))^2 - (L/r(W))^2.
-A wall is tested as an integer pair against end pairs (`dlp.SlopeClass`)
-and becomes a `Fraction` only when it is yielded.
-Its first walls on O's strips are the sentinels that bracket 1 - e/2 and
-bound every other walk: M1 above it, and M0 below 1 on F_0 (0 on F_1,
-where P > 0 bounds the horizontal strips).
+nu(V) - nu(W) = xE + yF.  `_class_walls` walks both strips of one slope
+class of W in integers over L = lcm(r(V), r(W)), (X, Y)/L = nu(V) - nu(W):
+the vertical strip fixes X in (-L, 0), and m = Y/-X rises with Y; the
+horizontal one fixes Y in (-L, 0), and m = -Y/X falls as X rises.
+chi(W, V) > 0 reads hilbert_P2 > bound = 2 L^2 (Delta(V) + Delta(W))
+= 2 L^2 - (L/r(V))^2 - (L/r(W))^2.  Each strip is one range of lattice
+points, every one of them a wall:
+
+- Clip.  A point is a wall when its m lies in the walked window (lo, hi)
+  and in I_W.  Both are open, so that is their intersection, whose ends
+  are picked from the four end pairs by cross-multiplication; the walk
+  keeps to it and tests no point for stability.
+- Start.  On the vertical strip X + L >= 1, so hilbert_P2 =
+  (X + L)(2Y + 2L - eX) rises strictly with Y and exceeds the bound from
+  Y = ceil((bound // (X + L) + 1 - 2L + eX) / 2) on.  On F_0's horizontal
+  strip hilbert_P2 = 2 (X + L)(Y + L), Y + L >= 1, rises with X and exceeds
+  it from X = bound // (2 (Y + L)) + 1 - L on.  On F_1's horizontal strip
+  hilbert_P2 = u (K - u), u = X + L, K = 2Y + 3L, is concave, and exceeds
+  the bound exactly for |2u - K| <= isqrt(K^2 - 4 bound - 1); that interval
+  also ends the strip where P > 0 does, so the window may end at m = 0.
+  A strip starts at the larger of its window start and its chi start,
+  snapped up onto the lattice (X = x0, Y = y0 mod L), and ends at the
+  window's far end, or sooner at the end of F_1's interval.
+- One setup per class.  L, the offsets and the bound are computed once
+  per class; a wall is keyed by its reduced integer pair (p, q), m = p/q,
+  keeping the smaller witness on a tie, and only the two ends of I_V
+  become `Fraction`s.
+
+The sentinels bracket 1 - e/2 and bound every other walk: the first
+points of O's strips past it, walls since O is stable at every m > 0.
+They are M1 above it on the vertical strip and M0 below it on the
+horizontal strip of F_0 (0 on F_1, where the chi interval bounds the
+horizontal strips).  Every class is stable at 1 - e/2, so no clip is empty
+there.
 
 Characters are normalized to the ranges 0 <= a < r/2, a <= b < r (e = 0,
 using the fiber swap) and 0 <= a <= r/2, 0 <= b < r (e = 1), so tables are
 reproducible byte for byte.
 
-The twist/dual/swap orbit of a table row, the open-interval stability test
-and the coverage check on a table live in `dlp` (`SlopeClass`, `orbit`,
-`slope_classes`), which scans the same classes for DLP^{<r}; a table lists
-its classes once, in ascending rank (`ExceptionalTable.classes`), which
-the DLP walk needs to end at the first rank that cannot beat its best.
+The twist/dual/swap orbit of a table row, the slope classes with their
+interval end pairs and the coverage check on a table live in `dlp`
+(`SlopeClass`, `orbit`, `slope_classes`), which scans the same classes
+for DLP^{<r}; a table lists its classes once, in ascending rank
+(`ExceptionalTable.classes`), which the DLP walk needs to end at the first
+rank that cannot beat its best.
 A slope class is integers (rank, a, b) with its interval, and its Delta is
 `exceptional_delta(rank)`.  `_candidates` is the one enumeration of
 canonical pairs per rank, shared by `potential_characters` and
@@ -68,7 +94,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
@@ -83,7 +109,6 @@ from .lattice import (
     chi2,
     delta2,
     format_rational,
-    hilbert_P2,
     int_key,
     parse_rational,
 )
@@ -101,10 +126,8 @@ def exceptional_delta(r: int) -> Fraction:
 
 def exceptional_character(r: int, a: int, b: int, e: int) -> ChernCharacter:
     """The unique character with chi(v,v) = 1, rank r and c1 = aE + bF."""
-    c1 = DivisorClass(a, b)
-    nu2 = Fraction(2 * a * b - e * a * a, r * r)
-    ch2 = r * (nu2 / 2 - exceptional_delta(r))
-    return ChernCharacter(r, c1, ch2)
+    # ch2 = r (nu^2 / 2 - Delta) with Delta = 1/2 - 1/(2 r^2)
+    return ChernCharacter(r, DivisorClass(a, b), Fraction(2 * a * b - e * a * a - r * r + 1, 2 * r))
 
 
 @dataclass(frozen=True)
@@ -240,36 +263,53 @@ def _beaten(classes, r: int, a: int, b: int, e: int) -> bool:
     return dlp.exceeds_exceptional_delta(classes, a, b, r, 2 - e, 2, e)     # m as a pair
 
 
-def _strip_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int,
-                 vertical: bool, lo: Tuple[int, int], hi: Tuple[int, int]):
-    """Walls lo < m < hi (end pairs, (1, 0) = +inf) of the twists W of `cls`
-    against the rank-r V with c1 = AE + BF, with their witnesses, in walk
-    order (m rises on the vertical strip, falls on the horizontal one)."""
+def _class_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int,
+                 lo: Tuple[int, int], hi: Tuple[int, int], walls: dict) -> None:
+    """Add to `walls` (reduced (p, q) -> smallest witness) the walls
+    lo < m = p/q < hi of the twists W of `cls` against the rank-r V with
+    c1 = AE + BF, for end pairs with hi finite and, on F_0, lo > 0; the
+    strips are clipped to the class's own interval and walked from their
+    first point with chi(W, V) > 0."""
+    (lp, lq), (hp, hq) = cls.lo, cls.hi
+    if lp * lo[1] < lo[0] * lq:
+        lp, lq = lo
+    if hi[0] * hq < hp * hi[1]:
+        hp, hq = hi
     rank = cls.rank
     L = lcm(r, rank)
+    k = L // rank
     nx, ny = A * (L // r), B * (L // r)         # (X, Y)/L = nu(V) - nu(W)
-    x0, y0 = nx - cls.a * (L // rank), ny - cls.b * (L // rank)
-    bound = 2 * L * L - (L // r) ** 2 - (L // rank) ** 2
-    lp, lq = lo
-    hp, hq = hi
-    if vertical:
-        X = x0 % L - L
-        Y = lp * -X // lq + 1
+    x0, y0 = nx - cls.a * k, ny - cls.b * k
+    bound = 2 * L * L - (L // r) ** 2 - k * k
+    X = x0 % L - L
+    if X != -L:                                 # else the fixed coordinate is integral
+        # vertical strip, m = Y/-X: from lo and hilbert_P2 > bound to hi
+        first = max(lp * -X // lq + 1, -((2 * L - e * X - 1 - bound // (X + L)) // 2))
+        for Y in range(first + (y0 - first) % L, (hp * -X - 1) // hq + 1, L):
+            g = gcd(Y, X)
+            m, wit = (Y // g, -X // g), (rank, (nx - X) // k, (ny - Y) // k)
+            walls[m] = min(walls.get(m, wit), wit)
+    Y = y0 % L - L
+    if Y == -L:
+        return
+    # horizontal strip, m = -Y/X: from hi to lo (no end for lo = 0), cut to
+    # hilbert_P2 > bound, a half-line in X on F_0 and an interval on F_1
+    first = -Y * hq // hp + 1
+    last = (-Y * lq - 1) // lp if lp else None
+    if e == 0:
+        first = max(first, bound // (2 * (Y + L)) + 1 - L)
     else:
-        Y = y0 % L - L
-        X = -Y * hq // hp + 1
-    if -L in (X, Y):
-        return                                  # the fixed coordinate is integral
-    X += (x0 - X) % L
-    Y += (y0 - Y) % L
-    # on the horizontal strip of F_1, P > 0 needs 2 (Y + L) - X > 0
-    while (Y * hq < hp * -X if vertical
-           else X * lp < -Y * lq and e * X < 2 * (Y + L)):
-        if hilbert_P2(X, Y, L, e) > bound:
-            p, q = (Y, -X) if vertical else (-Y, X)     # m = p/q, q > 0
-            if cls.stable_at(p, q):
-                yield Fraction(p, q), (rank, (nx - X) * rank // L, (ny - Y) * rank // L)
-        X, Y = (X, Y + L) if vertical else (X + L, Y)
+        K = 2 * Y + 3 * L                       # hilbert_P2 = u (K - u), u = X + L
+        D = K * K - 4 * bound                   # u (K - u) > bound iff (2u - K)^2 < D
+        if D <= 0:
+            return
+        u = (K + isqrt(D - 1)) // 2             # the largest u; the least is K - u
+        first = max(first, K - u - L)
+        last = u - L if last is None else min(last, u - L)
+    for X in range(first + (x0 - first) % L, last + 1, L):
+        g = gcd(X, Y)
+        m, wit = (-Y // g, X // g), (rank, (nx - X) // k, (ny - Y) // k)
+        walls[m] = min(walls.get(m, wit), wit)
 
 
 def stability_interval(
@@ -292,29 +332,35 @@ def stability_interval(
     if A % r == 0 or B % r == 0 or delta2(key, e) != r * r - 1:
         raise ValueError("an exceptional character of rank >= 2 has a slope with non-integral "
                          "coordinates and Delta = 1/2 - 1/(2 r^2)")
-    anch = 1 - Fraction(e, 2)
-    walls = {}
-
-    def record_wall(m: Fraction, wit: Witness) -> Tuple[int, int]:
-        if m == anch:
-            raise InternalError("anticanonical stability violated at %s by %r" % (m, wit))
-        walls[m] = min(walls.get(m, wit), wit)
-        return m.numerator, m.denominator
-
-    line = dlp.LINE_BUNDLES
-    anch2 = (2 - e, 2)                          # anch as an end pair
-    m1 = record_wall(*next(_strip_walls(line, r, A, B, e, True, anch2, (1, 0))))
+    anch = (2 - e, 2)                           # 1 - e/2 as an end pair
+    # the sentinels, the first points of O's strips past 1 - e/2: the starts
+    # of `_class_walls` for O (L = r, bound = r^2 - 1), stable at every m > 0
+    X = A % r - r
+    Y = max((2 - e) * -X // 2 + 1, -((2 * r - e * X - 1 - (r * r - 1) // (X + r)) // 2))
+    Y += (B - Y) % r
+    g = gcd(X, Y)
+    m1 = (Y // g, -X // g)
+    walls = {m1: (1, (A - X) // r, (B - Y) // r)}
     m0 = (0, 1)
     if e == 0:
-        m0 = record_wall(*next(_strip_walls(line, r, A, B, e, False, m0, anch2)))
+        Y = B % r - r
+        X = max(-Y + 1, (r * r - 1) // (2 * (Y + r)) + 1 - r)
+        X += (A - X) % r
+        g = gcd(X, Y)
+        m0 = (-Y // g, X // g)
+        walls[m0] = (1, (A - X) // r, (B - Y) // r)
     for cls in classes:
-        for vertical in (True, False):
-            for m, wit in _strip_walls(cls, r, A, B, e, vertical, m0, m1):
-                record_wall(m, wit)
-
-    hi = min(m for m in walls if m > anch)      # m1 is one of them
-    lo = max((m for m in walls if m < anch), default=Fraction(0))
-    return lo, hi, walls.get(lo), walls[hi]
+        _class_walls(cls, r, A, B, e, m0, m1, walls)
+    lo, hi = (0, 1), m1
+    for m, wit in walls.items():
+        if m[0] * anch[1] == anch[0] * m[1]:
+            raise InternalError("anticanonical stability violated at %d/%d by %r" % (*m, wit))
+        if m[0] * anch[1] > anch[0] * m[1]:
+            if m[0] * hi[1] < hi[0] * m[1]:
+                hi = m
+        elif lo[0] * m[1] < m[0] * lo[1]:
+            lo = m
+    return Fraction(*lo), Fraction(*hi), walls.get(lo), walls[hi]
 
 
 def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> ExceptionalTable:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -265,15 +266,16 @@ def test_stability_interval_refusals(table0, table1):
 
 
 def fraction_strip_walls(cls, v, e, vertical, lo, hi, box):
-    """The walls of `exceptional._strip_walls` by brute force over the twists
-    by iE + jF, |i|, |j| <= box, of `cls`, in Fraction arithmetic."""
+    """The walls of `exceptional._class_walls` on one strip by brute force
+    over the twists by iE + jF, |i|, |j| <= box, of `cls`, in Fraction
+    arithmetic."""
     nu = v.nu()
     dv, dw = v.delta(e), exceptional.exceptional_delta(cls.rank)
+    xs = [(i, nu.a - Q(cls.a, cls.rank) - i) for i in range(-box, box + 1)]
+    ys = [(j, nu.b - Q(cls.b, cls.rank) - j) for j in range(-box, box + 1)]
     out = []
-    for i in range(-box, box + 1):
-        for j in range(-box, box + 1):
-            x = nu.a - Q(cls.a, cls.rank) - i
-            y = nu.b - Q(cls.b, cls.rank) - j
+    for i, x in xs:
+        for j, y in ys:
             if not (-1 < (x if vertical else y) < 0) or (y if vertical else x) <= 0:
                 continue
             m = -y / x
@@ -283,8 +285,12 @@ def fraction_strip_walls(cls, v, e, vertical, lo, hi, box):
 
 
 def test_strip_walls_match_fraction_enumeration(table0, table1):
-    # bounds drawn from the walls themselves, so the open ends are hit exactly
+    # both strips of every class against the rows of rank <= 15 (8 random
+    # classes above), in windows with ends drawn from the walls themselves,
+    # so the open ends are hit exactly, and windows that reach past or end
+    # on the class's own interval ends, so the clip decides
     rng = random.Random(5)
+    box = (Q(1, 8), Q(8))
     for table in (table0, table1):
         e = table.e
         classes = dlp.slope_classes(table, e, 20)
@@ -292,18 +298,23 @@ def test_strip_walls_match_fraction_enumeration(table0, table1):
             if rec.r < 3:
                 continue
             v = rec.character(e)
-            for _ in range(8):
-                cls = rng.choice(classes)
-                vertical = rng.random() < 0.5
-                walls = fraction_strip_walls(cls, v, e, vertical, Q(1, 8), Q(8), 10)
-                ms = sorted({m for m, _ in walls})
-                if len(ms) < 2:
-                    continue
-                lo, hi = sorted(rng.sample(ms, 2))
-                want = [w for w in walls if lo < w[0] < hi]
-                window = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
-                got = list(exceptional._strip_walls(cls, rec.r, rec.a, rec.b, e, vertical, *window))
-                assert got == want, (e, rec, cls, vertical, lo, hi)
+            for cls in (classes if rec.r <= 15 else rng.sample(classes, 8)):
+                walls = {}                  # m -> smallest witness, both strips
+                for vertical in (True, False):
+                    for m, wit in fraction_strip_walls(cls, v, e, vertical, *box, 10):
+                        walls[m] = min(walls.get(m, wit), wit)
+                ends = [t for t in map(fraction_end, (cls.lo, cls.hi)) if t is not None and box[0] < t < box[1]]
+                windows = [box] + [(box[0], t) for t in ends] + [(t, box[1]) for t in ends]
+                ms = sorted(walls)
+                if len(ms) >= 2:
+                    windows.append(tuple(sorted(rng.sample(ms, 2))))
+                for lo, hi in windows:
+                    want = {m: wit for m, wit in walls.items() if lo < m < hi}
+                    got = {}
+                    exceptional._class_walls(cls, rec.r, rec.a, rec.b, e, (lo.numerator, lo.denominator),
+                                             (hi.numerator, hi.denominator), got)
+                    assert {Q(*m): wit for m, wit in got.items()} == want, (e, rec, cls, lo, hi)
+                    assert all(gcd(*m) == 1 for m in got)
 
 
 def test_wall_at_anticanonical_parameter_is_internal_error():
@@ -353,8 +364,8 @@ def test_is_stable_at(table0, table1):
 
 
 def test_stable_at_reads_unreduced_pairs(table0):
-    # the strip walk tests a wall -Y/X as the pair (Y, -X) or (-Y, X) as it
-    # comes, so stable_at(k p, k q) must equal stable_at(p, q); checked on
+    # a slope -Y/X may come as the unreduced pair (Y, -X) or (-Y, X), so
+    # stable_at(k p, k q) must equal stable_at(p, q); checked on
     # and around both ends, 0 and +inf included, against Fractions
     swapped = []
     for lo, hi in ((Q(0), Q(2)), (Q(1, 2), None)):
