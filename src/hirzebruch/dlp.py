@@ -41,9 +41,9 @@ The walk has two callers.  `_scan` takes the whole maximum; the one
 exceptionality test of the table build, stops the walk at the first class
 whose value beats the Delta of a rank-r exceptional, which for most
 candidates is O itself.
-The exceptional module walks the stability walls of I_V on the same
-classes with the same scaling, each walk clipped to the class's end pairs,
-so the orbit enumeration and the end pairs live here;
+The exceptional module finds the nearest stability walls of I_V on the
+same classes with the same scaling, each kept inside the class's end
+pairs, so the orbit enumeration and the end pairs live here;
 `exceptional.canonical_pair` reads the same images of a slope (`_images`).
 
 e >= 2 is refused by the gate `lattice.check_del_pezzo`; reduce first.
@@ -124,11 +124,6 @@ class SlopeClass(NamedTuple):
     b: int
     lo: Tuple[int, int]         # (p, q) for p/q, q > 0
     hi: Tuple[int, int]         # (p, q) for p/q, q >= 0; (1, 0) = +infinity
-
-    def stable_at(self, p: int, q: int) -> bool:
-        """mu_{H_m}-stability at m = p/q (q > 0, any scale): lo < m < hi."""
-        (lp, lq), (hp, hq) = self.lo, self.hi
-        return lp * q < p * lq and p * hq < hp * q
 
 
 LINE_BUNDLES = SlopeClass(1, 0, 0, (0, 1), (1, 0))

@@ -26,40 +26,41 @@ is the connected component of R_{>0} minus
     S_V = { m_{V,W} : W exceptional, r(W) < r(V), chi(W,V) > 0, m_{V,W} in I_W }
 
 containing the anticanonical parameter 1 - e/2, where m_{V,W} = -y/x for
-nu(V) - nu(W) = xE + yF.  `_class_walls` walks both strips of one slope
-class of W in integers over L = lcm(r(V), r(W)), (X, Y)/L = nu(V) - nu(W):
-the vertical strip fixes X in (-L, 0), and m = Y/-X rises with Y; the
+nu(V) - nu(W) = xE + yF.  So only the nearest wall on each side of 1 - e/2
+decides I_V.  `_nearest_walls` finds them for one slope class of W in
+integers over L = lcm(r(V), r(W)), (X, Y)/L = nu(V) - nu(W), on two
+strips: the vertical one fixes X in (-L, 0), and m = Y/-X rises with Y; the
 horizontal one fixes Y in (-L, 0), and m = -Y/X falls as X rises.
 chi(W, V) > 0 reads hilbert_P2 > bound = 2 L^2 (Delta(V) + Delta(W))
-= 2 L^2 - (L/r(V))^2 - (L/r(W))^2.  Each strip is one range of lattice
-points, every one of them a wall:
+= 2 L^2 - (L/r(V))^2 - (L/r(W))^2.
 
-- Clip.  A point is a wall when its m lies in the walked window (lo, hi)
-  and in I_W.  Both are open, so that is their intersection, whose ends
-  are picked from the four end pairs by cross-multiplication; the walk
-  keeps to it and tests no point for stability.
-- Start.  On the vertical strip X + L >= 1, so hilbert_P2 =
+- The chi range.  On the vertical strip X + L >= 1, so hilbert_P2 =
   (X + L)(2Y + 2L - eX) rises strictly with Y and exceeds the bound from
-  Y = ceil((bound // (X + L) + 1 - 2L + eX) / 2) on.  On F_0's horizontal
-  strip hilbert_P2 = 2 (X + L)(Y + L), Y + L >= 1, rises with X and exceeds
-  it from X = bound // (2 (Y + L)) + 1 - L on.  On F_1's horizontal strip
-  hilbert_P2 = u (K - u), u = X + L, K = 2Y + 3L, is concave, and exceeds
-  the bound exactly for |2u - K| <= isqrt(K^2 - 4 bound - 1); that interval
-  also ends the strip where P > 0 does, so the window may end at m = 0.
-  A strip starts at the larger of its window start and its chi start,
-  snapped up onto the lattice (X = x0, Y = y0 mod L), and ends at the
-  window's far end, or sooner at the end of F_1's interval.
-- One setup per class.  L, the offsets and the bound are computed once
-  per class; a wall is keyed by its reduced integer pair (p, q), m = p/q,
-  keeping the smaller witness on a tie, and only the two ends of I_V
-  become `Fraction`s.
-
-The sentinels bracket 1 - e/2 and bound every other walk: the first
-points of O's strips past it, walls since O is stable at every m > 0.
-They are M1 above it on the vertical strip and M0 below it on the
-horizontal strip of F_0 (0 on F_1, where the chi interval bounds the
-horizontal strips).  Every class is stable at 1 - e/2, so no clip is empty
-there.
+  Y = first = ceil((bound // (X + L) + 1 - 2L + eX) / 2) on.  On F_0's
+  horizontal strip hilbert_P2 = 2 (X + L)(Y + L), Y + L >= 1, rises with X
+  and exceeds it from X = first = bound // (2 (Y + L)) + 1 - L on.  On
+  F_1's horizontal strip hilbert_P2 = u (K - u), u = X + L, K = 2Y + 3L, is
+  concave, and exceeds the bound exactly for |2u - K| <= isqrt(K^2 -
+  4 bound - 1), from X = first to X = last.
+- The nearest points.  m is monotone along a strip, so its nearest
+  chi > 0 points on either side of 1 - e/2 are two: the last lattice point
+  (X = x0, Y = y0 mod L) at or before the crossing, in the order of the
+  moving coordinate, kept if it is in the chi range, and the first one
+  after the crossing, moved up to the range's start.  On the horizontal
+  strip the crossing is the integer X = -2Y/(2 - e); on F_1 the last point
+  is taken at or before `last` too, one snap onto the lattice serving
+  both, and the first one is kept only up to `last`.  A kept point at
+  1 - e/2 itself raises `lattice.InternalError`: V is not exceptional, or
+  the table is wrong.
+- Walls.  Every class is stable at 1 - e/2, and I_W is open, so a nearest
+  point is a wall iff its m lies strictly inside the class's own (lo, hi);
+  if it does not, no point further out on its side does.
+- The ends.  They start at (0, +infinity) and move to a class's wall when
+  it is nearer, by cross-multiplication, keeping the smaller witness on a
+  tie.  O comes first among the classes and is stable at every m > 0: its
+  vertical strip always gives a finite upper end, and on F_0 its
+  horizontal strip a positive lower one.  Only the two ends become
+  `Fraction`s.
 
 Characters are normalized to the ranges 0 <= a < r/2, a <= b < r (e = 0,
 using the fiber swap) and 0 <= a <= r/2, 0 <= b < r (e = 1), so tables are
@@ -103,6 +104,7 @@ from .lattice import (
     ChernCharacter,
     DivisorClass,
     InternalError,
+    Rat,
     check_count,
     check_del_pezzo,
     check_rank,
@@ -124,10 +126,19 @@ def exceptional_delta(r: int) -> Fraction:
     return Fraction(1, 2) - Fraction(1, 2 * r * r)
 
 
+def exceptional_key(r: int, a: int, b: int, e: int) -> Tuple[int, int, int, Rat]:
+    """(r, a, b, 2 ch2) of the unique character with chi(v,v) = 1, rank r
+    and c1 = aE + bF; 2 ch2 is an int when it is integral (as for every
+    twist of an exceptional bundle), else a Fraction."""
+    # 2 ch2 = r (nu^2 - 2 Delta) with Delta = 1/2 - 1/(2 r^2)
+    n = 2 * a * b - e * a * a - r * r + 1
+    return r, a, b, n // r if n % r == 0 else Fraction(n, r)
+
+
 def exceptional_character(r: int, a: int, b: int, e: int) -> ChernCharacter:
     """The unique character with chi(v,v) = 1, rank r and c1 = aE + bF."""
-    # ch2 = r (nu^2 / 2 - Delta) with Delta = 1/2 - 1/(2 r^2)
-    return ChernCharacter(r, DivisorClass(a, b), Fraction(2 * a * b - e * a * a - r * r + 1, 2 * r))
+    s = exceptional_key(r, a, b, e)[3]
+    return ChernCharacter(r, DivisorClass(a, b), Fraction(s, 2))
 
 
 @dataclass(frozen=True)
@@ -263,53 +274,65 @@ def _beaten(classes, r: int, a: int, b: int, e: int) -> bool:
     return dlp.exceeds_exceptional_delta(classes, a, b, r, 2 - e, 2, e)     # m as a pair
 
 
-def _class_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int,
-                 lo: Tuple[int, int], hi: Tuple[int, int], walls: dict) -> None:
-    """Add to `walls` (reduced (p, q) -> smallest witness) the walls
-    lo < m = p/q < hi of the twists W of `cls` against the rank-r V with
-    c1 = AE + BF, for end pairs with hi finite and, on F_0, lo > 0; the
-    strips are clipped to the class's own interval and walked from their
-    first point with chi(W, V) > 0."""
-    (lp, lq), (hp, hq) = cls.lo, cls.hi
-    if lp * lo[1] < lo[0] * lq:
-        lp, lq = lo
-    if hi[0] * hq < hp * hi[1]:
-        hp, hq = hi
-    rank = cls.rank
+def _nearest_walls(cls: dlp.SlopeClass, r: int, A: int, B: int, e: int, ends):
+    """`ends` = (lo, w0, hi, w1), end pairs lo < 1 - e/2 < hi with their
+    witnesses, moved to the walls of the twists W of `cls` against the
+    rank-r V with c1 = AE + BF nearest to 1 - e/2 on either side, where
+    those are nearer (on a tie, to the smaller witness); the two points
+    per strip of the module docstring."""
+    lo, w0, hi, w1 = ends
+    rank, ca, cb, (lp, lq), (hp, hq) = cls
     L = lcm(r, rank)
     k = L // rank
     nx, ny = A * (L // r), B * (L // r)         # (X, Y)/L = nu(V) - nu(W)
-    x0, y0 = nx - cls.a * k, ny - cls.b * k
+    x0, y0 = nx - ca * k, ny - cb * k
     bound = 2 * L * L - (L // r) ** 2 - k * k
     X = x0 % L - L
     if X != -L:                                 # else the fixed coordinate is integral
-        # vertical strip, m = Y/-X: from lo and hilbert_P2 > bound to hi
-        first = max(lp * -X // lq + 1, -((2 * L - e * X - 1 - bound // (X + L)) // 2))
-        for Y in range(first + (y0 - first) % L, (hp * -X - 1) // hq + 1, L):
-            g = gcd(Y, X)
-            m, wit = (Y // g, -X // g), (rank, (nx - X) // k, (ny - Y) // k)
-            walls[m] = min(walls.get(m, wit), wit)
+        # vertical strip, m = Y/-X: chi(W, V) > 0 from Y = first on
+        first = -((2 * L - e * X - 1 - bound // (X + L)) // 2)
+        Y = (2 - e) * -X // 2
+        Y -= (Y - y0) % L                       # the last lattice Y at or below the crossing
+        if Y >= first:
+            wit = (rank, (nx - X) // k, (ny - Y) // k)
+            if 2 * Y == (2 - e) * -X:
+                raise InternalError("anticanonical stability violated at 1 - e/2 by %r" % (wit,))
+            if lp * -X < Y * lq and (lo[0] * -X - Y * lo[1], wit) < (0, w0):
+                lo, w0 = (Y, -X), wit
+        Y = max(Y + L, first + (y0 - first) % L)   # the first one above it with chi > 0
+        if Y * hq < hp * -X:
+            wit = (rank, (nx - X) // k, (ny - Y) // k)
+            if (Y * hi[1] - hi[0] * -X, wit) < (0, w1):
+                hi, w1 = (Y, -X), wit
     Y = y0 % L - L
     if Y == -L:
-        return
-    # horizontal strip, m = -Y/X: from hi to lo (no end for lo = 0), cut to
-    # hilbert_P2 > bound, a half-line in X on F_0 and an interval on F_1
-    first = -Y * hq // hp + 1
-    last = (-Y * lq - 1) // lp if lp else None
+        return lo, w0, hi, w1
+    # horizontal strip, m = -Y/X: chi(W, V) > 0 from X = first on, and on
+    # F_1 up to X = last
+    c = -2 * Y // (2 - e)                       # X at m = 1 - e/2
     if e == 0:
-        first = max(first, bound // (2 * (Y + L)) + 1 - L)
+        first, X = bound // (2 * (Y + L)) + 1 - L, c
     else:
         K = 2 * Y + 3 * L                       # hilbert_P2 = u (K - u), u = X + L
         D = K * K - 4 * bound                   # u (K - u) > bound iff (2u - K)^2 < D
         if D <= 0:
-            return
+            return lo, w0, hi, w1
         u = (K + isqrt(D - 1)) // 2             # the largest u; the least is K - u
-        first = max(first, K - u - L)
-        last = u - L if last is None else min(last, u - L)
-    for X in range(first + (x0 - first) % L, last + 1, L):
-        g = gcd(X, Y)
-        m, wit = (-Y // g, X // g), (rank, (nx - X) // k, (ny - Y) // k)
-        walls[m] = min(walls.get(m, wit), wit)
+        first, last = K - u - L, u - L
+        X = min(c, last)
+    X -= (X - x0) % L                           # the last lattice X at or before both
+    if X >= first:
+        wit = (rank, (nx - X) // k, (ny - Y) // k)
+        if X == c:
+            raise InternalError("anticanonical stability violated at 1 - e/2 by %r" % (wit,))
+        if -Y * hq < hp * X and (-Y * hi[1] - hi[0] * X, wit) < (0, w1):
+            hi, w1 = (-Y, X), wit
+    X = max(X + L, first + (x0 - first) % L)    # the first one past the crossing with chi > 0
+    if (e == 0 or X <= last) and lp * X < -Y * lq:
+        wit = (rank, (nx - X) // k, (ny - Y) // k)
+        if (lo[0] * X + Y * lo[1], wit) < (0, w0):
+            lo, w0 = (-Y, X), wit
+    return lo, w0, hi, w1
 
 
 def stability_interval(
@@ -318,9 +341,10 @@ def stability_interval(
     """Stability interval (lo, hi) of an exceptional v of rank >= 2, with the
     destabilizing bundles (rank, c1) realizing each finite endpoint.
 
-    Only the component of 1 - e/2 between the line-bundle sentinels is
-    walked.  A wall at 1 - e/2 (v is not exceptional, or the table is wrong)
-    raises `lattice.InternalError`.
+    Each slope class of rank < r moves the ends, from (0, +infinity), to
+    its nearest walls on either side of 1 - e/2 (`_nearest_walls`).  A
+    wall at 1 - e/2 (v is not exceptional, or the table is wrong) raises
+    `lattice.InternalError`.
     """
     check_del_pezzo(e)
     r = v.r
@@ -332,35 +356,11 @@ def stability_interval(
     if A % r == 0 or B % r == 0 or delta2(key, e) != r * r - 1:
         raise ValueError("an exceptional character of rank >= 2 has a slope with non-integral "
                          "coordinates and Delta = 1/2 - 1/(2 r^2)")
-    anch = (2 - e, 2)                           # 1 - e/2 as an end pair
-    # the sentinels, the first points of O's strips past 1 - e/2: the starts
-    # of `_class_walls` for O (L = r, bound = r^2 - 1), stable at every m > 0
-    X = A % r - r
-    Y = max((2 - e) * -X // 2 + 1, -((2 * r - e * X - 1 - (r * r - 1) // (X + r)) // 2))
-    Y += (B - Y) % r
-    g = gcd(X, Y)
-    m1 = (Y // g, -X // g)
-    walls = {m1: (1, (A - X) // r, (B - Y) // r)}
-    m0 = (0, 1)
-    if e == 0:
-        Y = B % r - r
-        X = max(-Y + 1, (r * r - 1) // (2 * (Y + r)) + 1 - r)
-        X += (A - X) % r
-        g = gcd(X, Y)
-        m0 = (-Y // g, X // g)
-        walls[m0] = (1, (A - X) // r, (B - Y) // r)
+    ends = (0, 1), None, (1, 0), None
     for cls in classes:
-        _class_walls(cls, r, A, B, e, m0, m1, walls)
-    lo, hi = (0, 1), m1
-    for m, wit in walls.items():
-        if m[0] * anch[1] == anch[0] * m[1]:
-            raise InternalError("anticanonical stability violated at %d/%d by %r" % (*m, wit))
-        if m[0] * anch[1] > anch[0] * m[1]:
-            if m[0] * hi[1] < hi[0] * m[1]:
-                hi = m
-        elif lo[0] * m[1] < m[0] * lo[1]:
-            lo = m
-    return Fraction(*lo), Fraction(*hi), walls.get(lo), walls[hi]
+        ends = _nearest_walls(cls, r, A, B, e, ends)
+    lo, w0, hi, w1 = ends
+    return Fraction(*lo), Fraction(*hi), w0, w1
 
 
 def build_table(e: int, rmax: int, base: Optional[ExceptionalTable] = None) -> ExceptionalTable:

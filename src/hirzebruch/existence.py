@@ -161,7 +161,7 @@ from .lattice import (
     reduced_hilbert_key,
 )
 from .prioritary import BogomolovViolation, prioritary_index_of_key
-from .exceptional import build_table
+from .exceptional import build_table, exceptional_key
 from . import dlp as _dlp
 
 NONEMPTY = "NONEMPTY"
@@ -676,9 +676,7 @@ def delta_estimate(
     mp, mq = m.numerator, m.denominator
     hint = None                     # the key of the exceptional V behind the bound
     if bound.witness is not None:
-        rV, aV, bV = bound.witness
-        # 2 rV^2 Delta(V) = rV^2 - 1
-        hint = (rV, aV, bV, (2 * aV * bV - e * aV * aV - rV * rV + 1) // rV)
+        hint = exceptional_key(*bound.witness, e)
     cap = lower + 8
     best = None                     # (dn, r^2, key) of the best witness
     wall = False

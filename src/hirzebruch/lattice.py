@@ -17,8 +17,10 @@ Delta = nu^2/2 - ch2/r, and Riemann-Roch reads
 
 All arithmetic is exact rational (`fractions.Fraction`); floats are never
 used, and serialization keeps rationals as lowest-terms "p/q" strings.  The
-integer kernels are `hilbert_P2` (2 L^2 P on slopes over L) and, on keys
-(r, a, b, 2 ch2) from `int_key` (`from_key` inverts it), `delta2` and `chi2`.
+integer kernels are, on keys (r, a, b, 2 ch2) from `int_key` (`from_key`
+inverts it), `delta2` and `chi2`.  `hilbert_P2` (2 L^2 P on slopes over
+L) is the reference for the tests' brute forces: the DLP scan and the
+stability walls write its product inline.
 `int_key` reads numerators and denominators and builds no `Fraction`;
 `from_key` builds each field's `Fraction` once.  The constructors accept
 only `int` (not `bool`) and `Fraction` coefficients, as `check_polarization`

@@ -1,8 +1,8 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction as Q
-from math import gcd
 
 import pytest
 
@@ -266,9 +266,8 @@ def test_stability_interval_refusals(table0, table1):
 
 
 def fraction_strip_walls(cls, v, e, vertical, lo, hi, box):
-    """The walls of `exceptional._class_walls` on one strip by brute force
-    over the twists by iE + jF, |i|, |j| <= box, of `cls`, in Fraction
-    arithmetic."""
+    """The walls lo < m < hi of the twists by iE + jF, |i|, |j| <= box, of
+    `cls` against v on one strip, by brute force in Fraction arithmetic."""
     nu = v.nu()
     dv, dw = v.delta(e), exceptional.exceptional_delta(cls.rank)
     xs = [(i, nu.a - Q(cls.a, cls.rank) - i) for i in range(-box, box + 1)]
@@ -281,16 +280,47 @@ def fraction_strip_walls(cls, v, e, vertical, lo, hi, box):
             m = -y / x
             if lo < m < hi and hilbert_P(DivisorClass(x, y), e) > dv + dw and in_interval(cls, m):
                 out.append((m, (cls.rank, cls.a + i * cls.rank, cls.b + j * cls.rank)))
-    return sorted(out, key=lambda w: w[0], reverse=not vertical)
+    return out
+
+
+BOX = (Q(1, 8), Q(8))
+
+
+def fraction_walls(cls, v, e):
+    """The walls in BOX of `cls` against v on both strips, m -> smallest
+    witness, by brute force."""
+    walls = {}
+    for vertical in (True, False):
+        for m, wit in fraction_strip_walls(cls, v, e, vertical, *BOX, 10):
+            walls[m] = min(walls.get(m, wit), wit)
+    return walls
+
+
+def check_nearest_walls(cls, v, e, walls):
+    """`_nearest_walls` started from the ends of BOX moves them to the
+    nearest of `walls` on either side of 1 - e/2, the smaller witness on a
+    tie, and a side without one keeps its end.  BOX is open: its ends start
+    with the witness (), which is below every (rank, a, b) and so keeps the
+    end on a tie with a wall on it.  Started from the nearest walls
+    themselves, a witness () stays and (99,) gives way to the wall's."""
+    anch = 1 - Q(e, 2)
+    lo = max((m for m in walls if m < anch), default=BOX[0])
+    hi = min((m for m in walls if m > anch), default=BOX[1])
+    A, B = int(v.c1.a), int(v.c1.b)
+    lp, w0, hp, w1 = exceptional._nearest_walls(cls, v.r, A, B, e, ((1, 8), (), (8, 1), ()))
+    assert (Q(*lp), w0, Q(*hp), w1) == (lo, walls.get(lo, ()), hi, walls.get(hi, ())), (e, v, cls)
+    for w in ((), (99,)):
+        wl, wh = (w if t in walls else () for t in (lo, hi))     # a BOX end keeps ()
+        start = ((lo.numerator, lo.denominator), wl, (hi.numerator, hi.denominator), wh)
+        lp, w0, hp, w1 = exceptional._nearest_walls(cls, v.r, A, B, e, start)
+        want = (lo, walls.get(lo, ()), hi, walls.get(hi, ())) if w else (lo, (), hi, ())
+        assert (Q(*lp), w0, Q(*hp), w1) == want, (e, v, cls, w)
 
 
 def test_strip_walls_match_fraction_enumeration(table0, table1):
     # both strips of every class against the rows of rank <= 15 (8 random
-    # classes above), in windows with ends drawn from the walls themselves,
-    # so the open ends are hit exactly, and windows that reach past or end
-    # on the class's own interval ends, so the clip decides
+    # classes above)
     rng = random.Random(5)
-    box = (Q(1, 8), Q(8))
     for table in (table0, table1):
         e = table.e
         classes = dlp.slope_classes(table, e, 20)
@@ -299,32 +329,61 @@ def test_strip_walls_match_fraction_enumeration(table0, table1):
                 continue
             v = rec.character(e)
             for cls in (classes if rec.r <= 15 else rng.sample(classes, 8)):
-                walls = {}                  # m -> smallest witness, both strips
-                for vertical in (True, False):
-                    for m, wit in fraction_strip_walls(cls, v, e, vertical, *box, 10):
-                        walls[m] = min(walls.get(m, wit), wit)
-                ends = [t for t in map(fraction_end, (cls.lo, cls.hi)) if t is not None and box[0] < t < box[1]]
-                windows = [box] + [(box[0], t) for t in ends] + [(t, box[1]) for t in ends]
-                ms = sorted(walls)
-                if len(ms) >= 2:
-                    windows.append(tuple(sorted(rng.sample(ms, 2))))
-                for lo, hi in windows:
-                    want = {m: wit for m, wit in walls.items() if lo < m < hi}
-                    got = {}
-                    exceptional._class_walls(cls, rec.r, rec.a, rec.b, e, (lo.numerator, lo.denominator),
-                                             (hi.numerator, hi.denominator), got)
-                    assert {Q(*m): wit for m, wit in got.items()} == want, (e, rec, cls, lo, hi)
-                    assert all(gcd(*m) == 1 for m in got)
+                check_nearest_walls(cls, v, e, fraction_walls(cls, v, e))
+
+
+def test_nearest_walls_of_made_up_classes():
+    # classes of no table, against potentially exceptional characters of
+    # rank <= 15, exceptional or not: random ranks and slopes, a quarter of
+    # them sharing V's E- (F-) coordinate mod 1 so that only the horizontal
+    # (vertical) strip is read, and ends drawn from their own walls, the
+    # nearest ones among them, so the open ends are hit exactly.  A class
+    # with a wall at 1 - e/2 raises.
+    rng = random.Random(7)
+    seen = {"raise": 0, "lo": 0, "hi": 0}
+    for e in (0, 1):
+        anch = 1 - Q(e, 2)
+        vs = [(r, a, b) for r in range(3, 16) for a, b in exceptional._candidates(r, e)]
+        for _ in range(600):
+            r, A, B = rng.choice(vs)
+            v = exceptional_character(r, A, B, e)
+            rank = rng.randint(1, 12)
+            ca, cb = rng.randrange(-rank, rank), rng.randrange(-rank, rank)
+            strips = rng.randrange(4)
+            if strips < 2:
+                rank = r
+                ca, cb = (ca, B) if strips else (A, cb)
+            cls = dlp.SlopeClass(rank, ca, cb, (0, 1), (1, 0))
+            walls = fraction_walls(cls, v, e)
+            if anch in walls:
+                seen["raise"] += 1
+                with pytest.raises(InternalError):
+                    exceptional._nearest_walls(cls, r, A, B, e, ((0, 1), None, (1, 0), None))
+                continue
+            below = sorted(m for m in walls if m < anch)
+            above = sorted(m for m in walls if m > anch)
+            lo = rng.choice([Q(0)] + below[-1:] + below)
+            hi = rng.choice([None] + above[:1] + above)
+            cls = cls._replace(lo=(lo.numerator, lo.denominator),
+                               hi=(1, 0) if hi is None else (hi.numerator, hi.denominator))
+            walls = {m: wit for m, wit in walls.items() if in_interval(cls, m)}
+            check_nearest_walls(cls, v, e, walls)
+            seen["lo"] += any(m < anch for m in walls)
+            seen["hi"] += any(m > anch for m in walls)
+    assert min(seen.values()) > 0, seen
 
 
 def test_wall_at_anticanonical_parameter_is_internal_error():
-    # (7, 2E + 6F) is potentially exceptional on F_1 but not exceptional:
-    # O(F) cuts it at m = 1/2
-    v = exceptional_character(7, 2, 6, 1)
-    table = build_table(1, 6)
-    assert not is_exceptional(v, 1, table)
-    with pytest.raises(InternalError):
-        stability_interval(v, 1, table)
+    # potentially exceptional characters that are not exceptional: O(F)
+    # cuts (7, 2E + 6F) on F_1 at m = 1/2 on its horizontal strip, and O(E)
+    # cuts (23, 9E + 14F) on F_0 and (23, 9E + 7F) on F_1 at 1 - e/2 on
+    # their vertical strips
+    for e, r, a, b, wit in ((1, 7, 2, 6, (1, 0, 1)), (0, 23, 9, 14, (1, 1, 0)), (1, 23, 9, 7, (1, 1, 0))):
+        v = exceptional_character(r, a, b, e)
+        table = build_table(e, r - 1)
+        assert not is_exceptional(v, e, table)
+        with pytest.raises(InternalError, match=re.escape(repr(wit))):
+            stability_interval(v, e, table)
     # (5, E + 2F) on F_1 has 2 ch2 = -21/5, so it is refused as input
     # before any wall is walked, even against a fabricated rank-2 row
     small = build_table(1, 4)
@@ -339,34 +398,30 @@ def in_interval(cls, m):
     return lo < m and (hi is None or m < hi)
 
 
-def stable(cls, m):
-    return cls.stable_at(m.numerator, m.denominator)
-
-
 def test_is_stable_at(table0, table1):
     # a row's own slope class comes first in its orbit
     cls = dlp.orbit(table0.row(3, 1, 1), 0)[0]
-    assert stable(cls, Q(1))
-    assert not stable(cls, Q(2))  # strictly semistable at the endpoint
-    assert not stable(cls, Q(1, 2))
+    assert in_interval(cls, Q(1))
+    assert not in_interval(cls, Q(2))  # strictly semistable at the endpoint
+    assert not in_interval(cls, Q(1, 2))
     # (1/2, 2) is open at both ends, whatever the denominators
     assert (fraction_end(cls.lo), fraction_end(cls.hi)) == (Q(1, 2), Q(2))
-    assert stable(cls, Q(501, 1000)) and stable(cls, Q(1999, 1000))
-    assert not stable(cls, Q(499, 1000)) and not stable(cls, Q(2001, 1000))
+    assert in_interval(cls, Q(501, 1000)) and in_interval(cls, Q(1999, 1000))
+    assert not in_interval(cls, Q(499, 1000)) and not in_interval(cls, Q(2001, 1000))
     for m in (Q(1, 100), Q(1), Q(17)):
-        assert stable(dlp.LINE_BUNDLES, m)
+        assert in_interval(dlp.LINE_BUNDLES, m)
     # lo = 0: stable down to any m > 0, and hi is still excluded
     low = dlp.orbit(table1.row(2, 1, 1), 1)[0]
     assert fraction_end(low.lo) == 0 and fraction_end(low.hi) == 1
-    assert stable(low, Q(1, 10**6)) and stable(low, Q(999, 1000))
-    assert not stable(low, Q(1)) and not stable(low, Q(0))
-    assert not stable(dlp.LINE_BUNDLES, Q(0))
+    assert in_interval(low, Q(1, 10**6)) and in_interval(low, Q(999, 1000))
+    assert not in_interval(low, Q(1)) and not in_interval(low, Q(0))
+    assert not in_interval(dlp.LINE_BUNDLES, Q(0))
 
 
-def test_stable_at_reads_unreduced_pairs(table0):
-    # a slope -Y/X may come as the unreduced pair (Y, -X) or (-Y, X), so
-    # stable_at(k p, k q) must equal stable_at(p, q); checked on
-    # and around both ends, 0 and +inf included, against Fractions
+def test_best_reads_unreduced_pairs(table0):
+    # m may come as an unreduced pair, as `_beaten` passes (2, 2) on F_0, so
+    # `dlp._best` at (k p, k q) must answer as at (p, q); checked on and
+    # around the class ends, 0 and +inf included, on swapped classes too
     swapped = []
     for lo, hi in ((Q(0), Q(2)), (Q(1, 2), None)):
         # hand-made F_0 rows: the fiber swap (1/hi, 1/lo) trades 0 and +inf
@@ -376,14 +431,16 @@ def test_stable_at_reads_unreduced_pairs(table0):
         assert fraction_end(cls.hi) == (None if lo == 0 else 1 / lo)
         swapped.append(cls)
     classes = [dlp.LINE_BUNDLES] + swapped + list(dlp.orbit(table0.row(5, 1, 2), 0))
-    for cls in classes:
-        ends = [t for t in map(fraction_end, (cls.lo, cls.hi)) if t is not None]
-        ms = {Q(0), Q(1, 3), Q(1), Q(7, 2)}
-        ms |= {t + d for t in ends for d in (Q(-1, 1000), Q(0), Q(1, 1000))}
-        for m in sorted(t for t in ms if t >= 0):
-            want = in_interval(cls, m)
-            for k in (1, 2, 3, 12):
-                assert cls.stable_at(k * m.numerator, k * m.denominator) == want, (cls, m, k)
+    ends = {t for cls in classes for t in map(fraction_end, (cls.lo, cls.hi)) if t is not None}
+    ms = {Q(1, 3), Q(1), Q(7, 2)} | {t + d for t in ends for d in (Q(-1, 1000), Q(0), Q(1, 1000))}
+    stable = set()
+    for m in sorted(t for t in ms if t > 0):
+        stable |= {cls for cls in classes if in_interval(cls, m)}
+        for x, y, den in ((1, 2, 3), (-4, 3, 5), (2, 2, 7)):
+            want = dlp._best(classes, x, y, den, m.numerator, m.denominator, 0)
+            for k in (2, 3, 12):
+                assert dlp._best(classes, x, y, den, k * m.numerator, k * m.denominator, 0) == want, (m, k)
+    assert stable == set(classes)
 
 
 def test_record_invariants(table0, table1, wide_tables):
