@@ -188,9 +188,9 @@ def cmd_delta(args) -> int:
 def cmd_kronecker(args) -> int:
     ell = args.ell
     p = kronecker.KroneckerParams(args.e, ell, *args.abcd)
-    k_char, l_char, v_char = chars = kronecker.kronecker_characters(p)
-    m_v = kronecker.wall_m_v(p, chars)
-    eps = kronecker.wall_crossing_epsilon(p, chars)
+    k_char, l_char, v_char = p.characters
+    m_v = kronecker.wall_m_v(p)
+    eps = kronecker.wall_crossing_epsilon(p)
     out = {
         "k": char_obj(k_char),
         "l": char_obj(l_char),

@@ -500,17 +500,14 @@ def load_table(path: str, e: int) -> ExceptionalTable:
     as a `build_table` base of the other surface does: it is not corrupt, so
     it is no reason to rebuild the file in place."""
     check_del_pezzo(e)
-    try:
-        return _read_table(path, e)
-    except CacheError as err:
-        try:
-            _read_table(path, 1 - e)
-        except CacheError:
-            raise err from None
-    raise ValueError("cache %s holds the table of F_%d, not of F_%d" % (path, 1 - e, e))
+    table = _read_table(path)
+    if table.e != e:
+        raise ValueError("cache %s holds the table of F_%d, not of F_%d" % (path, table.e, e))
+    return table
 
 
-def _read_table(path: str, e: int) -> ExceptionalTable:
+def _read_table(path: str) -> ExceptionalTable:
+    """The table of the surface its header names, parsed once."""
     try:
         with open(path) as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -521,15 +518,17 @@ def _read_table(path: str, e: int) -> ExceptionalTable:
     except (IndexError, ValueError):
         head = None
     if not (isinstance(head, dict) and list(head) == ["e", "max_rank", "rows_per_rank", "sha256"]
+            and type(head["e"]) is int and 0 <= head["e"] <= 1
             and type(head["max_rank"]) is int and head["max_rank"] >= 1):
         raise CacheError("cache %s has no header line" % path)
+    e = head["e"]
     rows = lines[1:]
     records = []
     try:
         for ln in rows:
             ee, rec = record_from_json(ln)
             if ee != e:
-                raise ValueError("row for e=%d in a cache opened for e=%d" % (ee, e))
+                raise CacheError("cache %s does not match its header (e)" % path)
             _check_row(rec, e)
             records.append(rec)
         records.sort(key=_row_order)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .lattice import (
@@ -141,26 +142,27 @@ class KroneckerParams:
     def is_admissible(self) -> bool:
         return _missed_segment(self.e, self.ell, Fraction(self.b, self.a), Fraction(self.d, self.c)) is None
 
-    def require_admissible(self) -> None:
+    @cached_property
+    def characters(self) -> Tuple[ChernCharacter, ChernCharacter, ChernCharacter]:
+        """(k, l, v = k + l) of the extension, the cokernel and their sum."""
         if not self.is_admissible():
             raise KroneckerDomainError("parameters %r are not admissible" % (self,))
+        e, ell, k = self.e, self.ell, self.k
+        k_char = line_bundle(E - F.scale(k - 1), e).scale(self.b) + line_bundle(F, e).scale(self.a)
+        l_char = line_bundle(DivisorClass(0, 0), e).scale(self.d) - line_bundle(-E - F.scale(ell), e).scale(self.c)
+        if euler_pair(k_char, l_char, e) != 0:
+            raise InternalError("chi(K, L) != 0 for %r" % (self,))
+        return k_char, l_char, k_char + l_char
 
 
 def kronecker_characters(p: KroneckerParams) -> Tuple[ChernCharacter, ChernCharacter, ChernCharacter]:
-    """Characters (k, l, v = k + l) of the extension, the cokernel and their sum."""
-    p.require_admissible()
-    e, ell, k = p.e, p.ell, p.k
-    k_char = line_bundle(E - F.scale(k - 1), e).scale(p.b) + line_bundle(F, e).scale(p.a)
-    l_char = line_bundle(DivisorClass(0, 0), e).scale(p.d) - line_bundle(-E - F.scale(ell), e).scale(p.c)
-    if euler_pair(k_char, l_char, e) != 0:
-        raise InternalError("chi(K, L) != 0 for %r" % (p,))
-    return k_char, l_char, k_char + l_char
+    """`p.characters`, built and checked once per parameters."""
+    return p.characters
 
 
-def wall_m_v(p: KroneckerParams, chars=None) -> Fraction:
-    """The unique m with mu_{H_m}(K) = mu_{H_m}(L); lies in (1 - e/2, k).
-    `chars` is `kronecker_characters(p)` when the caller already has it."""
-    k_char, l_char, _ = chars or kronecker_characters(p)
+def wall_m_v(p: KroneckerParams) -> Fraction:
+    """The unique m with mu_{H_m}(K) = mu_{H_m}(L); lies in (1 - e/2, k)."""
+    k_char, l_char, _ = p.characters
     # both slopes are linear in m: solve a1 m + b1 = a2 m + b2 over the rationals
     a1 = Fraction(k_char.c1.a, k_char.r)
     b1 = Fraction(k_char.c1.b, k_char.r)
@@ -267,7 +269,9 @@ def delta_closed_form(nu: DivisorClass, m: Rat, e: int, ell: int) -> Fraction:
     """
     k, m, x0, y0, x1, x2, _, _ = _crossings(nu, m, e, ell)
     if x1 == x2:
-        raise KroneckerDomainError("degenerate crossing")
+        # only on lines through P4, x1 = x2 = 1/(k + ell), where b/a =
+        # 1/(N + 1) < 1/psi_N: `_crossings` has refused the extension segment
+        raise InternalError("degenerate crossing at %s reached the closed form" % (x1,))
     lam = (x0 - x2) / (x1 - x2)
     if not 0 < lam < 1:
         raise KroneckerDomainError("slope lies outside the triangle on this line")
@@ -290,14 +294,14 @@ def params_for_slope(nu: DivisorClass, m: Rat, e: int, ell: int) -> KroneckerPar
     return KroneckerParams(e, ell, ba.denominator, ba.numerator, dc.denominator, dc.numerator)
 
 
-def wall_crossing_epsilon(p: KroneckerParams, chars=None) -> Fraction:
+def wall_crossing_epsilon(p: KroneckerParams) -> Fraction:
     """Largest eps = 10^-j (j <= MAX_EPS_EXPONENT) for which the engine
     confirms the generic H_{m_V + eps}-filtration (k, l); the chosen eps is
-    part of the reported result.  `chars` as in `wall_m_v`."""
+    part of the reported result."""
     from .existence import hn_generic
 
-    k_char, l_char, v_char = chars = chars or kronecker_characters(p)
-    m_v = wall_m_v(p, chars)
+    k_char, l_char, v_char = p.characters
+    m_v = wall_m_v(p)
     for j in range(1, MAX_EPS_EXPONENT + 1):
         eps = Fraction(1, 10 ** j)
         dec = hn_generic(v_char, m_v + eps, p.e)

@@ -151,7 +151,8 @@ def polarization_divisor(m: Rat, e: int) -> DivisorClass:
 def fiber_window(p: int, q: int, e: int) -> Tuple[int, int]:
     """X = max(1, 2/(2m+e)) at m = p/q as an integer pair (num, den), not
     always reduced: the bound on the fiber component |d.F| of the slope
-    difference d in the DLP twist scan and the HN first-factor search."""
+    difference d in the DLP twist scan (`dlp._best`) and the wall test
+    (`existence._is_wall_key`)."""
     d = 2 * p + e * q
     return (2 * q, d) if 2 * q > d else (1, 1)
 

@@ -75,19 +75,14 @@ def interval_transport(
 ) -> Optional[Tuple[Fraction, Optional[Fraction]]]:
     """Generic stability interval (m0, m1) on F_{e-2k} pulled up to F_e.
 
-    Each step sends (m0, m1) to (0, m1 - 1); None encodes the empty interval
+    Each step sends (m0, m1) to (0, m1 - 1), so k >= 1 steps give
+    (0, m1 - k), empty when m1 - k <= 0; None encodes the empty interval
     (and None as right endpoint encodes +infinity).
     """
     check_count(steps, "steps")
-    cur = interval
-    for _ in range(steps):
-        if cur is None:
-            return None
-        _, hi = cur
-        if hi is None:
-            cur = (Fraction(0), None)
-            continue
-        if hi - 1 <= 0:
-            return None
-        cur = (Fraction(0), hi - 1)
-    return cur
+    if steps == 0 or interval is None:
+        return interval
+    hi = interval[1]
+    if hi is None:
+        return Fraction(0), None
+    return (Fraction(0), hi - steps) if hi - steps > 0 else None

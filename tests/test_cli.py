@@ -90,11 +90,12 @@ def test_kronecker_command(capsys):
 
 
 def test_kronecker_command_builds_the_characters_once(capsys, monkeypatch):
-    # cmd_kronecker hands its characters to wall_m_v and
-    # wall_crossing_epsilon, so the admissibility check runs once
+    # cmd_kronecker, wall_m_v and wall_crossing_epsilon read the characters
+    # that KroneckerParams keeps, so the build, with its admissibility and
+    # chi(K, L) = 0 checks, runs once
     from hirzebruch import kronecker
-    counts = {"chars": 0, "admissible": 0}
-    chars, admissible = kronecker.kronecker_characters, kronecker.KroneckerParams.is_admissible
+    counts = {"chi": 0, "admissible": 0}
+    chi, admissible = kronecker.euler_pair, kronecker.KroneckerParams.is_admissible
 
     def count(name, fn):
         def wrapped(*args):
@@ -102,10 +103,10 @@ def test_kronecker_command_builds_the_characters_once(capsys, monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(kronecker, "kronecker_characters", count("chars", chars))
+    monkeypatch.setattr(kronecker, "euler_pair", count("chi", chi))
     monkeypatch.setattr(kronecker.KroneckerParams, "is_admissible", count("admissible", admissible))
     code, out, _ = run_cli(capsys, "kronecker", "--e", "0", "--ell", "3", "--abcd", "1,1,2,15")
-    assert code == 0 and counts == {"chars": 1, "admissible": 1}
+    assert code == 0 and counts == {"chi": 1, "admissible": 1}
     assert out == (
         '{"delta_closed_form": "3/5", "epsilon": "1/10", "k": {"c1": [1, -1], "ch2": "-2", "r": 2}, '
         '"l": {"c1": [2, 6], "ch2": "-6", "r": 13}, "m_l": "7/2", "m_wall": "25/9", '

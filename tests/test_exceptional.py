@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import re
 from fractions import Fraction as Q
@@ -604,11 +605,77 @@ def test_load_refuses_rows_that_miss_the_header(tmp_path, table0):
         load_table(str(path), 0)
     broken = [rows, [json.dumps({**obj, "max_rank": True})] + rows,
               [json.dumps({**obj, "max_rank": 0})] + rows, [head[:-1]] + rows,
-              [json.dumps({k: obj[k] for k in ("e", "max_rank", "sha256")})] + rows, []]
+              [json.dumps({k: obj[k] for k in ("e", "max_rank", "sha256")})] + rows, [],
+              # the header's e names the surface, so it is an int in {0, 1}
+              [json.dumps({**obj, "e": 2})] + rows, [json.dumps({**obj, "e": False})] + rows]
     for lines in broken:
         path.write_text("".join(ln + "\n" for ln in lines))
         with pytest.raises(CacheError, match="no header line"):
             load_table(str(path), 0)
+
+
+def test_load_parses_a_cache_once(tmp_path, table0, monkeypatch):
+    # one open and at most one parse of each row per load, whether the
+    # cache is sound, of the other surface, corrupt, or both
+    path = tmp_path / "cache.jsonl"
+    save_table(table0, str(path))
+    sound = path.read_text()
+    head, *rows = sound.splitlines()
+    i = next(i for i, ln in enumerate(rows) if json.loads(ln)["r"] == 3)
+    rows[i] = json.dumps({**json.loads(rows[i]), "hi": "100"})
+    reseal(path, [head] + rows, 0, table0.max_rank)
+    corrupt = path.read_text()
+    opens, parsed = [], []
+
+    def counted_open(*args, **kwargs):
+        opens.append(args[0])
+        return open(*args, **kwargs)
+
+    def counted_row(line):
+        parsed.append(line)
+        return record_from_json(line)
+
+    monkeypatch.setattr(exceptional, "open", counted_open, raising=False)
+    monkeypatch.setattr(exceptional, "record_from_json", counted_row)
+    cases = [
+        (sound, 0, None, ""),
+        (sound, 1, ValueError, "holds the table of F_0, not of F_1"),
+        # the fault of a corrupt cache is its own, whichever surface is asked for
+        (corrupt, 0, CacheError, "corrupt cache .* witness .* does not give endpoint 100 of rank 3"),
+        (corrupt, 1, CacheError, "corrupt cache .* witness .* does not give endpoint 100 of rank 3"),
+    ]
+    for text, e, error, match in cases:
+        path.write_text(text)
+        opens.clear()
+        parsed.clear()
+        if error is None:
+            assert as_rows(load_table(str(path), e)) == as_rows(table0)
+        else:
+            with pytest.raises(error, match=match):
+                load_table(str(path), e)
+        assert opens == [str(path)], (e, match)
+        assert len(parsed) == len(set(parsed)) <= len(table0.records), (e, match)
+        assert (len(parsed) == len(table0.records)) == (text == sound), (e, match)
+
+
+def test_failed_cache_replace_keeps_old_file(tmp_path, table1, monkeypatch):
+    # the write succeeds and the move into place fails: the temporary file
+    # is removed and the old cache kept
+    path = tmp_path / "cache.jsonl"
+    save_table(build_table(1, 6), str(path))
+    before = path.read_bytes()
+    moved = []
+
+    def fail_replace(src, dst):
+        moved.append((os.path.exists(src), dst))
+        raise OSError("device busy")
+
+    monkeypatch.setattr(exceptional.os, "replace", fail_replace)
+    with pytest.raises(CacheError, match="cannot write cache .* device busy"):
+        save_table(table1, str(path))
+    assert moved == [(True, str(path))]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
 def test_failed_cache_write_keeps_old_file(tmp_path, table1, monkeypatch):

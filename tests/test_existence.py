@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -1055,6 +1056,35 @@ def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
     assert wide == spread
     assert wide_calls > spread_calls and wide_over > 0, (wide_calls, spread_calls, wide_over)
     assert sum(dec is not None and len(dec) > 1 for dec in spread) > 100
+
+
+def test_probe_rejects_at_integrality_and_condition_3(monkeypatch):
+    # two rejections of _probe that no search of the corpus reaches
+    # v = (4, 2E + F, ch2 = -1) on F_1 at m = 1, hint V = (2, E, 0): of the
+    # candidates V and v - V = (2, E + F, -1), whose 2 c2 = 2ab - e a^2 - 2 ch2
+    # are -1 and 3, v - V meets the mu window, so it stops at integrality,
+    # before any Delta cut
+    v, hint = (4, 2, 1, -2), (2, 1, 0, 0)
+    lo, hi = existence._mu_window(2 * (2 + 1) - 1 * 4, 4, 2, 2, 1)     # r1 deg(v) - a1 r mp, r mq
+    assert lo <= 1 < hi
+    monkeypatch.setattr(existence, "delta2", lambda *args: pytest.fail("reached a Delta cut"))
+    assert existence._probe(v, hint, 1, 1, 1, 1) is None
+    monkeypatch.undo()
+    # v = (5, -2E + 2F, ch2 = -11) on F_0 at m = 1/3, hint (4, E + 4F, -17),
+    # with the mu window widened as in the spread-window test: a candidate
+    # passes condition (2) and no candidate is taken, so condition (3) stops it
+    passed, key_gt, probe = [], existence._key_gt, existence._probe.__code__
+
+    def logged_key_gt(*args):
+        gt = key_gt(*args)
+        if sys._getframe(1).f_code is probe:      # condition (2) of _probe itself
+            passed.append(gt)
+        return gt
+
+    monkeypatch.setattr(existence, "_mu_window", lambda num, den, r1, ru, mq: (-(-num // den), -(-num // den) + r1))
+    monkeypatch.setattr(existence, "_key_gt", logged_key_gt)
+    assert existence._probe((5, -2, 2, -22), (4, 1, 4, -34), 1, 1, 3, 0) is None
+    assert True in passed
 
 
 def test_first_ranks_drop_no_rank_with_a_first_factor():

@@ -326,20 +326,38 @@ def test_closed_form_matches_estimator(wide_tables):
 # each broken invariant raises InternalError (exit 5 in `hirz`), also under -O
 def test_characters_orthogonality_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(kronecker, "euler_pair", lambda *args: 1)
-    with pytest.raises(InternalError, match="chi"):
-        kronecker_characters(P_F0)
+    p = KroneckerParams(0, 3, 1, 1, 2, 15)      # not P_F0, whose characters may be cached
+    for _ in range(2):      # a refused build is not cached
+        with pytest.raises(InternalError, match="chi"):
+            kronecker_characters(p)
 
 
 @pytest.mark.parametrize("name, fake, match", [
     # K = O and L = O(E - 100 F) tie at m = 100, above k
-    ("kronecker_characters", lambda p: (character(1, 0, 0, 0), character(1, 1, -100, 0), None), "escaped"),
+    ("characters", lambda p: (character(1, 0, 0, 0), character(1, 1, -100, 0), None), "escaped"),
     ("wall_m_l", lambda p: Q(0), "m_L"),
     ("mu", lambda v, m: Q(v.r), "slopes"),
 ])
 def test_wall_invariants_are_internal_errors(monkeypatch, name, fake, match):
-    monkeypatch.setattr(kronecker, name, fake)
+    if name == "characters":
+        # a property of KroneckerParams, read before any cached value
+        monkeypatch.setattr(KroneckerParams, name, property(fake))
+    else:
+        monkeypatch.setattr(kronecker, name, fake)
     with pytest.raises(InternalError, match=match):
         wall_m_v(P_F1)
+
+
+def test_degenerate_crossing_is_an_internal_error(monkeypatch):
+    # the slope -m line through P4 = (1/6, 1/2) of (e, ell) = (0, 3) crosses
+    # both sides at x = 1/6, where b/a = 1/5 < 1/psi_4 is refused first
+    p4 = DivisorClass(Q(1, 6), Q(1, 2))
+    for m in (Q(1), Q(5, 2), Q(7)):
+        with pytest.raises(KroneckerDomainError, match="extension segment"):
+            delta_closed_form(p4, m, 0, 3)
+    monkeypatch.setattr(kronecker, "_missed_segment", lambda *args: None)
+    with pytest.raises(InternalError, match="degenerate crossing at 1/6"):
+        delta_closed_form(p4, 1, 0, 3)
 
 
 def test_triangle_reference_side_is_an_internal_error(monkeypatch):

@@ -49,6 +49,16 @@ def test_interval_transport():
     assert interval_transport((Q(1, 2), Q(2)), 2) is None  # collapses to empty
     assert interval_transport(None, 1) is None
     assert interval_transport((Q(1, 2), Q(5, 2)), 2) == (0, Q(1, 2))
+    assert interval_transport((Q(1, 2), Q(2)), 0) == (Q(1, 2), Q(2))
+    # k steps at once are k single steps
+    rng = random.Random(53)
+    for _ in range(200):
+        lo = Q(rng.randint(0, 12), rng.randint(1, 6))
+        hi = rng.choice([None, lo + Q(rng.randint(1, 40), rng.randint(1, 6))])
+        cur = (lo, hi)
+        for k in range(6):
+            assert interval_transport((lo, hi), k) == cur, (lo, hi, k)
+            cur = interval_transport(cur, 1)
 
 
 def test_f4_example(table0):
