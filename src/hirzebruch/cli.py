@@ -189,7 +189,7 @@ def cmd_kronecker(args) -> int:
     ell = args.ell
     p = kronecker.KroneckerParams(args.e, ell, *args.abcd)
     k_char, l_char, v_char = p.characters
-    m_v = kronecker.wall_m_v(p)
+    m_v = p.m_v
     eps = kronecker.wall_crossing_epsilon(p)
     out = {
         "k": char_obj(k_char),

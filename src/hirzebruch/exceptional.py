@@ -422,19 +422,22 @@ def record_to_json(rec: ExceptionalRecord, e: int) -> str:
     return json.dumps(obj, separators=(", ", ": "))
 
 
+def _json_ints(name: str, values: list) -> list:
+    """`values` when each is a JSON integer (a bool is not one), else ValueError."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError("%s = %s holds %s, not a JSON integer" % (name, json.dumps(values), json.dumps(x)))
+    return values
+
+
 def record_from_json(line: str) -> Tuple[int, ExceptionalRecord]:
     obj = json.loads(line)
+    e, r, a, b = _json_ints("(e, r, a, b)", [obj["e"], obj["r"], obj["a"], obj["b"]])
+    w0, w1 = obj.get("w0"), obj.get("w1")
     hi = None if obj["hi"] == "inf" else parse_rational(obj["hi"])
-    rec = ExceptionalRecord(
-        int(obj["r"]),
-        int(obj["a"]),
-        int(obj["b"]),
-        parse_rational(obj["lo"]),
-        hi,
-        tuple(map(int, obj["w0"])) if obj.get("w0") else None,
-        tuple(map(int, obj["w1"])) if obj.get("w1") else None,
-    )
-    return int(obj["e"]), rec
+    return e, ExceptionalRecord(r, a, b, parse_rational(obj["lo"]), hi,
+                                tuple(_json_ints("w0", w0)) if w0 else None,
+                                tuple(_json_ints("w1", w1)) if w1 else None)
 
 
 def _check_row(rec: ExceptionalRecord, e: int) -> None:

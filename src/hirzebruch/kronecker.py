@@ -154,6 +154,25 @@ class KroneckerParams:
             raise InternalError("chi(K, L) != 0 for %r" % (self,))
         return k_char, l_char, k_char + l_char
 
+    @cached_property
+    def m_v(self) -> Fraction:
+        """The wall of `wall_m_v`, checked against (1 - e/2, k), m_L and the
+        two slopes."""
+        k_char, l_char, _ = self.characters
+        # both slopes are linear in m: solve a1 m + b1 = a2 m + b2 over the rationals
+        a1 = Fraction(k_char.c1.a, k_char.r)
+        b1 = Fraction(k_char.c1.b, k_char.r)
+        a2 = Fraction(l_char.c1.a, l_char.r)
+        b2 = Fraction(l_char.c1.b, l_char.r)
+        m = (b2 - b1) / (a1 - a2)
+        if not 1 - Fraction(self.e, 2) < m < self.k:
+            raise InternalError("wall %s escaped (1 - e/2, k)" % (m,))
+        if not m < wall_m_l(self):
+            raise InternalError("wall %s is not below m_L for %r" % (m, self))
+        if mu(k_char, m) != mu(l_char, m):
+            raise InternalError("K and L have different slopes at the wall %s" % (m,))
+        return m
+
 
 def kronecker_characters(p: KroneckerParams) -> Tuple[ChernCharacter, ChernCharacter, ChernCharacter]:
     """`p.characters`, built and checked once per parameters."""
@@ -161,22 +180,9 @@ def kronecker_characters(p: KroneckerParams) -> Tuple[ChernCharacter, ChernChara
 
 
 def wall_m_v(p: KroneckerParams) -> Fraction:
-    """The unique m with mu_{H_m}(K) = mu_{H_m}(L); lies in (1 - e/2, k)."""
-    k_char, l_char, _ = p.characters
-    # both slopes are linear in m: solve a1 m + b1 = a2 m + b2 over the rationals
-    a1 = Fraction(k_char.c1.a, k_char.r)
-    b1 = Fraction(k_char.c1.b, k_char.r)
-    a2 = Fraction(l_char.c1.a, l_char.r)
-    b2 = Fraction(l_char.c1.b, l_char.r)
-    m = (b2 - b1) / (a1 - a2)
-    anch = 1 - Fraction(p.e, 2)
-    if not anch < m < p.k:
-        raise InternalError("wall %s escaped (1 - e/2, k)" % (m,))
-    if not m < wall_m_l(p):
-        raise InternalError("wall %s is not below m_L for %r" % (m, p))
-    if mu(k_char, m) != mu(l_char, m):
-        raise InternalError("K and L have different slopes at the wall %s" % (m,))
-    return m
+    """The unique m with mu_{H_m}(K) = mu_{H_m}(L); lies in (1 - e/2, k).
+    `p.m_v`, solved and checked once per parameters."""
+    return p.m_v
 
 
 def wall_m_l(p: KroneckerParams) -> Fraction:
@@ -301,7 +307,7 @@ def wall_crossing_epsilon(p: KroneckerParams) -> Fraction:
     from .existence import hn_generic
 
     k_char, l_char, v_char = p.characters
-    m_v = wall_m_v(p)
+    m_v = p.m_v
     for j in range(1, MAX_EPS_EXPONENT + 1):
         eps = Fraction(1, 10 ** j)
         dec = hn_generic(v_char, m_v + eps, p.e)

@@ -7,13 +7,15 @@ exactly when chi(v(-L_0 - H_n)) <= 0, where
     psi = phi + e (ceil(eps) - eps)/2 - Delta / (eps - floor(eps)),
     L_0 = ceil(eps) E + ceil(psi) F.
 
-Equivalently Delta >= delta_n^p(nu), a sharp threshold computed from the
-direct sum O(-E+(n-1)F)^A + O^B + O(-F)^C whose slope matches nu after
-normalizing nu by twists and duals into the triangle with vertices
-(-1, n-1), (0, 0), (0, -1).  Integral eps is degenerate: every n works.
+This test reads n <= the generic prioritary index.  The index never falls
+as Delta grows, so it passes exactly when Delta >= delta_n^p(nu), its
+Delta-threshold, which `delta_p` gives in closed form.  The bound is sharp:
+where it is positive, a twist or dual of the direct sum
+O(-E+(n-1)F)^A + O^B + O(-F)^C of slope nu has Delta = delta_n^p(nu).
+Integral eps is degenerate: every n works.
 
-Also here: the generic prioritary index (the chi test reads n <= index), Gaeta
-exponents relative to L_0 and the Betti numbers of a general prioritary sheaf.
+Also here: Gaeta exponents relative to L_0 and the Betti numbers of a
+general prioritary sheaf.
 """
 
 from __future__ import annotations
@@ -202,45 +204,28 @@ def prioritary_report(v: ChernCharacter, e: int) -> PrioritaryReport:
 # ---------------------------------------------------------------------------
 # the sharp prioritary discriminant bound delta_n^p
 
-def _normalize_into_triangle(eps: Fraction, phi: Fraction, n: int) -> Tuple[Fraction, Fraction]:
-    # Move (eps, phi) by integer twists and/or dualization into the closed
-    # triangle with vertices (-1, n-1), (0, 0), (0, -1).  A sign always works:
-    # the two phi-windows have lengths frac(eps) and 1 - frac(eps) and are
-    # complementary closed arcs mod 1.
-    for sigma in (1, -1):
-        et = sigma * eps
-        pt = sigma * phi
-        et = et - ceil_frac(et)  # in (-1, 0)
-        lo = -1 - n * et
-        hi = -(n - 1) * et
-        t = ceil_frac(lo - pt)
-        if pt + t <= hi:
-            return et, pt + t
-    raise InternalError("triangle normalization failed for (%s, %s)" % (eps, phi))
-
-
 def delta_p(nu: DivisorClass, n: int, e: int) -> Fraction:
     """Sharp lower bound on Delta for F- and H_n-prioritary sheaves of slope nu.
 
-    Computed from the triangle construction: with (eps, phi) normalized into
-    the triangle, barycentric weights l1 = -eps, l3 = -((n-1)eps + phi),
-    l2 = 1 - l1 - l3 give delta_n^p = max(l1 (l2 (e+2n-2) + l3 (e+2n))/2, 0).
-    Invariant under twists and duals of nu; zero for integral eps.
+    The least Delta >= 0 with n <= the generic prioritary index.  With
+    f = eps - floor(eps), c = 1 - f, u = phi + e c/2 (psi at Delta = 0) and
+    k = n + e/2 - 1, that test reads u + Delta/c - ceil(u - Delta/f) >= k,
+    whose left side never falls as Delta grows; the least Delta passing it
+    is max(0, c f k + min(f t, c (1 - t))) for t = (u - c k) mod 1.  A twist
+    moves u by an integer and a dual swaps f with c and t with 1 - t, so the
+    value is invariant under both; it is zero for integral eps.
     """
     check_surface(e)
     if type(n) is not int:
         raise ValueError("prioritary index must be an integer, got %r" % (n,))
     eps, phi = Fraction(nu.a), Fraction(nu.b)
-    if eps.denominator == 1:
+    f = eps - floor_frac(eps)
+    if f == 0:
         return Fraction(0)
-    et, pt = _normalize_into_triangle(eps, phi, n)
-    l1 = -et
-    l3 = -((n - 1) * et + pt)
-    l2 = 1 - l1 - l3
-    if not (l1 > 0 and l2 >= 0 and l3 >= 0):
-        raise InternalError("barycentric weights (%s, %s, %s) outside the triangle" % (l1, l2, l3))
-    value = l1 * (l2 * (e + 2 * n - 2) + l3 * (e + 2 * n)) / 2
-    return max(value, Fraction(0))
+    c = 1 - f
+    k = n + Fraction(e, 2) - 1
+    t = (phi + e * c / 2 - c * k) % 1
+    return max(Fraction(0), c * f * k + min(f * t, c * (1 - t)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +239,8 @@ def _h0_line(a: int, b: int, e: int) -> int:
 
 
 def _rank_one_cohomology(v: ChernCharacter, e: int) -> Tuple[int, int, int]:
-    # General rank-1 sheaf = O(c1) tensor the ideal of Delta general points.
-    n = v.delta(e)
-    if n.denominator != 1 or n < 0:
-        raise ValueError("rank-1 character must have integral Delta >= 0")
-    n = int(n)
+    # General rank-1 sheaf = O(c1) tensor the ideal of Delta = c2 general points.
+    n = int(v.delta(e))
     a, b = int(v.c1.a), int(v.c1.b)
     k = canonical_divisor(e)
     h0 = max(_h0_line(a, b, e) - n, 0)
@@ -274,8 +256,13 @@ def general_cohomology(v: ChernCharacter, e: int) -> Tuple[int, int, int]:
     """Betti numbers (h0, h1, h2) of a general prioritary sheaf of character v.
 
     Requires v integral with r >= 1 and Delta >= 0.  Cases on nu.F: at -1 only
-    h1 survives; above -1, h2 = 0 and h0 is found after repeatedly twisting by
-    -E while nu.E < -1; below -1 (rank >= 2) Serre duality swaps h0 and h2.
+    h1 survives; below -1 (rank >= 2) Serre duality swaps h0 and h2; above
+    -1, h2 = 0 and h0 is unchanged by twists by -E until nu.F <= -1 (no
+    sections) or nu.E >= -1 (at most one nonzero group).  Each twist lowers
+    nu.F by 1 and raises nu.E by e, so nu.E >= -1 takes
+    k = max(ceil((-1 - nu.E)/e), 0) twists.  On F_0 twists leave nu.E alone
+    and k = 0: where nu.E < -1 < nu.F, chi = r((nu.F + 1)(nu.E + 1) - Delta)
+    < 0 gives h0 = 0, as the walk to nu.F <= -1 would.
     """
     check_surface(e)
     if v.r < 1:
@@ -296,15 +283,7 @@ def general_cohomology(v: ChernCharacter, e: int) -> Tuple[int, int, int]:
         return (h2, h1, h0)
     if nu_dot_f == -1:
         return (0, -chi, 0)
-    w = v
-    while True:
-        nw = w.nu()
-        if nw.a <= -1:          # nu.F <= -1: no sections
-            h0 = 0
-            break
-        if -e * nw.a + nw.b >= -1:  # nu.E >= -1: at most one nonzero group
-            cw = euler_char(w, e)
-            h0 = max(int(cw), 0)
-            break
-        w = twist(w, -E, e)     # h^0 is unchanged by this twist here
+    nu_dot_e = nu.b - e * nu_dot_f
+    k = max(ceil_frac((-1 - nu_dot_e) / e), 0) if e else 0
+    h0 = 0 if nu_dot_f - k <= -1 else max(int(euler_char(twist(v, E.scale(-k), e), e)), 0)
     return (h0, h0 - chi, 0)

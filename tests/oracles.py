@@ -13,8 +13,8 @@ below is plain integer arithmetic except for a few explicit Fractions.
 from fractions import Fraction
 from math import ceil, floor
 
-from hirzebruch import ChernCharacter, DivisorClass, verdict
-from hirzebruch.lattice import hilbert_P
+from hirzebruch import ChernCharacter, DivisorClass, E, euler_char, serre_dual, twist, verdict
+from hirzebruch.lattice import canonical_divisor, hilbert_P
 
 
 def key_of(v: ChernCharacter):
@@ -285,3 +285,66 @@ def quotient_side_interval(rec, table):
     hi = min(above)
     lo = max(below) if below else Fraction(0)
     return lo, hi
+
+
+def delta_p_by_triangle(nu, n, e):
+    """delta_n^p(nu) from the triangle construction: move (eps, phi) by
+    twists and a dual into the closed triangle with vertices (-1, n-1),
+    (0, 0), (0, -1), then read the Delta of O(-E+(n-1)F)^A + O^B + O(-F)^C
+    off the barycentric weights l1 = -eps, l3 = -((n-1) eps + phi),
+    l2 = 1 - l1 - l3 as max(l1 (l2 (e+2n-2) + l3 (e+2n))/2, 0)."""
+    eps, phi = Fraction(nu.a), Fraction(nu.b)
+    if eps.denominator == 1:
+        return Fraction(0)
+    # the two phi-windows have lengths frac(eps) and 1 - frac(eps) and are
+    # complementary closed arcs mod 1, so one sign lands in the triangle
+    for sigma in (1, -1):
+        et = sigma * eps - ceil(sigma * eps)        # in (-1, 0)
+        pt = sigma * phi
+        pt += ceil(-1 - n * et - pt)
+        if pt <= -(n - 1) * et:
+            break
+    else:
+        raise AssertionError("no sign puts %s in the triangle" % (nu,))
+    l1 = -et
+    l3 = -((n - 1) * et + pt)
+    l2 = 1 - l1 - l3
+    assert l1 > 0 and l2 >= 0 and l3 >= 0, (nu, n, e)
+    return max(l1 * (l2 * (e + 2 * n - 2) + l3 * (e + 2 * n)) / 2, Fraction(0))
+
+
+def _h0_line(a, b, e):
+    # h^0(O(aE+bF)) via pushforward to P^1
+    return sum(max(b - i * e + 1, 0) for i in range(a + 1)) if a >= 0 else 0
+
+
+def general_cohomology_by_twist_walk(v, e):
+    """(h0, h1, h2) of a general prioritary sheaf of the integral character v
+    (r >= 1, Delta >= 0): rank one as O(c1) tensor the ideal of c2 general
+    points; nu.F = -1 with only h1; nu.F < -1 by Serre duality; above -1
+    by twisting by -E, one step at a time, until nu.F <= -1 (no sections)
+    or nu.E >= -1 (h0 = max(chi, 0))."""
+    chi = int(euler_char(v, e))
+    if v.r == 1:
+        a, b = int(v.c1.a), int(v.c1.b)
+        k = canonical_divisor(e)
+        h0 = max(_h0_line(a, b, e) - int(v.delta(e)), 0)
+        h2 = _h0_line(int(k.a) - a, int(k.b) - b, e)
+        return (h0, h0 + h2 - chi, h2)
+    nu_dot_f = v.nu().a
+    if nu_dot_f < -1:
+        h0, h1, h2 = general_cohomology_by_twist_walk(serre_dual(v, e), e)
+        return (h2, h1, h0)
+    if nu_dot_f == -1:
+        return (0, -chi, 0)
+    w = v
+    while True:
+        nw = w.nu()
+        if nw.a <= -1:
+            h0 = 0
+            break
+        if -e * nw.a + nw.b >= -1:
+            h0 = max(int(euler_char(w, e)), 0)
+            break
+        w = twist(w, -E, e)
+    return (h0, h0 - chi, 0)

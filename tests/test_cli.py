@@ -90,11 +90,12 @@ def test_kronecker_command(capsys):
 
 
 def test_kronecker_command_builds_the_characters_once(capsys, monkeypatch):
-    # cmd_kronecker, wall_m_v and wall_crossing_epsilon read the characters
-    # that KroneckerParams keeps, so the build, with its admissibility and
-    # chi(K, L) = 0 checks, runs once
+    # cmd_kronecker and wall_crossing_epsilon read the characters and the
+    # wall that KroneckerParams keeps, so the build, with its admissibility
+    # and chi(K, L) = 0 checks, runs once, and so does the wall solve: one
+    # m_L for its check and one for the output
     from hirzebruch import kronecker
-    counts = {"chi": 0, "admissible": 0}
+    counts = {"chi": 0, "admissible": 0, "m_l": 0}
     chi, admissible = kronecker.euler_pair, kronecker.KroneckerParams.is_admissible
 
     def count(name, fn):
@@ -105,13 +106,23 @@ def test_kronecker_command_builds_the_characters_once(capsys, monkeypatch):
 
     monkeypatch.setattr(kronecker, "euler_pair", count("chi", chi))
     monkeypatch.setattr(kronecker.KroneckerParams, "is_admissible", count("admissible", admissible))
+    monkeypatch.setattr(kronecker, "wall_m_l", count("m_l", kronecker.wall_m_l))
     code, out, _ = run_cli(capsys, "kronecker", "--e", "0", "--ell", "3", "--abcd", "1,1,2,15")
-    assert code == 0 and counts == {"chi": 1, "admissible": 1}
+    assert code == 0 and counts == {"chi": 1, "admissible": 1, "m_l": 2}
     assert out == (
         '{"delta_closed_form": "3/5", "epsilon": "1/10", "k": {"c1": [1, -1], "ch2": "-2", "r": 2}, '
         '"l": {"c1": [2, 6], "ch2": "-6", "r": 13}, "m_l": "7/2", "m_wall": "25/9", '
         '"v": {"c1": [3, 5], "ch2": "-8", "r": 15}}\n'
     )
+
+
+def test_kronecker_command_without_a_confirming_eps_exits_3(capsys, monkeypatch):
+    from hirzebruch import existence
+
+    monkeypatch.setattr(existence, "hn_generic", lambda v, m, e: None)
+    code, out, err = run_cli(capsys, "kronecker", "--e", "0", "--ell", "3", "--abcd", "1,1,2,15")
+    assert (code, out) == (3, "")
+    assert err == "precondition violated: no eps of the form 10^-j (j <= 9) confirms the wall crossing\n"
 
 
 def test_grid_csv_shape(capsys):

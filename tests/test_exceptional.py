@@ -524,6 +524,18 @@ EDITS = {
     "zero_lo_with_witness": (1, 2, {"w0": [1, 1, 0]}),
     "infinite_above_rank_one": (1, 4, {"hi": "inf", "w1": None}),
     "witness_not_integers": (0, 3, {"w1": [1, "x", 1]}),
+    # each of these reads back through int() as the row it was: e, r, a, b
+    # and the witness entries must be JSON integers, and a bool is not one
+    "rank_float": (0, 3, {"r": 3.7}),
+    "rank_integral_float": (0, 3, {"r": 3.0}),
+    "a_bool": (0, 3, {"a": True}),
+    "b_float": (0, 3, {"b": 1.0}),
+    "e_bool": (0, 3, {"e": False}),
+    "witness_strings": (0, 3, {"w1": ["1", "1", "-1"]}),
+    "witness_bools": (0, 3, {"w0": [True, -1, True]}),
+    "witness_float": (1, 11, {"w0": [6.0, 1, 3]}),
+    "witness_string": (1, 11, {"w0": "613"}),
+    "rank_a_and_witness": (0, 3, {"r": 3.7, "a": True, "w1": ["1", "1", "-1"]}),
 }
 
 
@@ -533,6 +545,7 @@ def test_load_refuses_edited_rows(tmp_path, table0, table1, name):
     path = tmp_path / "cache.jsonl"
     table = (table0, table1)[e]
     save_table(table, str(path))
+    assert as_rows(load_table(str(path), e)) == as_rows(table)
     lines = path.read_text().splitlines()
     i = next(i for i, ln in enumerate(lines) if json.loads(ln).get("r") == rank)
     obj = json.loads(lines[i])
@@ -558,9 +571,10 @@ def test_load_refuses_appended_row(tmp_path):
 
 
 def reseal(path, lines, e, max_rank):
-    """Write `lines` (header first) back under a header that matches their rows."""
+    """Write `lines` (header first) back under a header that matches their
+    rows, with each rank counted as int() reads it (3.0 and 3.7 as 3)."""
     rows = lines[1:]
-    head = exceptional._header(e, max_rank, [json.loads(ln)["r"] for ln in rows], rows)
+    head = exceptional._header(e, max_rank, [int(json.loads(ln)["r"]) for ln in rows], rows)
     path.write_text("\n".join([head] + rows) + "\n")
 
 

@@ -344,8 +344,23 @@ def test_wall_invariants_are_internal_errors(monkeypatch, name, fake, match):
         monkeypatch.setattr(KroneckerParams, name, property(fake))
     else:
         monkeypatch.setattr(kronecker, name, fake)
-    with pytest.raises(InternalError, match=match):
-        wall_m_v(P_F1)
+    # fresh parameters, not P_F1, whose wall may be cached past the check
+    p = KroneckerParams(1, 3, 1, 1, 2, 13)
+    for _ in range(2):      # a refused wall is not cached
+        with pytest.raises(InternalError, match=match):
+            wall_m_v(p)
+
+
+def test_wall_crossing_epsilon_gives_up_without_a_confirming_eps(monkeypatch):
+    # an engine that never returns the filtration (k, l) at any m_V + 10^-j
+    from hirzebruch import existence
+
+    calls = []
+    monkeypatch.setattr(existence, "hn_generic", lambda v, m, e: calls.append(m))
+    p = KroneckerParams(0, 3, 1, 1, 2, 15)
+    with pytest.raises(KroneckerDomainError, match="^no eps of the form 10\\^-j \\(j <= 9\\) confirms"):
+        wall_crossing_epsilon(p)
+    assert calls == [wall_m_v(p) + Q(1, 10 ** j) for j in range(1, 10)]
 
 
 def test_degenerate_crossing_is_an_internal_error(monkeypatch):

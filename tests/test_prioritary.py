@@ -222,6 +222,27 @@ def test_prioritary_iff_delta_p():
         assert prioritary_nonempty(v, n, e) == (v.delta(e) >= delta_p(v.nu(), n, e))
 
 
+def test_delta_p_matches_the_triangle_construction():
+    # the closed form against the triangle normalization and barycentric
+    # weights it replaced, on slopes with denominators up to 12, negative n
+    # and e up to 6 included
+    from oracles import delta_p_by_triangle
+
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(20000):
+        e = rng.randint(0, 6)
+        nu = DivisorClass(Q(rng.randint(-40, 40), rng.randint(1, 12)), Q(rng.randint(-40, 40), rng.randint(1, 12)))
+        n = rng.randint(-8, 10)
+        got = delta_p(nu, n, e)
+        assert got == delta_p_by_triangle(nu, n, e), (nu, n, e)
+        seen["n < 0"] += n < 0
+        seen["e = 6"] += e == 6
+        seen["positive"] += got > 0
+        seen["integral eps"] += nu.a.denominator == 1
+    assert min(seen["n < 0"], seen["e = 6"], seen["integral eps"]) > 1000 and seen["positive"] > 5000, seen
+
+
 def test_report_flags():
     rep = prioritary_report(EX4, 1)
     assert rep.rho_gen == 4 and not rep.degenerate_epsilon and not rep.zero_discriminant
@@ -302,20 +323,30 @@ def test_general_cohomology_serre_side():
         done += 1
 
 
+def test_general_cohomology_matches_the_twist_walk():
+    # h0 from one twist by -kE against the walk that twists by -E one step
+    # at a time, on integral characters of rank 1-9 over e = 0..5
+    from oracles import general_cohomology_by_twist_walk
+
+    rng = random.Random(32)
+    seen = Counter()
+    for _ in range(10000):
+        e = rng.randint(0, 5)
+        v = random_integral_character(rng, e, rmax=9, coeff=12, extra=rng.choice((0, 2, 8)))
+        h = general_cohomology(v, e)
+        assert h == general_cohomology_by_twist_walk(v, e), (v, e)
+        nu = v.nu()
+        walk = v.r > 1 and nu.a > -1 and nu.b - e * nu.a < -1     # nu.F > -1 > nu.E
+        seen["h0 > 0"] += h[0] > 0
+        seen["rank one"] += v.r == 1
+        seen["nu.F < -1"] += nu.a < -1
+        seen["walk"] += walk
+        seen["walk, h0 > 0"] += walk and h[0] > 0
+    assert min(seen["h0 > 0"], seen["rank one"], seen["nu.F < -1"], seen["walk"]) > 500, seen
+    assert seen["walk, h0 > 0"] > 100, seen
+
+
 # each broken invariant raises InternalError (exit 5 in `hirz`), also under -O
-def test_triangle_normalization_failure_is_an_internal_error(monkeypatch):
-    # a ceiling off by ten puts eps outside (-1, 0) for both signs
-    monkeypatch.setattr(prioritary, "ceil_frac", lambda x: ceil(x) + 10)
-    with pytest.raises(InternalError, match="triangle normalization"):
-        prioritary._normalize_into_triangle(Q(1, 3), Q(1, 4), 2)
-
-
-def test_delta_p_weights_outside_triangle_are_an_internal_error(monkeypatch):
-    monkeypatch.setattr(prioritary, "_normalize_into_triangle", lambda eps, phi, n: (Q(1, 2), Q(0)))
-    with pytest.raises(InternalError, match="barycentric"):
-        delta_p(DivisorClass(Q(1, 3), Q(1, 4)), 2, 0)
-
-
 def test_negative_rank_one_h1_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(prioritary, "euler_char", lambda v, e: Q(10 ** 6))
     with pytest.raises(InternalError, match="h1"):
