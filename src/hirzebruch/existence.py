@@ -76,7 +76,9 @@ test reads k (n2v - 2 r max(r1, r - r1)) <= r^2 zn^2 in integers, that
 is max(r1, r - r1) >= need for one threshold need per search, so the ranks
 kept are two runs, [1, r - need] and [need, r - 1]: all of [1, r) when
 2 need <= r + 1, none when need >= r.  With no rank left the search goes
-straight to its closing check, before the degree of v is computed.  Then
+straight to its closing check, before the degree of v is computed: length
+one, and the H_{ceil m + 1} invariant read from the prioritary index that
+the ceil m gate has already computed.  Then
 `_a1_window` bounds a1 for each r1 left by one of the same cuts: with b1
 relaxed to the real mu window, a cut at either end of the window is a
 quadratic in a1 whose a1^2 coefficient, den v2 - r mp u1 in `_a1_window`,
@@ -106,8 +108,8 @@ A top-level search of `delta_estimate`'s scan gets a hint: the key
 V = (rV, aV, bV, sV) of the twisted exceptional bundle behind the DLP
 bound, sV from 2 rV^2 Delta(V) = rV^2 - 1.  Below that bound the general
 sheaf is destabilised by V, so the first factor is often k V or
-v - k V.  After the `_prior(v, ceil m)`, r = 1 and empty-rank exits and
-before its loop, the search tries these for k = 1, 2, ... with
+v - k V.  After the ceil m gate, the r = 1 exit and the empty-rank exit,
+and before its loop, the search tries these for k = 1, 2, ... with
 k rV < r (`_probe`) and accepts a candidate w1, u = v - w1 only through
 every test the loop applies to its own candidates: mu(v) <= mu(w1) <=
 mu(v) + r(u)/r, integrality, Delta_1 >= 0 and Delta(u) >= 0, the pinning
@@ -127,9 +129,12 @@ sound for any integer key; the hint only decides how often it hits.
 Recursive searches get no hint.
 
 The generic prioritary index comes from
-`prioritary.prioritary_index_of_key`.  Filtrations are memoized on
-(e, p, q, key) (Gieseker tie-breaks on walls are not twist-equivariant, so
-no twist sharing).  A broken invariant of the search raises
+`prioritary.prioritary_index_of_key`.  A search reads the index of v once:
+the one value serves the ceil m gate (the None exit) and the
+H_{ceil m + 1} invariant at both closing exits, the empty-rank exit and
+the end of the loop.  The candidates w1 and u go through `_prior`.
+Filtrations are memoized on (e, p, q, key) (Gieseker tie-breaks on walls
+are not twist-equivariant, so no twist sharing).  A broken invariant of the search raises
 `InternalError`.
 """
 
@@ -322,6 +327,8 @@ def _first_ranks(r: int, n2v: int, mp: int, mq: int, e: int) -> Sequence[int]:
     need = -((r * r * zn * zn - k * n2v) // (2 * r * k))
     if 2 * need <= r + 1:
         return range(1, r)
+    if need >= r:
+        return ()
     return [*range(1, r - need + 1), *range(need, r)]
 
 
@@ -344,13 +351,15 @@ def _search(vkey: IKey, mp: int, mq: int, e: int, hint: Optional[IKey] = None) -
     k V and v - k V before the loop."""
     r, a, b, s = vkey
     n0 = -(-mp // mq)               # ceil(m)
-    if not _prior(vkey, n0, e):
+    # one index for the ceil m gate and for the closing H_{ceil m + 1} check
+    rho = prioritary_index_of_key(vkey, e)
+    if rho is not None and n0 > rho:
         return None
     if r == 1:
         return (vkey,)
     ranks = _first_ranks(r, delta2(vkey, e), mp, mq, e)
     if not ranks:
-        return _unsplit(vkey, n0, mp, mq, e)
+        return _unsplit(vkey, rho, n0, mp, mq)
     if hint is not None:
         found = _probe(vkey, hint, n0, mp, mq, e)
         if found is not None:
@@ -443,7 +452,7 @@ def _search(vkey: IKey, mp: int, mq: int, e: int, hint: Optional[IKey] = None) -
                     if (a1 * mp + b1 * mq) * last[0] - (last[1] * mp + last[2] * mq) * r1 > r1 * last[0] * mq:
                         continue
                     return (w1,) + tail   # (4) follows (module docstring)
-    return _unsplit(vkey, n0, mp, mq, e)
+    return _unsplit(vkey, rho, n0, mp, mq)
 
 
 def _probe(vkey: IKey, hint: IKey, n0: int, mp: int, mq: int, e: int) -> Optional[Tuple[IKey, ...]]:
@@ -484,10 +493,10 @@ def _probe(vkey: IKey, hint: IKey, n0: int, mp: int, mq: int, e: int) -> Optiona
     return None
 
 
-def _unsplit(vkey: IKey, n0: int, mp: int, mq: int, e: int) -> Tuple[IKey]:
+def _unsplit(vkey: IKey, rho: Optional[int], n0: int, mp: int, mq: int) -> Tuple[IKey]:
     # no first factor: v is its own filtration, and then it must be
-    # H_{ceil m + 1}-prioritary
-    if not _prior(vkey, n0 + 1, e):
+    # H_{ceil m + 1}-prioritary, i.e. n0 + 1 <= rho, v's prioritary index
+    if rho is not None and n0 >= rho:
         raise InternalError(
             "inconsistent state: no decomposition found for %r at m=%d/%d but the "
             "character is not H_{ceil(m)+1}-prioritary" % (vkey, mp, mq)
@@ -558,9 +567,10 @@ def verdict(v: ChernCharacter, m: Rat, e: int) -> str:
         return BOGOMOLOV_VIOLATION
     mp, mq = m.numerator, m.denominator
     n0 = -(-mp // mq)               # ceil(m)
-    if not _prior(key, n0, e):
+    rho = prioritary_index_of_key(key, e)
+    if rho is not None and n0 > rho:
         return NO_PRIORITARY
-    if not _prior(key, n0 + 1, e):
+    if rho is not None and n0 >= rho:
         return EMPTY  # semistable sheaves are H_{ceil(m)+1}-prioritary
     return NONEMPTY if len(_hn_key(key, mp, mq, e)) == 1 else EMPTY
 
@@ -666,8 +676,9 @@ def delta_estimate(
     m = check_polarization(m)
     check_rank(rank_cutoff, "rank cutoff")
     _dlp._check_slope(nu)
-    da, db = nu.a.denominator, nu.b.denominator
-    r0 = da * db // gcd(da, db)
+    ap, aq = nu.a.numerator, nu.a.denominator
+    bp, bq = nu.b.numerator, nu.b.denominator
+    r0 = aq * bq // gcd(aq, bq)
     if table is None and rank_cutoff > 2:       # DLP^{<2} reads line bundles only
         table = build_table(e, rank_cutoff - 1)
     # past the gates above; empty at r = 1
@@ -681,7 +692,7 @@ def delta_estimate(
     best = None                     # (dn, r^2, key) of the best witness
     wall = False
     for r in range(r0, rank_cutoff + 1, r0):
-        a, b = int(r * nu.a), int(r * nu.b)
+        a, b = (r // aq) * ap, (r // bq) * bp     # r nu, integral as r0 | r
         c1sq = 2 * a * b - e * a * a
         rr = r * r
         # Delta = dn / (2 r^2), dn = c1sq - r s for s = 2 ch2 = c1sq - 2 c2:

@@ -996,6 +996,67 @@ def test_a1_window_leaves_the_search_unchanged(monkeypatch):
     assert sum(dec is not None and len(dec) > 1 for dec in windowed[1]) > 100
 
 
+def test_empty_rank_exit_leaves_the_search_unchanged_above_rank_six(monkeypatch):
+    # a key whose Delta cuts leave no first-factor rank goes straight to the
+    # closing check; with every rank searched instead, the results and the
+    # _prior and _hn_key calls, in order and with the memo size, are the
+    # same, on seeded characters of rank 7-24 (test_a1_window_leaves_the_
+    # search_unchanged stops at r <= 6)
+    rng = random.Random(73)
+    slices = []
+    for e in (0, 1):
+        for m in (Q(1, 3), Q(1), Q(12, 7), Q(3)):
+            chars = []
+            for _ in range(60):
+                r = rng.randint(7, 24)
+                a, b = rng.randrange(r), rng.randrange(r)
+                c1sq = 2 * a * b - e * a * a
+                c2 = -((-c1sq * (r - 1)) // (2 * r)) + rng.randint(0, 4 * r)     # Delta in [0, ~4]
+                chars.append(character(r, a, b, Q(c1sq, 2) - c2))
+            slices.append((e, m, chars))
+    prior, hn_key, search, first_ranks = existence._prior, existence._hn_key, existence._search, existence._first_ranks
+    depth, exits = [0], [0]
+
+    def logged_search(*args):
+        depth[0] += 1
+        try:
+            return search(*args)
+        finally:
+            depth[0] -= 1
+
+    def logged_first_ranks(*args):
+        ranks = first_ranks(*args)
+        exits[0] += depth[0] == 1 and not ranks     # a sampled key's own search
+        return ranks
+
+    def run():
+        log = []
+
+        def logged_prior(key, n, e):
+            log.append(("prior", key, n, e, len(existence._HN)))
+            return prior(key, n, e)
+
+        def logged_hn_key(key, mp, mq, e):
+            log.append(("hn", key, mp, mq, e, len(existence._HN)))
+            return hn_key(key, mp, mq, e)
+
+        monkeypatch.setattr(existence, "_prior", logged_prior)
+        monkeypatch.setattr(existence, "_hn_key", logged_hn_key)
+        results = []
+        for e, m, chars in slices:
+            existence.clear_cache()
+            results += [hn_generic(v, m, e) for v in chars]
+        return log, results
+
+    monkeypatch.setattr(existence, "_search", logged_search)
+    monkeypatch.setattr(existence, "_first_ranks", logged_first_ranks)
+    pruned = run()
+    assert exits[0] >= 200, exits[0]
+    monkeypatch.setattr(existence, "_first_ranks", lambda r, n2v, mp, mq, e: range(1, r))
+    assert run() == pruned
+    assert sum(dec is not None and len(dec) > 1 for dec in pruned[1]) > 50
+
+
 def test_spread_window_leaves_hn_generic_unchanged(monkeypatch):
     # the mu window stops exactly at the spread bound mu(w1) <= mu(v) +
     # (r - r1)/r, so every candidate (w1, u) the search forms has
@@ -1188,9 +1249,9 @@ def test_high_rank_filtrations(monkeypatch):
 
 def test_no_first_factor_without_the_next_prioritary_index_raises(monkeypatch):
     # _unsplit's invariant: a character with no first factor is
-    # H_{ceil m + 1}-prioritary; a _prior that refuses n >= 2 breaks it
-    prior = existence._prior
-    monkeypatch.setattr(existence, "_prior", lambda key, n, e: n < 2 and prior(key, n, e))
+    # H_{ceil m + 1}-prioritary; a prioritary index of 1 for every key
+    # passes ceil m = 1 and fails ceil m + 1 = 2, and so breaks it
+    monkeypatch.setattr(existence, "prioritary_index_of_key", lambda key, e: 1)
     existence.clear_cache()
     with pytest.raises(existence.InternalError, match="inconsistent state: no decomposition found for"):
         hn_generic(character(2, 1, 0, -1), 1, 0)
