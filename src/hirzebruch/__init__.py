@@ -75,7 +75,6 @@ from .existence import (
 from .kronecker import (
     KroneckerDomainError,
     KroneckerParams,
-    TriangleR,
     delta_closed_form,
     kronecker_characters,
     params_for_slope,

@@ -128,6 +128,18 @@ filtration.  Nothing in this argument reads the hint, so the probe is
 sound for any integer key; the hint only decides how often it hits.
 Recursive searches get no hint.
 
+The public decisions (`hn_generic`, `verdict`, `moduli_nonempty`,
+`is_wall`, `exists_above` and `reduction.reduce_decision`) cross one
+boundary, `_read`: it reads e, m and v's fields once each (v's through
+`lattice.int_key`, which alone holds a key's shape rule), runs the checks
+on those locals and returns m, its pair (mp, mq), the key and
+n2v = 2 r^2 Delta(v), so that Bogomolov is one integer sign test and no
+caller converts v or m again (`exists_above` decides each of its
+characters through `moduli_nonempty`).  The refusals keep one order: e,
+m, the key's shape, the parity of c2, then Delta < 0, which each caller
+answers in its own way (raised, a verdict, or not asked).  A search on a
+memo miss reads its own 2 r^2 Delta, as recursive searches do.
+
 The generic prioritary index comes from
 `prioritary.prioritary_index_of_key`.  A search reads the index of v once:
 the one value serves the ceil m gate (the None exit) and the
@@ -228,15 +240,25 @@ def _prior(key: IKey, n: int, e: int) -> bool:
     return rho is None or n <= rho
 
 
-def _validate(v: ChernCharacter, m: Rat, e: int) -> Tuple[Fraction, IKey]:
-    """The checked polarization and the integer key (r, a, b, 2 ch2) of v."""
-    check_surface(e)
-    m = check_polarization(m)
+def _read(v: ChernCharacter, m: Rat, e: int) -> Tuple[Fraction, int, int, IKey, int]:
+    """The boundary of the public decisions: (m, mp, mq, key, n2v), with m
+    checked and a `Fraction`, m = mp/mq in lowest terms, key = (r, a, b,
+    2 ch2) of v and n2v = 2 r^2 Delta(v), whose sign is Bogomolov's.
+    Refuses, in this order, e, m, the key's shape (`int_key`) and a c2
+    that is not an integer; Delta < 0 is left to the caller."""
+    if type(e) is not int or e < 0:
+        check_surface(e)            # raises, naming e
+    if type(m) is not Fraction:
+        m = check_polarization(m)
+    mp, mq = m.as_integer_ratio()
+    if mp <= 0:
+        check_polarization(m)       # raises, naming m
     key = int_key(v)
-    _, a, b, s = key
-    if (2 * a * b - e * a * a - s) % 2:  # 2 c2 = c1^2 - 2 ch2
+    r, a, b, s = key
+    c1sq = 2 * a * b - e * a * a
+    if (c1sq - s) % 2:              # 2 c2 = c1^2 - 2 ch2
         raise ValueError("decision engine needs an integral character, got %r" % (v,))
-    return m, key
+    return m, mp, mq, key, c1sq - r * s
 
 
 def _degenerate_c2_range(c1sq1: int, r1: int, n2u0: int) -> range:
@@ -545,10 +567,10 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
     """Generic H_m-Harder-Narasimhan decomposition of v, or None if no
     H_{ceil m}-prioritary sheaves exist.  Raises BogomolovViolation for
     Delta < 0."""
-    m, key = _validate(v, m, e)
-    if delta2(key, e) < 0:
+    m, mp, mq, key, n2v = _read(v, m, e)
+    if n2v < 0:
         raise BogomolovViolation("Delta(v) = %s < 0" % (v.delta(e),))
-    factors = _hn_key(key, m.numerator, m.denominator, e)
+    factors = _hn_key(key, mp, mq, e)
     if factors is None:
         return None
     return HNDecomposition(_characters(v, factors), m, e)
@@ -556,16 +578,15 @@ def hn_generic(v: ChernCharacter, m: Rat, e: int) -> Optional[HNDecomposition]:
 
 def is_wall(v: ChernCharacter, m: Rat, e: int) -> bool:
     """Does some lower-rank slope in the search quadrilateral tie with v at H_m?"""
-    m, key = _validate(v, m, e)
-    return _is_wall_key(key, m.numerator, m.denominator, e)
+    _, mp, mq, key, _ = _read(v, m, e)
+    return _is_wall_key(key, mp, mq, e)
 
 
 def verdict(v: ChernCharacter, m: Rat, e: int) -> str:
     """The decision verdict alone (no filtration, no wall detection)."""
-    m, key = _validate(v, m, e)
-    if delta2(key, e) < 0:
+    _, mp, mq, key, n2v = _read(v, m, e)
+    if n2v < 0:
         return BOGOMOLOV_VIOLATION
-    mp, mq = m.numerator, m.denominator
     n0 = -(-mp // mq)               # ceil(m)
     rho = prioritary_index_of_key(key, e)
     if rho is not None and n0 > rho:
@@ -582,10 +603,9 @@ def moduli_nonempty(v: ChernCharacter, m: Rat, e: int) -> DecisionCertificate:
     generic filtration as counterexample; NO_PRIORITARY and
     BOGOMOLOV_VIOLATION carry no filtration.
     """
-    m, key = _validate(v, m, e)
-    if delta2(key, e) < 0:
+    m, mp, mq, key, n2v = _read(v, m, e)
+    if n2v < 0:
         return DecisionCertificate(BOGOMOLOV_VIOLATION, None, False)
-    mp, mq = m.numerator, m.denominator
     wall = _is_wall_key(key, mp, mq, e)
     factors = _hn_key(key, mp, mq, e)
     if factors is None:
@@ -629,7 +649,7 @@ def validate_hn(dec: HNDecomposition, v: ChernCharacter, check_moduli: bool = Tr
 def exists_above(v: ChernCharacter, m: Rat, e: int, steps: int = 3) -> bool:
     """Monotone-closure harness: v and its next `steps` elementary
     modifications (Delta += 1/r) must all be NONEMPTY."""
-    m, _ = _validate(v, m, e)
+    m = _read(v, m, e)[0]
     check_count(steps, "steps")
     w = v
     for _ in range(steps + 1):

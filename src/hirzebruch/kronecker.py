@@ -21,10 +21,15 @@ H_{m_V + eps}-filtration exactly (k, l).
 
 On the triangle R spanned by the slope segments of the two families, the
 sharp threshold for mu_{H_m}-stable sheaves of slope nu = (x0, y0) is the
-closed rational expression implemented by `delta_closed_form`.
+closed rational expression implemented by `delta_closed_form`.  It decides
+its own domain: the slope -m line through nu must cross both open
+segments, and nu must lie strictly between the two crossings, which puts
+nu in the open R.  (R's third side has quadratic-irrational ends, so a
+membership test of R is a biquadratic sign test; the tests keep one as an
+oracle for this claim.)
 
-psi_N and psi_M are never evaluated as radicals: every comparison is a sign
-test of p + q sqrt(D) (or its biquadratic analogue) in exact arithmetic.
+psi_N and psi_M are never evaluated as radicals: q lies in
+(psi_N^{-1}, psi_N) exactly when q^2 - N q + 1 < 0 (`in_psi_interval`).
 """
 
 from __future__ import annotations
@@ -52,48 +57,6 @@ MAX_EPS_EXPONENT = 9  # wall_crossing_epsilon tries eps = 10^-j, j <= this
 
 class KroneckerDomainError(ValueError):
     """Parameters or slopes outside the admissible Kronecker region."""
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def sign_with_sqrt(p: Fraction, q: Fraction, D: int) -> int:
-    """Exact sign of p + q*sqrt(D) for an integer D >= 0."""
-    if D < 0:
-        raise ValueError("negative radicand")
-    if q == 0 or D == 0:
-        return _sign(p)
-    if p == 0:
-        return _sign(q)
-    sp, sq = _sign(p), _sign(q)
-    if sp == sq:
-        return sp
-    t = p * p - q * q * D
-    if t == 0:
-        return 0
-    return sp if t > 0 else sq
-
-
-def _sign_biquadratic(g0, g1, h0, h1, A: int, B: int) -> int:
-    """Exact sign of (g0 + g1 sqrt(A)) + (h0 + h1 sqrt(A)) sqrt(B)."""
-    sG = sign_with_sqrt(g0, g1, A)
-    if B == 0 or h0 == h1 == 0:
-        return sG
-    sH = sign_with_sqrt(h0, h1, A)
-    if sH == 0:
-        return sG
-    if sG == 0:
-        return sH
-    if sG == sH:
-        return sG
-    # opposite signs: compare G^2 with H^2 B inside Q(sqrt A)
-    k0 = g0 * g0 + g1 * g1 * A - (h0 * h0 + h1 * h1 * A) * B
-    k1 = 2 * g0 * g1 - 2 * h0 * h1 * B
-    sK = sign_with_sqrt(k0, k1, A)
-    if sK == 0:
-        return 0
-    return sG if sK > 0 else sH
 
 
 def _family(e: int, ell: int) -> Tuple[int, int, int]:
@@ -191,57 +154,7 @@ def wall_m_l(p: KroneckerParams) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the triangle R and the closed form
-
-@dataclass(frozen=True)
-class TriangleR:
-    """Region of slopes covered by the construction, vertices P2, P3, P4.
-
-    Two sides are rational (y = ell x through P3, P4 and y = -k x + 1 through
-    P2, P4); the third joins P2 and P3 with quadratic-irrational coordinates,
-    so membership of a rational point is a biquadratic sign test.
-    """
-
-    e: int
-    ell: int
-
-    def __post_init__(self):
-        _family(self.e, self.ell)
-
-    @property
-    def k(self) -> int:
-        return _family(self.e, self.ell)[0]
-
-    def _side_p2p3_sign(self, x0: Fraction, y0: Fraction) -> int:
-        # Orientation sign of nu against the line P2 P3, cleared of the
-        # denominators (1+u)(w-1) > 0 where u = psi_N, w = psi_M:
-        #   D = A + B u + C w + D uw  with the coefficients below.
-        k, n, mm = _family(self.e, self.ell)
-        ell = self.ell
-        ca = y0 - (ell + 1) * x0 - 1
-        cb = 2 * y0 + (k - 1) * (1 + x0) + ell * (1 - x0)
-        cc = x0
-        cd = -(y0 + (k - 1) * x0)
-        # substitute u = (n + sqrt(n^2-4))/2, w = (mm + sqrt(mm^2-4))/2
-        alpha = ca + Fraction(cb * n, 2) + Fraction(cc * mm, 2) + Fraction(cd * n * mm, 4)
-        beta = Fraction(cb, 2) + Fraction(cd * mm, 4)
-        gamma = Fraction(cc, 2) + Fraction(cd * n, 4)
-        delta = Fraction(cd, 4)
-        return _sign_biquadratic(alpha, beta, gamma, delta, n * n - 4, mm * mm - 4)
-
-    def contains(self, nu: DivisorClass, closed: bool = False) -> bool:
-        x0, y0 = Fraction(nu.a), Fraction(nu.b)
-        t1 = y0 - self.ell * x0
-        t2 = y0 + self.k * x0 - 1
-        side = self._side_p2p3_sign(x0, y0)
-        p4 = DivisorClass(Fraction(1, self.k + self.ell), Fraction(self.ell, self.k + self.ell))
-        ref = self._side_p2p3_sign(p4.a, p4.b)
-        if ref == 0:
-            raise InternalError("P4 lies on the line P2P3 of %r" % (self,))
-        if closed:
-            return t1 <= 0 and t2 <= 0 and (side == 0 or side == ref)
-        return t1 < 0 and t2 < 0 and side == ref
-
+# the closed form
 
 def _crossings(nu: DivisorClass, m: Rat, e: int, ell: int):
     """(k, m, x0, y0, x1, x2, b/a, d/c): k, the checked m, nu = (x0, y0),

@@ -21,7 +21,9 @@ integer kernels are, on keys (r, a, b, 2 ch2) from `int_key` (`from_key`
 inverts it), `delta2` and `chi2`.  `hilbert_P2` (2 L^2 P on slopes over
 L) is the reference for the tests' brute forces: the DLP scan and the
 stability walls write its product inline.
-`int_key` reads numerators and denominators and builds no `Fraction`;
+`int_key` binds `v.c1` once, reads each field's numerator and denominator
+with one `as_integer_ratio()` and builds no `Fraction`; it alone holds the
+shape rule of a key (r >= 1, integral c1, integral 2 ch2);
 `from_key` builds each field's `Fraction` once.  The constructors accept
 only `int` (not `bool`) and `Fraction` coefficients, as `check_polarization`
 does for m, and keep a `Fraction` as it is; so do `DivisorClass.scale` for
@@ -238,11 +240,15 @@ class ChernCharacter:
 
 def int_key(v: ChernCharacter) -> IKey:
     """The key (r, a, b, 2 ch2) of v; ValueError unless r >= 1 and a, b, 2 ch2 are integers."""
-    a, b, ch2 = v.c1.a, v.c1.b, v.ch2
+    r, c1 = v.r, v.c1
+    # one as_integer_ratio() per field reads its numerator and denominator
+    a, ad = c1.a.as_integer_ratio()
+    b, bd = c1.b.as_integer_ratio()
+    n, d = v.ch2.as_integer_ratio()
     # 2 ch2 is an integer exactly when ch2's denominator is 1 or 2
-    if v.r < 1 or a.denominator != 1 or b.denominator != 1 or ch2.denominator > 2:
+    if r < 1 or ad != 1 or bd != 1 or d > 2:
         raise ValueError("not a character of positive rank with integral c1 and 2 ch2: %r" % (v,))
-    return (v.r, a.numerator, b.numerator, 2 * ch2.numerator // ch2.denominator)
+    return (r, a, b, 2 * n // d)
 
 
 def from_key(key: IKey) -> ChernCharacter:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .lattice import ChernCharacter, DivisorClass, Rat, check_count, check_polarization, check_surface
-from .existence import DecisionCertificate, HNDecomposition, _validate, moduli_nonempty
+from .existence import DecisionCertificate, HNDecomposition, _read, moduli_nonempty
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def reduce_decision(v: ChernCharacter, e: int, m: Rat) -> Tuple[DecisionCertific
     The certificate's filtration factors are pulled back through pi^{-1} so
     they decompose v itself; verdicts transport exactly.
     """
-    _validate(v, m, e)      # on v itself, so a refusal names v; pi keeps integrality
+    m = _read(v, m, e)[0]   # on v itself, so a refusal names v; pi keeps integrality
     w, e_red, m_red, trace = reduce_character(v, e, m)
     cert = moduli_nonempty(w, m_red, e_red)
     if cert.hn is None:
@@ -65,7 +65,7 @@ def reduce_decision(v: ChernCharacter, e: int, m: Rat) -> Tuple[DecisionCertific
     factors = cert.hn.factors
     for _ in trace.steps:
         factors = tuple(pi_map(f, "up") for f in factors)
-    hn = HNDecomposition(factors, Fraction(m), e)
+    hn = HNDecomposition(factors, m, e)
     return DecisionCertificate(cert.verdict, hn, cert.wall), trace
 
 

@@ -10,11 +10,13 @@ conventions: a character is (r, a, b, s) with s = 2 ch2, so everything
 below is plain integer arithmetic except for a few explicit Fractions.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
 from hirzebruch import ChernCharacter, DivisorClass, E, euler_char, serre_dual, twist, verdict
-from hirzebruch.lattice import canonical_divisor, hilbert_P
+from hirzebruch.kronecker import _family
+from hirzebruch.lattice import InternalError, canonical_divisor, check_polarization, check_surface, hilbert_P
 
 
 def key_of(v: ChernCharacter):
@@ -348,3 +350,125 @@ def general_cohomology_by_twist_walk(v, e):
             break
         w = twist(w, -E, e)
     return (h0, h0 - chi, 0)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker triangle R: the reference for the claim that
+# `kronecker.delta_closed_form` answers only for slopes inside the open R
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def sign_with_sqrt(p: Fraction, q: Fraction, D: int) -> int:
+    """Exact sign of p + q*sqrt(D) for an integer D >= 0."""
+    if D < 0:
+        raise ValueError("negative radicand")
+    if q == 0 or D == 0:
+        return _sign(p)
+    if p == 0:
+        return _sign(q)
+    sp, sq = _sign(p), _sign(q)
+    if sp == sq:
+        return sp
+    t = p * p - q * q * D
+    if t == 0:
+        return 0
+    return sp if t > 0 else sq
+
+
+def sign_biquadratic(g0, g1, h0, h1, A: int, B: int) -> int:
+    """Exact sign of (g0 + g1 sqrt(A)) + (h0 + h1 sqrt(A)) sqrt(B)."""
+    sG = sign_with_sqrt(g0, g1, A)
+    if B == 0 or h0 == h1 == 0:
+        return sG
+    sH = sign_with_sqrt(h0, h1, A)
+    if sH == 0:
+        return sG
+    if sG == 0:
+        return sH
+    if sG == sH:
+        return sG
+    # opposite signs: compare G^2 with H^2 B inside Q(sqrt A)
+    k0 = g0 * g0 + g1 * g1 * A - (h0 * h0 + h1 * h1 * A) * B
+    k1 = 2 * g0 * g1 - 2 * h0 * h1 * B
+    sK = sign_with_sqrt(k0, k1, A)
+    if sK == 0:
+        return 0
+    return sG if sK > 0 else sH
+
+
+@dataclass(frozen=True)
+class TriangleR:
+    """Region of slopes covered by the construction, vertices P2, P3, P4.
+
+    Two sides are rational (y = ell x through P3, P4 and y = -k x + 1 through
+    P2, P4); the third joins P2 and P3 with quadratic-irrational coordinates,
+    so membership of a rational point is a biquadratic sign test.
+    """
+
+    e: int
+    ell: int
+
+    def __post_init__(self):
+        _family(self.e, self.ell)
+
+    @property
+    def k(self) -> int:
+        return _family(self.e, self.ell)[0]
+
+    def _side_p2p3_sign(self, x0: Fraction, y0: Fraction) -> int:
+        # Orientation sign of nu against the line P2 P3, cleared of the
+        # denominators (1+u)(w-1) > 0 where u = psi_N, w = psi_M:
+        #   D = A + B u + C w + D uw  with the coefficients below.
+        k, n, mm = _family(self.e, self.ell)
+        ell = self.ell
+        ca = y0 - (ell + 1) * x0 - 1
+        cb = 2 * y0 + (k - 1) * (1 + x0) + ell * (1 - x0)
+        cc = x0
+        cd = -(y0 + (k - 1) * x0)
+        # substitute u = (n + sqrt(n^2-4))/2, w = (mm + sqrt(mm^2-4))/2
+        alpha = ca + Fraction(cb * n, 2) + Fraction(cc * mm, 2) + Fraction(cd * n * mm, 4)
+        beta = Fraction(cb, 2) + Fraction(cd * mm, 4)
+        gamma = Fraction(cc, 2) + Fraction(cd * n, 4)
+        delta = Fraction(cd, 4)
+        return sign_biquadratic(alpha, beta, gamma, delta, n * n - 4, mm * mm - 4)
+
+    def contains(self, nu: DivisorClass, closed: bool = False) -> bool:
+        x0, y0 = Fraction(nu.a), Fraction(nu.b)
+        t1 = y0 - self.ell * x0
+        t2 = y0 + self.k * x0 - 1
+        side = self._side_p2p3_sign(x0, y0)
+        p4 = DivisorClass(Fraction(1, self.k + self.ell), Fraction(self.ell, self.k + self.ell))
+        ref = self._side_p2p3_sign(p4.a, p4.b)
+        if ref == 0:
+            raise InternalError("P4 lies on the line P2P3 of %r" % (self,))
+        if closed:
+            return t1 <= 0 and t2 <= 0 and (side == 0 or side == ref)
+        return t1 < 0 and t2 < 0 and side == ref
+
+
+# ---------------------------------------------------------------------------
+# the decision boundary as it read its input before one reader replaced it:
+# `existence._validate` with the `lattice.int_key` it called, verbatim, and
+# `lattice.delta2` (`delta2_num` above); the reference for
+# `existence._read`'s key, 2 r^2 Delta and refusals
+
+def boundary_int_key(v):
+    """The key (r, a, b, 2 ch2) of v; ValueError unless r >= 1 and a, b, 2 ch2 are integers."""
+    a, b, ch2 = v.c1.a, v.c1.b, v.ch2
+    # 2 ch2 is an integer exactly when ch2's denominator is 1 or 2
+    if v.r < 1 or a.denominator != 1 or b.denominator != 1 or ch2.denominator > 2:
+        raise ValueError("not a character of positive rank with integral c1 and 2 ch2: %r" % (v,))
+    return (v.r, a.numerator, b.numerator, 2 * ch2.numerator // ch2.denominator)
+
+
+def boundary_validate(v, m, e):
+    """The checked polarization and the integer key (r, a, b, 2 ch2) of v."""
+    check_surface(e)
+    m = check_polarization(m)
+    key = boundary_int_key(v)
+    _, a, b, s = key
+    if (2 * a * b - e * a * a - s) % 2:  # 2 c2 = c1^2 - 2 ch2
+        raise ValueError("decision engine needs an integral character, got %r" % (v,))
+    return m, key

@@ -26,6 +26,7 @@ from hirzebruch import (
     kronecker_characters,
     KroneckerParams,
     moduli_nonempty,
+    reduce_decision,
     reduced_hilbert_key,
     twist,
     validate_hn,
@@ -34,7 +35,7 @@ from hirzebruch import (
 from hirzebruch import dlp_below_rank, existence, intersect
 from hirzebruch.lattice import chi2, fiber_window, from_key, hilbert_P2, int_key
 from hirzebruch.prioritary import BogomolovViolation
-from oracles import DecompositionOracle, key_of
+from oracles import DecompositionOracle, boundary_validate, delta2_num, key_of
 
 P_F1 = KroneckerParams(1, 3, 1, 1, 2, 13)
 P_F0 = KroneckerParams(0, 3, 1, 1, 2, 15)
@@ -1264,3 +1265,118 @@ def test_delta_scan_past_its_cap_raises(monkeypatch):
     monkeypatch.setattr(existence, "_hn_key", lambda *args: None)
     with pytest.raises(existence.InternalError, match="delta scan exceeded cap 17/2 at rank 2"):
         delta_estimate(DivisorClass(Q(1, 2), 0), 1, 0, 4)
+
+
+SURFACE = "surface parameter e must be a non-negative integer, got %s"
+M_TYPE = "polarization parameter m must be an int or a Fraction, got %s"
+M_SIGN = "polarization parameter m must be positive, got %s"
+SHAPE = "not a character of positive rank with integral c1 and 2 ch2: %r"
+PARITY = "decision engine needs an integral character, got %r"
+O_CHAR = character(1, 0, 0, 0)
+# (v, m, e, expected refusal): one fault each, then two faults each, where
+# the first in the order e, m, key shape, c2 parity, Delta wins
+BOUNDARY_FAULTS = [
+    (O_CHAR, 1, True, SURFACE % "True"),
+    (O_CHAR, 1, -1, SURFACE % "-1"),
+    (O_CHAR, 1, 1.0, SURFACE % "1.0"),
+    (O_CHAR, 0, 0, M_SIGN % "0"),
+    (O_CHAR, Q(-1, 2), 0, M_SIGN % "-1/2"),
+    (O_CHAR, 0.5, 0, M_TYPE % "0.5"),
+    (O_CHAR, True, 0, M_TYPE % "True"),
+    (O_CHAR, "1", 0, M_TYPE % "'1'"),
+    (character(0, 0, 0, 0), 1, 0, SHAPE % (character(0, 0, 0, 0),)),
+    (character(1, Q(1, 2), 0, 0), 1, 0, SHAPE % (character(1, Q(1, 2), 0, 0),)),
+    (character(1, 0, 0, Q(1, 3)), 1, 0, SHAPE % (character(1, 0, 0, Q(1, 3)),)),
+    (character(1, 0, 0, Q(-1, 2)), 1, 0, PARITY % (character(1, 0, 0, Q(-1, 2)),)),
+    (O_CHAR, 0, True, SURFACE % "True"),
+    (character(1, 0, 0, 1), 1, -1, SURFACE % "-1"),
+    (character(0, 0, 0, 0), 0, 0, M_SIGN % "0"),
+    (character(1, 0, 0, Q(1, 2)), 0.5, 1, M_TYPE % "0.5"),
+    (character(1, 0, 0, Q(7, 3)), 1, 0, SHAPE % (character(1, 0, 0, Q(7, 3)),)),
+    (character(1, 0, 0, Q(1, 2)), 1, 0, PARITY % (character(1, 0, 0, Q(1, 2)),)),
+    (character(1, 0, 0, Q(1, 2)), 1, 3, PARITY % (character(1, 0, 0, Q(1, 2)),)),
+]
+BOGOMOLOV_CERT = DecisionCertificate("BOGOMOLOV_VIOLATION", None, False)
+
+
+@pytest.mark.parametrize("call, bogomolov", [
+    pytest.param(hn_generic, BogomolovViolation("Delta(v) = -1 < 0"), id="hn_generic"),
+    pytest.param(moduli_nonempty, BOGOMOLOV_CERT, id="moduli_nonempty"),
+    pytest.param(verdict, "BOGOMOLOV_VIOLATION", id="verdict"),
+    pytest.param(is_wall, False, id="is_wall"),
+    pytest.param(exists_above, False, id="exists_above"),
+    pytest.param(lambda v, m, e: reduce_decision(v, e, m)[0], BOGOMOLOV_CERT, id="reduce_decision"),
+])
+def test_every_decision_refuses_bad_input_as_before(call, bogomolov):
+    # each public decision reads its input through existence._read and
+    # refuses a bad e, m or character with the ValueError and message the
+    # decisions gave before it, in the same order; Delta < 0 is its own
+    # call's answer: raised, returned as a verdict, or not looked at
+    for v, m, e, message in BOUNDARY_FAULTS:
+        with pytest.raises(ValueError) as info:
+            call(v, m, e)
+        assert type(info.value) is ValueError and str(info.value) == message, (v, m, e)
+    for e in (0, 3):
+        if isinstance(bogomolov, Exception):
+            with pytest.raises(type(bogomolov)) as info:
+                call(character(1, 0, 0, 1), 1, e)
+            assert str(info.value) == str(bogomolov)
+        else:
+            assert call(character(1, 0, 0, 1), 1, e) == bogomolov
+
+
+def _outcome(call, *args):
+    try:
+        return True, call(*args)
+    except ValueError as err:       # BogomolovViolation is one too
+        return False, (type(err), str(err))
+
+
+def _boundary_hn_generic(v, m, e):
+    # hn_generic as it read its input before existence._read: the oracle
+    # boundary, then delta2 for Bogomolov, then the same search
+    m, key = boundary_validate(v, m, e)
+    if delta2_num(key, e) < 0:
+        raise BogomolovViolation("Delta(v) = %s < 0" % (v.delta(e),))
+    factors = existence._hn_key(key, m.numerator, m.denominator, e)
+    if factors is None:
+        return None
+    return HNDecomposition(existence._characters(v, factors), m, e)
+
+
+def test_boundary_reader_matches_the_validate_and_delta2_oracle():
+    # 5,000 seeded characters of rank 1-24 with half-integral ch2, both
+    # parities of c2 and both signs of Delta (and a few of the wrong
+    # shape), at int and Fraction m on F_0 to F_3: existence._read gives
+    # the oracle's m, key and 2 r^2 Delta or its exception, and hn_generic
+    # the oracle-bounded hn_generic's output or exception
+    rng = random.Random(37)
+    seen = {"odd c2": 0, "Delta < 0": 0, "shape": 0, "ok": 0, "int m": 0}
+    for _ in range(5000):
+        e = rng.randint(0, 3)
+        m = rng.randint(1, 4) if rng.random() < 0.3 else Q(rng.randint(1, 12), rng.randint(1, 4))
+        r, a, b = rng.randint(1, 24), rng.randint(-8, 8), rng.randint(-8, 8)
+        c1sq = 2 * a * b - e * a * a
+        s = c1sq // r - rng.randint(-2, 2 * r)      # 2 r^2 Delta from about -2r to 2r^2
+        v = ChernCharacter(r, DivisorClass(a, b), Q(s, 2))
+        if rng.random() < 0.03:
+            v = rng.choice((ChernCharacter(0, v.c1, v.ch2), ChernCharacter(r, DivisorClass(Q(a, 2), b), v.ch2),
+                            ChernCharacter(r, v.c1, Q(s, 3))))
+        ok, got = _outcome(existence._read, v, m, e)
+        ok_old, want = _outcome(boundary_validate, v, m, e)
+        if ok_old:
+            m_old, key = want
+            want = (m_old, m_old.numerator, m_old.denominator, key, delta2_num(key, e))
+        assert (ok, got) == (ok_old, want), (v, m, e)
+        if ok:
+            assert type(got[0]) is Q and all(type(x) is int for x in (got[1], got[2], *got[3], got[4]))
+            seen["Delta < 0" if got[4] < 0 else "ok"] += 1
+        else:
+            seen["odd c2" if want[1].startswith("decision") else "shape"] += 1
+        seen["int m"] += type(m) is int
+        ok, dec = _outcome(hn_generic, v, m, e)
+        assert (ok, dec) == _outcome(_boundary_hn_generic, v, m, e), (v, m, e)
+        if ok and dec is not None:
+            assert type(dec.m) is Q and all(type(f.ch2) is Q for f in dec.factors)
+    assert min(seen.values()) >= 100, seen
+

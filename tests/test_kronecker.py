@@ -10,7 +10,6 @@ from hirzebruch import (
     KroneckerDomainError,
     KroneckerParams,
     InternalError,
-    TriangleR,
     character,
     delta_closed_form,
     delta_estimate,
@@ -23,7 +22,8 @@ from hirzebruch import (
     wall_m_v,
 )
 from hirzebruch import kronecker
-from hirzebruch.kronecker import in_psi_interval, params_for_slope, sign_with_sqrt
+from hirzebruch.kronecker import in_psi_interval, params_for_slope
+from oracles import TriangleR, sign_biquadratic, sign_with_sqrt
 
 P_F0 = KroneckerParams(0, 3, 1, 1, 2, 15)
 P_F1 = KroneckerParams(1, 3, 1, 1, 2, 13)
@@ -206,7 +206,7 @@ def test_biquadratic_sign_against_square_radicands():
             g0 = -g1 * a - (h0 + h1 * a) * b
         G, H = g0 + g1 * a, h0 + h1 * a
         want = (G + H * b > 0) - (G + H * b < 0)
-        assert kronecker._sign_biquadratic(g0, g1, h0, h1, a * a, b * b) == want, (a, b, g0, g1, h0, h1)
+        assert sign_biquadratic(g0, g1, h0, h1, a * a, b * b) == want, (a, b, g0, g1, h0, h1)
         seen["h_terms"] += h0 == h1 == 0
         seen["h_value"] += H == 0 and (h0, h1) != (0, 0)
         seen["g_value"] += G == 0 and H != 0
@@ -277,6 +277,35 @@ def test_triangle_membership():
     tri1 = TriangleR(1, 3)
     assert tri1.contains(DivisorClass(Q(3, 13), Q(6, 13)))
     assert not tri1.contains(DivisorClass(Q(1, 2), Q(1, 2)))
+
+
+def test_closed_form_answers_only_inside_the_open_triangle():
+    # nu drawn on slope -m lines through R: the line joins x1 on the K-side
+    # y = -k x + 1 to x2 on the L-side y = ell x, both drawn around their
+    # open construction segments, and nu = x2 + lam (x1 - x2) with lam
+    # around (0, 1); wherever delta_closed_form answers, the oracle's open
+    # R holds nu
+    rng = random.Random(59)
+    answers = refused = 0
+    for _ in range(2000):
+        e, ell = rng.randint(0, 1), rng.randint(3, 6)
+        k = ell - e
+        x1 = Q(rng.randint(1, 99), 100)
+        x2 = Q(rng.randint(80, 110), 100 * (2 * ell - e))
+        y1, y2 = 1 - k * x1, ell * x2
+        if x1 == x2 or (y2 - y1) / (x1 - x2) <= 0:
+            continue
+        m = (y2 - y1) / (x1 - x2)
+        lam = Q(rng.randint(-10, 110), 100)
+        nu = DivisorClass(x2 + lam * (x1 - x2), y2 + lam * (y1 - y2))
+        try:
+            delta_closed_form(nu, m, e, ell)
+        except KroneckerDomainError:
+            refused += 1
+            continue
+        assert TriangleR(e, ell).contains(nu), (nu, m, e, ell)
+        answers += 1
+    assert answers >= 300 and refused >= 300, (answers, refused)
 
 
 def test_wall_crossing_epsilon_and_hn():

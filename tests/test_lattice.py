@@ -20,7 +20,6 @@ from hirzebruch import (
     IntegralityError,
     KroneckerDomainError,
     KroneckerParams,
-    TriangleR,
     build_table,
     canonical_divisor,
     character,
@@ -516,7 +515,6 @@ def test_non_integer_surfaces_are_refused_everywhere(tmp_path):
     # the Kronecker construction keeps its own domain error (exit 3)
     kronecker = (
         lambda e: KroneckerParams(e, 3, 1, 1, 2, 13),
-        lambda e: TriangleR(e, 3),
         lambda e: delta_closed_form(nu, Q(12, 7), e, 3),
         lambda e: params_for_slope(nu, Q(12, 7), e, 3),
     )
@@ -560,11 +558,11 @@ def test_non_integer_surfaces_are_refused_everywhere(tmp_path):
     assert prioritary_nonempty(v, -2, 0) and delta_p(nu, -1, 0) >= 0
     # ell is an int >= 3, not a float
     for ell in (3.5, 3.0, True, "3", Q(3), None, 2):
-        for call in (lambda ell: KroneckerParams(1, ell, 1, 1, 2, 13), lambda ell: TriangleR(1, ell)):
+        for call in (lambda ell: KroneckerParams(1, ell, 1, 1, 2, 13), lambda ell: delta_closed_form(nu, Q(12, 7), 1, ell)):
             with pytest.raises(KroneckerDomainError, match="ell >= 3; got e=1, ell=") as info:
                 call(ell)
             assert repr(ell) in str(info.value)
-    assert KroneckerParams(1, 3, 1, 1, 2, 13).k == 2 and TriangleR(0, 3).k == 3
+    assert KroneckerParams(1, 3, 1, 1, 2, 13).k == 2 and KroneckerParams(0, 3, 1, 1, 2, 15).k == 3
 
 
 def test_non_rational_polarizations_are_refused_everywhere():
